@@ -36,7 +36,7 @@ from .selection import (
     fit_concentration,
     fit_concentration_mle,
     load_scatter_json,
-    log_I,
+    log_I_terms,
     posterior,
     summarize_data,
 )
@@ -180,10 +180,7 @@ def cmd_fit(args) -> int:
 
 def cmd_constants(args) -> int:
     graph, models = _resolve_models(args)
-    scale = _resolve_scale(args, graph.vertex_count)
-    if not args.delta > 2.0:
-        raise IntegrabilityError(f"shape parameter must exceed 2, got {args.delta}")
-    alpha = (args.delta - 2.0) / 2.0
+    hyper = Hyperparams(delta=args.delta, scale=_resolve_scale(args, graph.vertex_count))
     wanted = args.model.split(",") if args.model else [m.label for m in models]
     known = {m.label for m in models}
     unknown = [w for w in wanted if w not in known]
@@ -193,18 +190,9 @@ def cmd_constants(args) -> int:
     for m in models:
         if m.label not in wanted:
             continue
-        y = m.space.project(scale) / 2.0
-        ld, lp = m.realization.log_delta_phi(y)
+        terms = log_I_terms(m, hyper)
         rows.append(
-            {
-                "model_id": m.label,
-                "dim": m.space.dim,
-                "alpha": alpha,
-                "log_gamma": m.realization.log_gamma(alpha),
-                "log_delta": ld,
-                "log_phi": lp,
-                "log_I": log_I(m, args.delta, scale),
-            }
+            {"model_id": m.label, "dim": m.space.dim, **terms._asdict(), "log_I": terms.log_I}
         )
     if args.output == "json":
         print(_dump_json({"models": rows}))
@@ -263,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--D", dest="scale_file",
                        help="prior scale matrix as a JSON file (overrides --d-scale)")
         p.add_argument("--output", choices=("table", "json"), default="table")
-        p.add_argument("--seed", type=int, default=0xC0FFEE)
 
     p_sel = sub.add_parser("select", help="posterior probabilities over symmetry models")
     add_stat_args(p_sel)

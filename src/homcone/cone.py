@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, DomainError, DualMembershipError, ShapeError
 from .invariant import InvariantSpace, trace_inner
@@ -53,6 +52,11 @@ def _cholesky_or_none(x: np.ndarray):
         return np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
         return None
+
+
+def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (chol chol^T) z = b for the lower Cholesky factor chol."""
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
 
 
 def _logdet_from_chol(chol: np.ndarray) -> float:
@@ -109,7 +113,7 @@ def psi(
         chol = _cholesky_or_none(x)
         if chol is None:  # pragma: no cover - iterates stay definite by construction
             raise ConvergenceError("iterate lost positive definiteness")
-        w = scipy.linalg.cho_solve((chol, True), np.eye(p))
+        w = _cho_solve(chol, np.eye(p))
         w = 0.5 * (w + w.T)
         grad = yn - space.project(w)
         grad_norm = float(np.linalg.norm(grad))
@@ -120,7 +124,7 @@ def psi(
         m = metric_matrix(space, w)
         g = space.coords(grad)
         try:
-            step_coords = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(m), g)
+            step_coords = -_cho_solve(np.linalg.cholesky(m), g)
         except np.linalg.LinAlgError:
             # the metric only degenerates when the iterate runs to the cone
             # boundary or to infinity, i.e. the objective has no minimizer

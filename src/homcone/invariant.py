@@ -125,12 +125,13 @@ def project(space: InvariantSpace, y: np.ndarray) -> np.ndarray:
     return space.project(y)
 
 
-def same_space(z1: InvariantSpace, z2: InvariantSpace, tol: float = SPAN_TOL) -> bool:
-    """True iff the two spans coincide (mutual projection residuals below tol)."""
+def same_space(z1: InvariantSpace, z2: InvariantSpace) -> bool:
+    """True iff the two spans coincide.
+
+    Each basis element is the normalized indicator of one cell orbit, so two
+    spaces on one graph span the same matrices exactly when their canonical
+    orbit partitions are equal.
+    """
     if z1.graph != z2.graph:
         raise UsageError("spaces live on different graphs")
-    for a, b in ((z1, z2), (z2, z1)):
-        for mat in a.basis:
-            if b.residual_from(mat) > tol:
-                return False
-    return True
+    return z1.orbits == z2.orbits

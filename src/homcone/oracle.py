@@ -20,10 +20,10 @@ given (seed, samples) pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import cone
 from .errors import DomainError, ScopeError, StencilError
@@ -81,8 +81,8 @@ def _log_f_batch(space, coords, y_coords, alpha):
 
 def _student_t_log_norm(df: float, dim: int, chol: np.ndarray) -> float:
     return float(
-        gammaln((df + dim) / 2.0)
-        - gammaln(df / 2.0)
+        math.lgamma((df + dim) / 2.0)
+        - math.lgamma(df / 2.0)
         - 0.5 * dim * np.log(df * np.pi)
         - np.sum(np.log(np.diag(chol)))
     )

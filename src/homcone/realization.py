@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     ConjugationError,
@@ -397,7 +396,7 @@ def log_gamma_v(structure: VStructure, alpha: float) -> float:
         nk = structure.block_sizes[k - 1]
         qk = structure.q(k)
         total += (-nk * alpha - (qk + 1) / 2.0) * math.log(nk)
-        total += float(gammaln(nk * alpha + qk / 2.0 + 1.0))
+        total += math.lgamma(nk * alpha + qk / 2.0 + 1.0)
     return total
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,42 +191,47 @@ def build_butterfly_models(registry_path=None) -> list[Model]:
     return models
 
 
-def log_I(
-    model: Model,
-    delta: float,
-    scale: np.ndarray,
-    *,
-    numeric_delta_phi: bool = False,
-) -> float:
-    """Log normalizing constant of the conjugate prior on the model cone.
+class LogITerms(NamedTuple):
+    """The three factors of a log normalizing constant at gamma exponent alpha."""
 
-    Uses the realization fast path for the determinant functionals when the
-    model carries one (the numeric path otherwise); the gamma factor always
-    needs a realization.
+    alpha: float
+    log_gamma: float
+    log_delta: float
+    log_phi: float
+
+    @property
+    def log_I(self) -> float:
+        return self.log_gamma + self.log_phi - self.alpha * self.log_delta
+
+
+def log_I_terms(model: Model, hyper: Hyperparams, *, numeric_delta_phi: bool = False) -> LogITerms:
+    """Factors of the conjugate prior's log normalizing constant on the model cone.
+
+    The gamma factor, at exponent (delta - 2) / 2, needs a realization.  The
+    determinant functionals are taken at the projected point scale / 2, by
+    the realization fast path or, with ``numeric_delta_phi``, by the Newton
+    path.
     """
-    if not delta > 2.0:
-        raise IntegrabilityError(
-            f"normalizing integral diverges unless the shape exceeds 2, got {delta}"
-        )
     if model.realization is None:
         raise CapabilityError(
             f"model {model.label} has no block realization; "
             "the gamma factor cannot be computed"
         )
-    scale = np.asarray(scale, dtype=float)
-    try:
-        np.linalg.cholesky(scale)
-    except np.linalg.LinAlgError:
-        raise DomainError("scale matrix must be positive definite") from None
-    alpha = (delta - 2.0) / 2.0
-    y = model.space.project(scale) / 2.0
+    alpha = (hyper.delta - 2.0) / 2.0
+    y = model.space.project(hyper.scale) / 2.0
     if numeric_delta_phi:
         res = cone.psi(model.space, y)
         ld = cone.log_delta(model.space, y, res)
         lp = cone.log_phi(model.space, y, res)
     else:
         ld, lp = model.realization.log_delta_phi(y)
-    return model.realization.log_gamma(alpha) + lp - alpha * ld
+    return LogITerms(alpha, model.realization.log_gamma(alpha), ld, lp)
+
+
+def log_I(model: Model, delta: float, scale, *, numeric_delta_phi: bool = False) -> float:
+    """Log normalizing constant of the conjugate prior on the model cone."""
+    hyper = Hyperparams(delta=delta, scale=scale)
+    return log_I_terms(model, hyper, numeric_delta_phi=numeric_delta_phi).log_I
 
 
 def dedupe_models(models) -> list[Model]:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,8 +74,7 @@ def test_select_fixture_winners(capsys):
 
 
 def test_select_json_deterministic(capsys):
-    argv = ["select", "--fixture", "exam-marks", "--d-scale", "100",
-            "--output", "json", "--seed", "7"]
+    argv = ["select", "--fixture", "exam-marks", "--d-scale", "100", "--output", "json"]
     code1, out1, _ = run(capsys, argv)
     code2, out2, _ = run(capsys, argv)
     assert code1 == code2 == 0
@@ -189,6 +192,12 @@ def test_constants_json_subset(capsys):
     assert np.isfinite(rec["log_I"])
 
 
+def test_constants_shape_precondition(capsys):
+    code, _, err = run(capsys, ["constants", "--delta", "1.5"])
+    assert code == 3
+    assert "shape" in err
+
+
 def test_verify_fast(capsys):
     code, out, _ = run(capsys, ["verify", "--level", "fast"])
     assert code == 0
@@ -222,3 +231,50 @@ def test_verbose_newton_trace(capsys):
     assert lines
     record = json.loads(lines[0])
     assert "gradient_norm" in record and "iteration" in record
+
+
+# Runs cli.main over argv lists (argv[1], JSON) with every import of scipy
+# failing, and prints [exit code, stdout] per command as JSON.
+SCIPY_BLOCKED_RUNNER = """
+import contextlib, io, json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"import of {name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from homcone.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_cli_runs_without_scipy(capsys):
+    commands = [
+        ["select", "--fixture", "exam-marks", "--output", "json"],
+        ["fit", "--fixture", "exam-marks", "--model", "G3", "--mle", "--output", "json"],
+        ["constants", "--output", "json"],
+        ["verify", "--level", "fast"],
+    ]
+    src = str(Path(hc.__file__).resolve().parents[1])
+    pythonpath = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED_RUNNER, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    blocked = json.loads(proc.stdout)
+    assert len(blocked) == len(commands)
+    for argv, (code, out) in zip(commands, blocked):
+        in_process_code, in_process_out, _ = run(capsys, argv)
+        assert code == in_process_code == 0, argv
+        assert out == in_process_out, argv

@@ -5,7 +5,13 @@ import pytest
 
 import homcone as hc
 from homcone.errors import InvarianceError, ShapeError, UsageError
-from homcone.graphs import Graph, Permutation, PermutationGroup
+from homcone.graphs import (
+    Graph,
+    Permutation,
+    PermutationGroup,
+    automorphism_group,
+    enumerate_subgroups,
+)
 from homcone.invariant import build_invariant_space, project, same_space, trace_inner
 
 
@@ -137,6 +143,37 @@ def test_space_classes(spaces):
         if not any(same_space(spaces[key], spaces[r]) for r in reps):
             reps.append(key)
     assert len(reps) == 7
+
+
+def mutual_projection_residual(z1, z2):
+    """Largest distance from a basis element of either space to the other span."""
+    worst = 0.0
+    for a, b in ((z1, z2), (z2, z1)):
+        coords = np.einsum("bij,aij->ab", b.basis, a.basis)
+        rebuilt = np.einsum("ab,bij->aij", coords, b.basis)
+        worst = max(worst, float(np.max(np.linalg.norm(a.basis - rebuilt, axis=(1, 2)))))
+    return worst
+
+
+@pytest.mark.parametrize(
+    ("p", "edges", "classes"),
+    [
+        (4, list(itertools.combinations(range(1, 5), 2)), 22),  # K4
+        (5, [(1, j) for j in range(2, 6)], 15),  # star K_{1,4}
+        (7, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5), (1, 6), (1, 7), (6, 7)], 31),
+    ],
+    ids=["K4", "star", "windmill"],
+)
+def test_same_space_agrees_with_projection_residuals(p, edges, classes):
+    g = Graph.build([str(i) for i in range(1, p + 1)], edges)
+    spaces = [build_invariant_space(g, h) for h in enumerate_subgroups(automorphism_group(g))]
+    reps = []
+    for i, z in enumerate(spaces):
+        for w in spaces[:i]:
+            assert same_space(z, w) == (mutual_projection_residual(z, w) <= 1e-10)
+        if all(mutual_projection_residual(z, r) > 1e-10 for r in reps):
+            reps.append(z)
+    assert len(reps) == classes
 
 
 def test_same_space_usage_error(spaces):

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import gammaln
 
 import homcone as hc
-from homcone import cone
+from homcone import cone, oracle, verify
 from homcone.errors import DomainError, ScopeError, StencilError
 from homcone.graphs import Graph, Permutation, PermutationGroup
 from homcone.invariant import build_invariant_space
@@ -151,3 +151,11 @@ def test_stencil_error_wrapping():
         finite_diff_gradient(bad, space, np.eye(2))
     with pytest.raises(StencilError):
         finite_diff_hessian(bad, space, np.eye(2))
+
+
+def test_check_mc_reports_low_ess_warning(monkeypatch):
+    # every estimate falls below an ESS threshold of all draws
+    monkeypatch.setattr(oracle, "ESS_WARN_FRACTION", 1.0)
+    results = verify.check_mc(samples=20_000)
+    assert len(results) == 3
+    assert all("effective sample size" in r.detail for r in results)
