@@ -19,6 +19,7 @@ from importlib import resources
 import numpy as np
 
 from .graphs import Graph, Permutation, PermutationGroup, graph_from_dict
+from .invariant import InvariantSpace, build_invariant_space
 from .realization import VStructure
 
 _SYMBOLS = {
@@ -88,15 +89,14 @@ def merged_classes() -> dict[str, tuple[str, ...]]:
 
 def butterfly_registry(path=None) -> list[RegistryEntry]:
     """The seven realization entries, one per distinct invariant space."""
-    data = load_registry_data(path)
+    data = _default_data() if path is None else load_registry_data(path)
     merged = {k: tuple(v) for k, v in data["merged_classes"].items()}
     entries = []
     for raw in data["entries"]:
-        subs = {}
-        for key, mats in raw["subspaces"].items():
-            l, k = (int(tok) for tok in key.split(","))
-            subs[(l, k)] = np.array([_parse_matrix(m) for m in mats])
-        structure = VStructure(raw["block_sizes"], subs)
+        subs = {
+            key: [_parse_matrix(m) for m in mats] for key, mats in raw["subspaces"].items()
+        }
+        structure = VStructure.from_dict({"block_sizes": raw["block_sizes"], "subspaces": subs})
         entries.append(
             RegistryEntry(
                 model_id=raw["id"],
@@ -106,3 +106,13 @@ def butterfly_registry(path=None) -> list[RegistryEntry]:
             )
         )
     return entries
+
+
+def registry_spaces(path=None) -> list[tuple[RegistryEntry, InvariantSpace]]:
+    """Each registry entry with the invariant space of its subgroup."""
+    graph = butterfly_graph()
+    subgroups = butterfly_subgroups()
+    return [
+        (entry, build_invariant_space(graph, subgroups[entry.model_id]))
+        for entry in butterfly_registry(path)
+    ]

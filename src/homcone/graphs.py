@@ -272,9 +272,11 @@ def automorphism_group(g: Graph) -> PermutationGroup:
 def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
     """Every subgroup exactly once, sorted by order then by element list.
 
-    Starts from all cyclic subgroups and closes the collection under pairwise
-    joins until stable; any subgroup is a join of cyclic ones, so the fixpoint
-    is the complete subgroup lattice.
+    Cyclic extension: starting from the trivial group, each newly found
+    subgroup H is grown by every element g outside it, closing the generators
+    H was found with plus g, until a round finds nothing new.  Every subgroup
+    ends a chain of such one-element extensions from the trivial group, so the
+    search reaches the complete subgroup lattice.
     """
     if group.order > SUBGROUP_ORDER_LIMIT:
         raise ScopeError(
@@ -282,26 +284,21 @@ def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
             f"{SUBGROUP_ORDER_LIMIT} (got {group.order})"
         )
     degree = group.degree
-    ident = Permutation.identity(degree)
-    subs: set[frozenset[Permutation]] = {frozenset({ident})}
-    for e in group.elements:
-        subs.add(_close(degree, [e]))
-    tried: set[frozenset[Permutation]] = set()
-    while True:
-        added = False
-        for a, b in itertools.combinations(sorted(subs, key=len), 2):
-            if a <= b or b <= a:
-                continue
-            key = a | b
-            if key in tried:
-                continue
-            tried.add(key)
-            joined = _close(degree, key)
-            if joined not in subs:
-                subs.add(joined)
-                added = True
-        if not added:
-            break
+    trivial = frozenset({Permutation.identity(degree)})
+    subs: dict[frozenset[Permutation], tuple[Permutation, ...]] = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        new = []
+        for h in frontier:
+            for g in group.elements:
+                if g in h:
+                    continue
+                gens = subs[h] + (g,)
+                k = _close(degree, gens)
+                if k not in subs:
+                    subs[k] = gens
+                    new.append(k)
+        frontier = new
     ordered = sorted(
         subs, key=lambda h: (len(h), tuple(e.images for e in sorted(h)))
     )

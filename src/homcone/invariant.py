@@ -5,7 +5,9 @@ symmetric matrices that are invariant under simultaneous row/column
 permutation by every group element and vanish on non-adjacent off-diagonal
 cells.  An orthonormal basis under the trace inner product tr(xy) is built
 from the group orbits of diagonal cells and edge cells, which makes
-projections and coordinates cheap and exactly reproducible.
+projections and coordinates cheap and exactly reproducible.  Coordinates
+and projections live in ``OrthonormalSpan``, which the realized block
+structures share.
 """
 
 from __future__ import annotations
@@ -25,8 +27,36 @@ def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
+def project_onto(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of x onto the span of an orthonormal stack of
+    matrices under (a|b) = tr(a b^T)."""
+    return np.einsum("a,aij->ij", np.einsum("aij,ij->a", stack, x), stack)
+
+
+class OrthonormalSpan:
+    """Coordinates and projections for a subclass's orthonormal ``basis``
+    stack (N, p, p) under the trace inner product."""
+
+    def coords(self, x: np.ndarray) -> np.ndarray:
+        """Coordinates of the projection of x onto the space."""
+        return np.einsum("aij,ij->a", self.basis, x)
+
+    def from_coords(self, v: np.ndarray) -> np.ndarray:
+        return np.einsum("a,aij->ij", np.asarray(v, dtype=float), self.basis)
+
+    def project(self, y: np.ndarray) -> np.ndarray:
+        return project_onto(self.basis, y)
+
+    def residual_from(self, y: np.ndarray) -> float:
+        """Frobenius distance from y to the space."""
+        return float(np.linalg.norm(y - self.project(y)))
+
+    def contains(self, y: np.ndarray, tol: float = SPAN_TOL) -> bool:
+        return self.residual_from(y) <= tol * max(1.0, float(np.linalg.norm(y)))
+
+
 @dataclass(frozen=True, eq=False)
-class InvariantSpace:
+class InvariantSpace(OrthonormalSpan):
     """Invariant subspace with an orthonormal basis under the trace inner product."""
 
     graph: Graph
@@ -42,25 +72,11 @@ class InvariantSpace:
     def p(self) -> int:
         return self.basis.shape[1]
 
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of the projection of x onto the space."""
-        return np.einsum("aij,ij->a", self.basis, x)
-
-    def from_coords(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("a,aij->ij", np.asarray(v, dtype=float), self.basis)
-
     def project(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.p, self.p):
             raise ShapeError(f"expected a {self.p}x{self.p} matrix, got {y.shape}")
-        return self.from_coords(self.coords(y))
-
-    def residual_from(self, y: np.ndarray) -> float:
-        """Frobenius distance from y to the space."""
-        return float(np.linalg.norm(y - self.project(y)))
-
-    def contains(self, y: np.ndarray, tol: float = SPAN_TOL) -> bool:
-        return self.residual_from(y) <= tol * max(1.0, float(np.linalg.norm(y)))
+        return super().project(y)
 
     def to_dict(self) -> dict:
         return {

@@ -32,19 +32,20 @@ from .errors import (
     DualMembershipError,
     ShapeError,
 )
-from .invariant import InvariantSpace
+from .invariant import InvariantSpace, OrthonormalSpan, project_onto
 
 AXIOM_TOL = 1e-12
 CONJUGATION_TOL = 1e-10
 BASIS_GRAM_TOL = 1e-10
 
 
-class VStructure:
+class VStructure(OrthonormalSpan):
     """Block sizes plus orthonormal bases of the off-diagonal subspaces.
 
     ``subspaces`` maps a pair (l, k) with 1 <= k < l <= r to a stack of
     n_l x n_k matrices that is orthonormal under (A|B) = tr(A B^T).  Pairs
     that are absent (or mapped to an empty stack) denote the zero subspace.
+    Coordinates and projections are taken over the realized space's ``basis``.
     """
 
     def __init__(self, block_sizes, subspaces=None):
@@ -116,18 +117,6 @@ class VStructure:
         out = np.array(mats)
         out.setflags(write=False)
         return out
-
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("aij,ij->a", self.basis, x)
-
-    def from_coords(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("a,aij->ij", np.asarray(v, dtype=float), self.basis)
-
-    def project(self, m: np.ndarray) -> np.ndarray:
-        return self.from_coords(self.coords(m))
-
-    def residual_from(self, m: np.ndarray) -> float:
-        return float(np.linalg.norm(m - self.project(m)))
 
     def diag_coeff(self, x: np.ndarray, k: int) -> float:
         nk = self.block_sizes[k - 1]
@@ -219,10 +208,7 @@ class VStructureReport:
 
 def _span_residual(structure: VStructure, l: int, k: int, c: np.ndarray) -> float:
     arr = structure.subspaces.get((l, k))
-    if arr is None:
-        return float(np.linalg.norm(c))
-    coeffs = np.einsum("aij,ij->a", arr, c)
-    return float(np.linalg.norm(c - np.einsum("a,aij->ij", coeffs, arr)))
+    return float(np.linalg.norm(c if arr is None else c - project_onto(arr, c)))
 
 
 def validate_vstructure(structure: VStructure) -> VStructureReport:
@@ -333,7 +319,7 @@ def factor_T(structure: VStructure, y: np.ndarray) -> TriangularElement:
     y = np.asarray(y, dtype=float)
     if y.shape != (structure.p, structure.p):
         raise ShapeError(f"expected {structure.p}x{structure.p}, got {y.shape}")
-    if structure.residual_from(y) > CONJUGATION_TOL * max(1.0, float(np.linalg.norm(y))):
+    if not structure.contains(y, CONJUGATION_TOL):
         raise DomainError("point is not in the realized space")
     r = structure.r
     d = {k: structure.diag_coeff(y, k) for k in range(1, r + 1)}
@@ -362,10 +348,7 @@ def factor_T(structure: VStructure, y: np.ndarray) -> TriangularElement:
                 tkj = tblocks.get((k, j))
                 if tkj is None or (i, j) not in b:
                     continue
-                contrib = tki.T @ tkj
-                arr = structure.subspaces[(i, j)]
-                coeffs = np.einsum("aij,ij->a", arr, contrib)
-                b[(i, j)] -= np.einsum("a,aij->ij", coeffs, arr)
+                b[(i, j)] -= project_onto(structure.subspaces[(i, j)], tki.T @ tkj)
     ordered = tuple(sorted(tblocks.items(), key=lambda item: (item[0][1], item[0][0])))
     return TriangularElement(structure=structure, diag=tuple(diag), blocks=ordered)
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import cone
-from .butterfly import butterfly_graph, butterfly_registry, butterfly_subgroups
+from .butterfly import registry_spaces
 from .errors import (
     CapabilityError,
     DomainError,
@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
     UsageError,
 )
-from .invariant import InvariantSpace, build_invariant_space, same_space
+from .invariant import InvariantSpace, same_space
 from .realization import Realization, conjugate_space
 
 
@@ -174,21 +174,15 @@ def exam_marks_summary() -> DataSummary:
 
 def build_butterfly_models(registry_path=None) -> list[Model]:
     """The seven distinct models of the built-in benchmark, with realizations."""
-    graph = butterfly_graph()
-    subgroups = butterfly_subgroups()
-    models = []
-    for entry in butterfly_registry(registry_path):
-        space = build_invariant_space(graph, subgroups[entry.model_id])
-        realization = conjugate_space(space, entry.u, entry.structure)
-        models.append(
-            Model(
-                label=entry.model_id,
-                space=space,
-                realization=realization,
-                merged_labels=entry.merged_ids,
-            )
+    return [
+        Model(
+            label=entry.model_id,
+            space=space,
+            realization=conjugate_space(space, entry.u, entry.structure),
+            merged_labels=entry.merged_ids,
         )
-    return models
+        for entry, space in registry_spaces(registry_path)
+    ]
 
 
 class LogITerms(NamedTuple):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cone
-from .butterfly import butterfly_graph, butterfly_registry, butterfly_subgroups
+from .butterfly import registry_spaces
 from .errors import HomconeError
 from .graphs import Graph, Permutation, PermutationGroup
 from .invariant import build_invariant_space
@@ -46,21 +46,11 @@ def random_dual_point(space, rng, scale=1.0):
     return scale * space.project(d)
 
 
-def _registry_models(registry_path=None):
-    graph = butterfly_graph()
-    subgroups = butterfly_subgroups()
-    out = []
-    for entry in butterfly_registry(registry_path):
-        space = build_invariant_space(graph, subgroups[entry.model_id])
-        out.append((entry, space))
-    return out
-
-
 def check_registry(registry_path=None) -> list[CheckResult]:
     """Axioms and conjugation validity of every registry entry."""
     results = []
     try:
-        pairs = _registry_models(registry_path)
+        pairs = registry_spaces(registry_path)
     except (HomconeError, ValueError, OSError, KeyError) as exc:
         return [CheckResult("registry load", False, str(exc))]
     for entry, space in pairs:
@@ -86,7 +76,7 @@ def check_cross_path(registry_path=None, points: int = 3, seed: int = 20240601) 
     """Triangular-factorization functionals against the Newton-based route."""
     results = []
     try:
-        pairs = _registry_models(registry_path)
+        pairs = registry_spaces(registry_path)
     except (HomconeError, ValueError, OSError, KeyError) as exc:
         return [CheckResult("registry load", False, str(exc))]
     rng = np.random.default_rng(seed)
@@ -167,9 +157,7 @@ def mc_reference_cases():
     real_ray = conjugate_space(z_ray, np.eye(3), ray_structure(3))
     cases.append(("ray p=3", z_ray, real_ray, 1.3 * np.eye(3), 1.0))
 
-    graph = butterfly_graph()
-    space7 = build_invariant_space(graph, butterfly_subgroups()["G7"])
-    entry7 = next(e for e in butterfly_registry() if e.model_id == "G7")
+    entry7, space7 = next((e, z) for e, z in registry_spaces() if e.model_id == "G7")
     real7 = conjugate_space(space7, entry7.u, entry7.structure)
     cases.append(("hub-symmetric space", space7, real7, 0.5 * np.eye(5), 0.5))
 

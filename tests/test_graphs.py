@@ -252,7 +252,7 @@ def test_subgroup_scope_limit():
 
 def test_three_generator_subgroup_found():
     # The elementary abelian group of order 8 inside S6 is not 2-generated;
-    # the join-closure must still find every subgroup.
+    # cyclic extension must still reach it through a chain of subgroups.
     gens = [
         Permutation.from_cycle_string("(1 2)", 6),
         Permutation.from_cycle_string("(3 4)", 6),
@@ -264,6 +264,36 @@ def test_three_generator_subgroup_found():
     # subgroup lattice of (Z/2)^3: 1 + 7 + 7 + 1
     assert len(subs) == 16
     assert any(h.order == 8 for h in subs)
+
+
+STAR_EDGES = [(1, j) for j in range(2, 6)]
+WINDMILL_EDGES = [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5), (1, 6), (1, 7), (6, 7)]
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [complete_graph(4), Graph.build([str(i) for i in range(1, 6)], STAR_EDGES)],
+    ids=["K4", "star"],
+)
+def test_subgroups_contain_cyclic_subgroups_and_joins(graph):
+    # Completeness as a fixpoint: every cyclic subgroup is listed, and so is
+    # the subgroup generated by the union of any two listed subgroups.
+    group = automorphism_group(graph)
+    got = {frozenset(h.elements) for h in enumerate_subgroups(group)}
+    for e in group.elements:
+        assert frozenset(PermutationGroup.generate(group.degree, [e]).elements) in got
+    for a, b in itertools.combinations(got, 2):
+        assert frozenset(PermutationGroup.generate(group.degree, a | b).elements) in got
+
+
+def test_windmill_subgroup_orders():
+    # Three triangles sharing one vertex: Aut is C2 x S4 of order 48.
+    g = Graph.build([str(i) for i in range(1, 8)], WINDMILL_EDGES)
+    subs = enumerate_subgroups(automorphism_group(g))
+    counts = {}
+    for h in subs:
+        counts[h.order] = counts.get(h.order, 0) + 1
+    assert counts == {1: 1, 2: 19, 3: 4, 4: 31, 6: 12, 8: 19, 12: 5, 16: 3, 24: 3, 48: 1}
 
 
 # ---------------------------------------------------------------------------

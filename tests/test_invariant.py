@@ -13,6 +13,7 @@ from homcone.graphs import (
     enumerate_subgroups,
 )
 from homcone.invariant import build_invariant_space, project, same_space, trace_inner
+from homcone.realization import full_sym_structure
 
 
 def perm_matrix(sigma):
@@ -38,6 +39,14 @@ def orbit_average_projection(space, y):
         out[i - 1, j - 1] = acc[i - 1, j - 1]
         out[j - 1, i - 1] = acc[j - 1, i - 1]
     return out
+
+
+@pytest.fixture(scope="module")
+def spans(spaces):
+    """Every kind of orthonormal span: the ten butterfly invariant spaces, the
+    full symmetric block form on 3 vertices and two registry block forms."""
+    registry = {e.model_id: e.structure for e in hc.butterfly_registry()}
+    return [*spaces.values(), full_sym_structure(3), registry["G3"], registry["G7"]]
 
 
 EXPECTED_DIMS = {
@@ -107,23 +116,23 @@ def test_projection_matches_orbit_average_oracle(spaces):
             assert np.max(np.abs(project(space, y) - orbit_average_projection(space, y))) < 1e-12
 
 
-def test_projection_self_adjoint(spaces):
+def test_projection_self_adjoint(spans):
     rng = np.random.default_rng(12)
-    for space in spaces.values():
+    for space in spans:
         for _ in range(10):
-            u = rng.standard_normal((5, 5))
+            u = rng.standard_normal((space.p, space.p))
             u = u + u.T
-            v = rng.standard_normal((5, 5))
+            v = rng.standard_normal((space.p, space.p))
             v = v + v.T
             lhs = trace_inner(project(space, u), v)
             rhs = trace_inner(u, project(space, v))
             assert abs(lhs - rhs) < 1e-10
 
 
-def test_projection_idempotent(spaces):
+def test_projection_idempotent(spans):
     rng = np.random.default_rng(13)
-    for space in spaces.values():
-        a = rng.standard_normal((5, 5))
+    for space in spans:
+        a = rng.standard_normal((space.p, space.p))
         y = project(space, a + a.T)
         assert np.allclose(project(space, y), y, atol=1e-13)
 
@@ -201,9 +210,9 @@ def test_degree_mismatch(butterfly):
         build_invariant_space(butterfly, PermutationGroup.trivial(4))
 
 
-def test_coords_round_trip(spaces):
+def test_coords_round_trip(spans):
     rng = np.random.default_rng(14)
-    for space in spaces.values():
+    for space in spans:
         v = rng.standard_normal(space.dim)
         assert np.allclose(space.coords(space.from_coords(v)), v, atol=1e-13)
 
