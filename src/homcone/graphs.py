@@ -2,8 +2,11 @@
 
 Vertices are numbered 1..p throughout; edges are unordered pairs without
 loops.  Everything here is exact integer combinatorics on small graphs:
-automorphisms are found by backtracking over vertex images and subgroups
-by closing generating sets, so the routines enforce explicit size limits.
+automorphisms are found by backtracking over vertex images, so the routines
+enforce explicit size limits.  Subgroup enumeration and generator search
+work on an integer multiplication table of the group (element indices in
+sorted element order) and store each subgroup as an ``int`` bitmask over
+those indices; ``Permutation`` objects are built only for what is returned.
 """
 
 from __future__ import annotations
@@ -167,26 +170,70 @@ def _close(degree: int, seed) -> frozenset[Permutation]:
     return frozenset(elems)
 
 
-def _minimal_generators(degree: int, elements) -> tuple[Permutation, ...]:
-    """Greedy small generating set: repeatedly add the element that grows the
-    generated subgroup the most, preferring high cyclic order then image order."""
-    all_set = frozenset(elements)
-    if len(all_set) == 1:
-        return ()
-    candidates = sorted(
-        (e for e in all_set if not e.is_identity()),
-        key=lambda e: (-e.cyclic_order(), e.images),
-    )
-    chosen: list[Permutation] = []
-    current = frozenset({Permutation.identity(degree)})
-    while current != all_set:
-        best = None
-        best_closed = current
+def _cayley_table(elements) -> tuple[tuple[Permutation, ...], list[list[int]]]:
+    """Sorted elements and their multiplication table: table[i][j] is the
+    index of elements[i].compose(elements[j]).  Index 0 is the identity,
+    which sorts first and which a closed list contains."""
+    elems = tuple(sorted(elements))
+    index = {e.images: i for i, e in enumerate(elems)}
+    table = []
+    for a in elems:
+        row = []
+        for b in elems:
+            k = index.get(tuple(a.images[w - 1] for w in b.images))
+            if k is None:
+                raise ValueError(
+                    f"elements are not a group: {a.cycle_string()} after "
+                    f"{b.cycle_string()} is missing"
+                )
+            row.append(k)
+        table.append(row)
+    return elems, table
+
+
+def _table_closure(table, gens) -> int:
+    """Bitmask of the subgroup generated by the element indices in gens
+    (index 0 is the identity)."""
+    mask, frontier = 1, [0]
+    while frontier:
+        new = []
+        for a in frontier:
+            row = table[a]
+            for g in gens:
+                c = row[g]
+                if not mask >> c & 1:
+                    mask |= 1 << c
+                    new.append(c)
+        frontier = new
+    return mask
+
+
+def _members(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _minimal_generators(table, mask: int) -> tuple[int, ...]:
+    """Greedy small generating set of the subgroup with the given bitmask:
+    repeatedly add the element that grows the generated subgroup the most,
+    preferring high cyclic order then element order."""
+
+    def cyclic_order(i: int) -> int:
+        n, x = 1, i
+        while x:
+            x = table[x][i]
+            n += 1
+        return n
+
+    candidates = sorted(_members(mask & ~1), key=lambda i: (-cyclic_order(i), i))
+    chosen: list[int] = []
+    current = 1
+    while current != mask:
+        best, best_closed = None, current
         for e in candidates:
-            if e in current:
+            if current >> e & 1:
                 continue
-            closed = _close(degree, list(chosen) + [e])
-            if len(closed) > len(best_closed):
+            closed = _table_closure(table, chosen + [e])
+            if closed.bit_count() > best_closed.bit_count():
                 best, best_closed = e, closed
         chosen.append(best)
         current = best_closed
@@ -233,7 +280,8 @@ class PermutationGroup:
         return self.degree == other.degree and set(self.elements) <= set(other.elements)
 
     def minimal_generators(self) -> tuple[Permutation, ...]:
-        return _minimal_generators(self.degree, self.elements)
+        elems, table = _cayley_table(self.elements)
+        return tuple(elems[i] for i in _minimal_generators(table, (1 << len(elems)) - 1))
 
 
 def automorphism_group(g: Graph) -> PermutationGroup:
@@ -263,52 +311,61 @@ def automorphism_group(g: Graph) -> PermutationGroup:
                 used[w] = False
 
     extend(1)
-    elems = tuple(sorted(found))
+    elems, table = _cayley_table(found)
+    gens = _minimal_generators(table, (1 << len(elems)) - 1)
     return PermutationGroup(
-        degree=p, generators=_minimal_generators(p, elems), elements=elems
+        degree=p, generators=tuple(elems[i] for i in gens), elements=elems
     )
 
 
 def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
     """Every subgroup exactly once, sorted by order then by element list.
 
-    Cyclic extension: starting from the trivial group, each newly found
-    subgroup H is grown by every element g outside it, closing the generators
+    Cyclic extension on the group's multiplication table: starting from the
+    trivial group, each newly found subgroup H (an int bitmask of element
+    indices) is grown by every element g outside it, closing the generators
     H was found with plus g, until a round finds nothing new.  Every subgroup
-    ends a chain of such one-element extensions from the trivial group, so the
-    search reaches the complete subgroup lattice.
+    ends a chain of such one-element extensions from the trivial group, so
+    the search reaches the complete subgroup lattice.  After g is tried, the
+    rest of gH and Hg is skipped: <H, gh> = <H, hg> = <H, g> for h in H, so
+    those elements could only rediscover a subgroup already found.
+
+    Raises ValueError if ``group.elements`` is not closed under composition.
     """
     if group.order > SUBGROUP_ORDER_LIMIT:
         raise ScopeError(
             f"subgroup enumeration is brute force, limited to order "
             f"{SUBGROUP_ORDER_LIMIT} (got {group.order})"
         )
-    degree = group.degree
-    trivial = frozenset({Permutation.identity(degree)})
-    subs: dict[frozenset[Permutation], tuple[Permutation, ...]] = {trivial: ()}
-    frontier = [trivial]
+    elems, table = _cayley_table(group.elements)
+    n = len(elems)
+    subs: dict[int, tuple[int, ...]] = {1: ()}
+    frontier = [1]
     while frontier:
         new = []
         for h in frontier:
-            for g in group.elements:
-                if g in h:
+            members = _members(h)
+            tried = h
+            for g in range(n):
+                if tried >> g & 1:
                     continue
                 gens = subs[h] + (g,)
-                k = _close(degree, gens)
+                k = _table_closure(table, gens)
                 if k not in subs:
                     subs[k] = gens
                     new.append(k)
+                row = table[g]
+                for x in members:
+                    tried |= 1 << row[x] | 1 << table[x][g]
         frontier = new
-    ordered = sorted(
-        subs, key=lambda h: (len(h), tuple(e.images for e in sorted(h)))
-    )
+    keyed = sorted((h.bit_count(), _members(h), h) for h in subs)
     return [
         PermutationGroup(
-            degree=degree,
-            generators=_minimal_generators(degree, h),
-            elements=tuple(sorted(h)),
+            degree=group.degree,
+            generators=tuple(elems[i] for i in _minimal_generators(table, h)),
+            elements=tuple(elems[i] for i in indices),
         )
-        for h in ordered
+        for _, indices, h in keyed
     ]
 
 

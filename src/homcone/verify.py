@@ -46,13 +46,9 @@ def random_dual_point(space, rng, scale=1.0):
     return scale * space.project(d)
 
 
-def check_registry(registry_path=None) -> list[CheckResult]:
-    """Axioms and conjugation validity of every registry entry."""
+def check_registry(pairs) -> list[CheckResult]:
+    """Axioms and conjugation validity of every (entry, space) registry pair."""
     results = []
-    try:
-        pairs = registry_spaces(registry_path)
-    except (HomconeError, ValueError, OSError, KeyError) as exc:
-        return [CheckResult("registry load", False, str(exc))]
     for entry, space in pairs:
         report = validate_vstructure(entry.structure)
         if not report.passed:
@@ -72,13 +68,10 @@ def check_registry(registry_path=None) -> list[CheckResult]:
     return results
 
 
-def check_cross_path(registry_path=None, points: int = 3, seed: int = 20240601) -> list[CheckResult]:
-    """Triangular-factorization functionals against the Newton-based route."""
+def check_cross_path(pairs, points: int = 3, seed: int = 20240601) -> list[CheckResult]:
+    """Triangular-factorization functionals against the Newton-based route,
+    on every (entry, space) registry pair."""
     results = []
-    try:
-        pairs = registry_spaces(registry_path)
-    except (HomconeError, ValueError, OSError, KeyError) as exc:
-        return [CheckResult("registry load", False, str(exc))]
     rng = np.random.default_rng(seed)
     for entry, space in pairs:
         try:
@@ -185,10 +178,13 @@ def check_mc(samples: int = 200_000, seed: int = 0xC0FFEE) -> list[CheckResult]:
 def run_verification(level: str, registry_path=None, samples: int | None = None,
                      seed: int = 0xC0FFEE) -> list[CheckResult]:
     if level == "fast":
-        results = check_registry(registry_path)
-        results += check_cross_path(registry_path)
-        results += check_siegel()
-        return results
+        try:
+            pairs = registry_spaces(registry_path)
+        except (HomconeError, ValueError, OSError, KeyError) as exc:
+            results = [CheckResult("registry load", False, str(exc))]
+        else:
+            results = check_registry(pairs) + check_cross_path(pairs)
+        return results + check_siegel()
     if level == "mc":
         return check_mc(samples=samples or 200_000, seed=seed)
     raise ValueError(f"unknown verification level {level!r}")

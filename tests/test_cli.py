@@ -221,6 +221,15 @@ def test_verify_corrupted_registry(capsys, tmp_path):
     assert "G3" in out
 
 
+def test_verify_unloadable_registry(capsys, tmp_path):
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(load_registry_data())[:100])  # truncated JSON
+    code, out, _ = run(capsys, ["verify", "--level", "fast", "--registry", str(path)])
+    assert code == 5
+    assert out.count("registry load") == 1
+    assert "[ok] siegel p=2" in out
+
+
 def test_verbose_newton_trace(capsys):
     code, out, err = run(
         capsys,

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import json
 
 import pytest
 
 import homcone as hc
+from homcone.cli import main
 from homcone.errors import ScopeError, ShapeError
 from homcone.graphs import (
     Graph,
@@ -243,6 +245,7 @@ def test_subgroup_scope_limit():
             Permutation((1, 2, 3, 4, 5, 6))]
     big = PermutationGroup.generate(6, gens + [Permutation((1, 2, 3, 4, 5, 6))])
     assert big.order == 120
+    assert len(enumerate_subgroups(big)) == 156  # exactly at the limit still works
     swap6 = Permutation((2, 1, 3, 4, 6, 5))
     bigger = PermutationGroup.generate(6, [g for g in big.generators] + [swap6])
     assert bigger.order > 120
@@ -286,14 +289,68 @@ def test_subgroups_contain_cyclic_subgroups_and_joins(graph):
         assert frozenset(PermutationGroup.generate(group.degree, a | b).elements) in got
 
 
-def test_windmill_subgroup_orders():
-    # Three triangles sharing one vertex: Aut is C2 x S4 of order 48.
-    g = Graph.build([str(i) for i in range(1, 8)], WINDMILL_EDGES)
-    subs = enumerate_subgroups(automorphism_group(g))
-    counts = {}
+@pytest.mark.parametrize(
+    "graph, counts",
+    [
+        # Three triangles sharing one vertex: Aut is C2 x S4 of order 48.
+        (
+            Graph.build([str(i) for i in range(1, 8)], WINDMILL_EDGES),
+            {1: 1, 2: 19, 3: 4, 4: 31, 6: 12, 8: 19, 12: 5, 16: 3, 24: 3, 48: 1},
+        ),
+        # Aut(K5) is S5, order 120 (the enumeration limit): 156 subgroups.
+        (
+            complete_graph(5),
+            {1: 1, 2: 25, 3: 10, 4: 35, 5: 6, 6: 30, 8: 15, 10: 6, 12: 15,
+             20: 6, 24: 5, 60: 1, 120: 1},
+        ),
+    ],
+    ids=["windmill", "K5"],
+)
+def test_subgroup_orders(graph, counts):
+    subs = enumerate_subgroups(automorphism_group(graph))
+    got = {}
     for h in subs:
-        counts[h.order] = counts.get(h.order, 0) + 1
-    assert counts == {1: 1, 2: 19, 3: 4, 4: 31, 6: 12, 8: 19, 12: 5, 16: 3, 24: 3, 48: 1}
+        got[h.order] = got.get(h.order, 0) + 1
+    assert got == counts
+
+
+# sha256 of the `homcone subgroups` listing (order and generator cycle
+# strings of every subgroup), recorded before the subgroup search moved onto
+# the multiplication table; pins the list order and the greedy generators.
+SUBGROUP_LISTING_SHA256 = {
+    "butterfly": "ac39b12e7c8c3b584655b9c60850a5a3d9f32c4cc0f1e18db5e03133fe4899e5",
+    "K4": "01ba8ddc8cd545071af962b255b94523de86f4576a0d08cb51d7bae3666a6d1a",
+    "star": "e4970188eb0f2f6933258e7085f438af4bfe29b2b4de97f643388f338700cc93",
+    "windmill": "30e455235784e4d059cfade4c384a0905bbfd7228b91b2a9950938e9333a1da0",
+    "K5": "70785cab29a60121c1ef5496a0ab8deaab864ff2ee14f6af53f640416c16f8e2",
+}
+
+
+@pytest.mark.parametrize("name", list(SUBGROUP_LISTING_SHA256))
+def test_subgroup_listing_pinned(name, tmp_path, capsys):
+    graph = {
+        "butterfly": hc.butterfly_graph(),
+        "K4": complete_graph(4),
+        "star": Graph.build([str(i) for i in range(1, 6)], STAR_EDGES),
+        "windmill": Graph.build([str(i) for i in range(1, 8)], WINDMILL_EDGES),
+        "K5": complete_graph(5),
+    }[name]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(
+        {"labels": list(graph.labels), "edges": [list(e) for e in graph.edge_list()]}
+    ))
+    assert main(["subgroups", "--graph", str(path)]) == 0
+    listing = capsys.readouterr().out
+    assert hashlib.sha256(listing.encode()).hexdigest() == SUBGROUP_LISTING_SHA256[name]
+
+
+def test_subgroups_reject_non_closed_elements():
+    # Not a group: (1 2 3) composed with itself is missing.
+    e = Permutation.identity(3)
+    rot = Permutation.from_cycle_string("(1 2 3)", 3)
+    fake = PermutationGroup(degree=3, generators=(), elements=(e, rot))
+    with pytest.raises(ValueError):
+        enumerate_subgroups(fake)
 
 
 # ---------------------------------------------------------------------------
