@@ -288,10 +288,7 @@ def main(argv=None) -> int:
         )
     try:
         return args.func(args)
-    except HomogeneityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (IntegrabilityError, DualMembershipError) as exc:
+    except (HomogeneityError, IntegrabilityError, DualMembershipError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except CapabilityError as exc:

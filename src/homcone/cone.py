@@ -90,7 +90,6 @@ def psi(
     space: InvariantSpace,
     y: np.ndarray,
     *,
-    grad_tol: float = GRAD_TOL,
     max_iter: int = MAX_ITER,
 ) -> PsiResult:
     """Solve projection(x^{-1}) = y for positive definite x in the space.
@@ -119,7 +118,7 @@ def psi(
         grad_norm = float(np.linalg.norm(grad))
         if _trace_sink is not None:
             _trace_sink({"iteration": iterations, "gradient_norm": grad_norm})
-        if grad_norm <= grad_tol:
+        if grad_norm <= GRAD_TOL:
             break
         m = metric_matrix(space, w)
         g = space.coords(grad)

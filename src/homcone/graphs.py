@@ -107,13 +107,6 @@ class Permutation:
             inv[w - 1] = i
         return Permutation(tuple(inv))
 
-    def cyclic_order(self) -> int:
-        n, x = 1, self
-        while not x.is_identity():
-            x = x.compose(self)
-            n += 1
-        return n
-
     def cycle_string(self) -> str:
         seen: set[int] = set()
         parts = []
@@ -278,10 +271,6 @@ class PermutationGroup:
 
     def is_subgroup_of(self, other: "PermutationGroup") -> bool:
         return self.degree == other.degree and set(self.elements) <= set(other.elements)
-
-    def minimal_generators(self) -> tuple[Permutation, ...]:
-        elems, table = _cayley_table(self.elements)
-        return tuple(elems[i] for i in _minimal_generators(table, (1 << len(elems)) - 1))
 
 
 def automorphism_group(g: Graph) -> PermutationGroup:

@@ -9,13 +9,16 @@ act simply transitively on the realized cone by congruence, which gives:
 
 * a generalized Cholesky factorization of dual points (factor_T),
 * closed forms for the determinant functional and its Hessian determinant
-  (delta_phi_fast), and
+  (delta_phi_fast): twice the log determinant of the factor, and a power
+  of its diagonal scalars whose exponents (the multidegree) are counted
+  from the dimensions of the off-diagonal subspaces, and
 * the gamma-type integral of the cone in closed form (log_gamma_v).
 
 An invariant space is hooked up to a realization by an orthogonal
 conjugation (conjugate_space), which is an isometry for the trace inner
 product, so all functionals computed in realized coordinates agree with
-their definitions on the original space.
+their definitions on the original space.  The resulting Realization keeps
+only the conjugating matrix and the block structure.
 """
 
 from __future__ import annotations
@@ -124,32 +127,19 @@ class VStructure(OrthonormalSpan):
 
     # -- congruence action -------------------------------------------------
 
-    def rho_matrix(self, t_mat: np.ndarray) -> np.ndarray:
-        """Matrix of x -> t x t^T on the realized space, in the orthonormal basis."""
-        acted = np.einsum("ij,ajk,lk->ail", t_mat, self.basis, t_mat)
-        return np.einsum("bij,aij->ba", self.basis, acted)
-
     @cached_property
     def multidegree(self) -> tuple[int, ...]:
         """Integer exponents of the diagonal scalars in det of the congruence action.
 
-        Derived numerically once per structure by evaluating the action
-        determinant on one-parameter diagonal elements.
+        Scaling diagonal scalar k of t by s multiplies the diagonal basis
+        element of block k by s^2 and every basis element of V[l,k] (l > k)
+        and of V[k,j] (j < k) by s, so the exponent at block k is
+        2 + q_k + sum_{j<k} dim V[k,j].
         """
-        sigma = []
-        for k in range(1, self.r + 1):
-            t = np.eye(self.p)
-            sl = self.block_slice(k)
-            t[sl, sl] *= 2.0
-            sign, ld = np.linalg.slogdet(self.rho_matrix(t))
-            value = ld / math.log(2.0)
-            nearest = round(value)
-            if sign <= 0 or abs(value - nearest) > 1e-9:
-                raise ValueError(
-                    f"action determinant is not a clean power at block {k}: {value}"
-                )
-            sigma.append(int(nearest))
-        return tuple(sigma)
+        return tuple(
+            2 + self.q(k) + sum(self.dim_of(k, j) for j in range(1, k))
+            for k in range(1, self.r + 1)
+        )
 
     # -- serialization -----------------------------------------------------
 
@@ -201,9 +191,6 @@ class VStructureReport:
     @property
     def passed(self) -> bool:
         return all(not v for v in self.violations.values())
-
-    def axiom_passed(self, axiom: str) -> bool:
-        return not self.violations.get(axiom)
 
 
 def _span_residual(structure: VStructure, l: int, k: int, c: np.ndarray) -> float:
@@ -298,9 +285,6 @@ class TriangularElement:
             sum(n * math.log(t) for n, t in zip(self.structure.block_sizes, self.diag))
         )
 
-    def det(self) -> float:
-        return math.exp(self.log_det())
-
 
 def rho_star_identity(t_elem: TriangularElement) -> np.ndarray:
     """Image of the identity under the adjoint action: projection of T^T T."""
@@ -389,12 +373,15 @@ def log_gamma_v(structure: VStructure, alpha: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Realization:
-    """Orthogonal change of coordinates carrying a space onto a block form."""
+    """Orthogonal change of coordinates carrying a space onto a block form.
 
-    space: InvariantSpace
+    Holds only what scoring reads: the conjugating matrix u, with
+    u^T y u in the realized space for every y in the original space, and
+    the block structure.  Build it with conjugate_space, which checks that.
+    """
+
     u: np.ndarray
     structure: VStructure
-    basis_map: np.ndarray  # (dim, dim): realized coordinates of each basis element
 
     def realize_point(self, y: np.ndarray) -> np.ndarray:
         return self.u.T @ y @ self.u
@@ -412,8 +399,9 @@ def conjugate_space(
     """Verify that conjugation by u maps the space onto the realized space.
 
     Checks orthogonality of u, membership of every conjugated basis element
-    in the block form, and equality of dimensions, then returns the
-    coordinate isometry.
+    in the block form, and equality of dimensions.  An orthogonal u is an
+    isometry for the trace inner product, so together these make
+    conjugation a coordinate isometry between the two spaces.
     """
     u = np.asarray(u, dtype=float)
     p = space.p
@@ -425,23 +413,16 @@ def conjugate_space(
     ortho_resid = float(np.linalg.norm(u.T @ u - np.eye(p)))
     if ortho_resid > 1e-12:
         raise ConjugationError(f"u is not orthogonal (residual {ortho_resid:.3e})")
-    rows = []
     for a, bmat in enumerate(space.basis):
-        w = u.T @ bmat @ u
-        resid = structure.residual_from(w)
+        resid = structure.residual_from(u.T @ bmat @ u)
         if resid > CONJUGATION_TOL:
             raise ConjugationError(
                 f"conjugated basis element {a} leaves the block form "
                 f"(residual {resid:.3e})",
                 basis_index=a,
             )
-        rows.append(structure.coords(w))
     if structure.dim != space.dim:
         raise ConjugationError(
             f"dimension mismatch: space has {space.dim}, block form has {structure.dim}"
         )
-    basis_map = np.array(rows)
-    iso_resid = float(np.linalg.norm(basis_map.T @ basis_map - np.eye(space.dim)))
-    if iso_resid > CONJUGATION_TOL:  # pragma: no cover - implied by the checks above
-        raise ConjugationError(f"coordinate map is not an isometry ({iso_resid:.3e})")
-    return Realization(space=space, u=u, structure=structure, basis_map=basis_map)
+    return Realization(u=u, structure=structure)

@@ -198,13 +198,14 @@ class LogITerms(NamedTuple):
         return self.log_gamma + self.log_phi - self.alpha * self.log_delta
 
 
-def log_I_terms(model: Model, hyper: Hyperparams, *, numeric_delta_phi: bool = False) -> LogITerms:
+def log_I_terms(model: Model, hyper: Hyperparams) -> LogITerms:
     """Factors of the conjugate prior's log normalizing constant on the model cone.
 
-    The gamma factor, at exponent (delta - 2) / 2, needs a realization.  The
-    determinant functionals are taken at the projected point scale / 2, by
-    the realization fast path or, with ``numeric_delta_phi``, by the Newton
-    path.
+    This is the one scoring route.  All three factors come from the block
+    realization: the gamma factor at exponent (delta - 2) / 2 from its block
+    sizes and subspace dimensions, and the determinant functionals at the
+    projected point scale / 2 from the triangular factor and the multidegree.
+    ``hyper`` is taken as already validated.
     """
     if model.realization is None:
         raise CapabilityError(
@@ -213,19 +214,16 @@ def log_I_terms(model: Model, hyper: Hyperparams, *, numeric_delta_phi: bool = F
         )
     alpha = (hyper.delta - 2.0) / 2.0
     y = model.space.project(hyper.scale) / 2.0
-    if numeric_delta_phi:
-        res = cone.psi(model.space, y)
-        ld = cone.log_delta(model.space, y, res)
-        lp = cone.log_phi(model.space, y, res)
-    else:
-        ld, lp = model.realization.log_delta_phi(y)
+    ld, lp = model.realization.log_delta_phi(y)
     return LogITerms(alpha, model.realization.log_gamma(alpha), ld, lp)
 
 
-def log_I(model: Model, delta: float, scale, *, numeric_delta_phi: bool = False) -> float:
-    """Log normalizing constant of the conjugate prior on the model cone."""
-    hyper = Hyperparams(delta=delta, scale=scale)
-    return log_I_terms(model, hyper, numeric_delta_phi=numeric_delta_phi).log_I
+def log_I(model: Model, delta: float, scale) -> float:
+    """Log normalizing constant of the conjugate prior on the model cone.
+
+    One-shot wrapper that validates (delta, scale) and calls log_I_terms.
+    """
+    return log_I_terms(model, Hyperparams(delta=delta, scale=scale)).log_I
 
 
 def dedupe_models(models) -> list[Model]:
@@ -256,6 +254,8 @@ def posterior(models, data: DataSummary, hyper: Hyperparams) -> SelectionReport:
     Each class is scored by the log ratio of posterior to prior normalizing
     constants, with the scatter added to the scale matrix and the effective
     sample size added to the shape; probabilities come out of log-sum-exp.
+    The posterior Hyperparams is built once, so a scatter that makes the
+    posterior scale indefinite raises DomainError before any scoring.
     """
     models = list(models)
     if not models:
@@ -267,18 +267,13 @@ def posterior(models, data: DataSummary, hyper: Hyperparams) -> SelectionReport:
         raise ShapeError(
             f"scatter is {data.scatter.shape}, graph has {graph.vertex_count} vertices"
         )
+    post = Hyperparams(
+        delta=hyper.delta + data.n_effective, scale=hyper.scale + data.scatter
+    )
     deduped = dedupe_models(models)
-    scores = []
-    priors = []
-    posts = []
-    for m in deduped:
-        li_prior = log_I(m, hyper.delta, hyper.scale)
-        li_post = log_I(
-            m, hyper.delta + data.n_effective, hyper.scale + data.scatter
-        )
-        priors.append(li_prior)
-        posts.append(li_post)
-        scores.append(li_post - li_prior)
+    priors = [log_I_terms(m, hyper).log_I for m in deduped]
+    posts = [log_I_terms(m, post).log_I for m in deduped]
+    scores = [b - a for a, b in zip(priors, posts)]
     scores_arr = np.array(scores)
     shifted = scores_arr - scores_arr.max()
     probs = np.exp(shifted)

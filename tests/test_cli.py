@@ -140,6 +140,17 @@ def test_select_scatter_json(capsys, tmp_path):
     assert "winner: G7" in out
 
 
+def test_select_scatter_indefinite_posterior_scale(capsys, tmp_path):
+    path = tmp_path / "scatter.json"
+    path.write_text(json.dumps({
+        "scatter": np.diag([-50.0, 1.0, 1.0, 1.0, 1.0]).tolist(),
+        "n_raw": 10, "centered": True,
+    }))
+    code, _, err = run(capsys, ["select", "--scatter", str(path), "--d-scale", "1"])
+    assert code == 2
+    assert "positive definite" in err
+
+
 def test_fit_table(capsys):
     code, out, _ = run(capsys, ["fit", "--fixture", "exam-marks", "--model", "G3"])
     assert code == 0

@@ -32,6 +32,12 @@ def registry_by_id():
     return {e.model_id: e for e in butterfly_registry()}
 
 
+def rho_matrix(structure, t_mat):
+    """Matrix of x -> t x t^T on the realized space, in the orthonormal basis."""
+    acted = np.einsum("ij,ajk,lk->ail", t_mat, structure.basis, t_mat)
+    return np.einsum("bij,aij->ba", structure.basis, acted)
+
+
 def random_triangular(structure, rng, block_scale=0.7):
     diag = tuple(np.exp(0.4 * rng.standard_normal(structure.r)))
     blocks = []
@@ -171,8 +177,8 @@ def test_action_is_multiplicative():
         s = registry_by_id()[key].structure
         t1 = random_triangular(s, rng).matrix()
         t2 = random_triangular(s, rng).matrix()
-        lhs = s.rho_matrix(t1 @ t2)
-        rhs = s.rho_matrix(t1) @ s.rho_matrix(t2)
+        lhs = rho_matrix(s, t1 @ t2)
+        rhs = rho_matrix(s, t1) @ rho_matrix(s, t2)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -226,28 +232,37 @@ EXPECTED_MULTIDEGREE = {
 }
 
 
+over_structures = pytest.mark.parametrize(
+    "s",
+    [
+        *(pytest.param(e.structure, id=e.model_id) for e in butterfly_registry()),
+        *(pytest.param(full_sym_structure(p), id=f"full_sym{p}") for p in range(2, 6)),
+        pytest.param(ray_structure(3), id="ray3"),
+    ],
+)
+
+
 def test_multidegree_regression_values():
     for entry in butterfly_registry():
         assert entry.structure.multidegree == EXPECTED_MULTIDEGREE[entry.model_id]
 
 
-def test_multidegree_against_direct_determinant():
+@over_structures
+def test_multidegree_against_direct_determinant(s):
+    # the counted exponents against the determinant of the congruence action
     rng = np.random.default_rng(25)
-    for entry in butterfly_registry():
-        s = entry.structure
-        t_elem = random_triangular(s, rng)
-        sign, logdet = np.linalg.slogdet(s.rho_matrix(t_elem.matrix()))
-        assert sign > 0
-        via_powers = sum(
-            sig * math.log(t) for sig, t in zip(s.multidegree, t_elem.diag)
-        )
-        assert abs(logdet - via_powers) < 1e-10
+    t_elem = random_triangular(s, rng)
+    sign, logdet = np.linalg.slogdet(rho_matrix(s, t_elem.matrix()))
+    assert sign > 0
+    via_powers = sum(
+        sig * math.log(t) for sig, t in zip(s.multidegree, t_elem.diag)
+    )
+    assert abs(logdet - via_powers) < 1e-10
 
 
-def test_multidegree_sums_to_twice_dimension():
-    for entry in butterfly_registry():
-        s = entry.structure
-        assert sum(s.multidegree) == 2 * s.dim
+@over_structures
+def test_multidegree_sums_to_twice_dimension(s):
+    assert sum(s.multidegree) == 2 * s.dim
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +305,11 @@ def test_conjugation_full_sym_identity():
 
     g = Graph.build(["a", "b", "c"], list(itertools.combinations(range(1, 4), 2)))
     space = build_invariant_space(g, PermutationGroup.trivial(3))
-    real = conjugate_space(space, np.eye(3), full_sym_structure(3))
-    assert np.allclose(real.basis_map @ real.basis_map.T, np.eye(space.dim), atol=1e-12)
+    structure = full_sym_structure(3)
+    real = conjugate_space(space, np.eye(3), structure)
+    # realized coordinates of the space basis are orthonormal: an isometry
+    rows = np.array([structure.coords(real.realize_point(b)) for b in space.basis])
+    assert np.allclose(rows @ rows.T, np.eye(space.dim), atol=1e-12)
 
 
 def test_conjugation_rejects_non_orthogonal(models_by_id):

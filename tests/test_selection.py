@@ -129,13 +129,22 @@ def test_log_I_matches_monte_carlo_full_sym2():
 
 
 def test_log_I_fast_and_numeric_paths_agree(models):
+    # the scoring route against the Newton route, which shares only the gamma
+    # factor: delta and phi from cone.psi at the projected point scale / 2
     rng = np.random.default_rng(32)
     a = rng.standard_normal((5, 5))
     random_pd = a @ a.T + 0.5 * np.eye(5)
     for m in models:
         for delta, scale in ((3.0, np.eye(5)), (3.0, 100.0 * np.eye(5)), (4.0, random_pd)):
             fast = log_I(m, delta, scale)
-            slow = log_I(m, delta, scale, numeric_delta_phi=True)
+            alpha = (delta - 2.0) / 2.0
+            y = m.space.project(scale) / 2.0
+            res = cone.psi(m.space, y)
+            slow = (
+                m.realization.log_gamma(alpha)
+                + cone.log_phi(m.space, y, res)
+                - alpha * cone.log_delta(m.space, y, res)
+            )
             assert abs(fast - slow) < 1e-8 * max(1.0, abs(fast))
 
 
@@ -242,6 +251,15 @@ def test_posterior_usage_errors(models, exam_data):
     with pytest.raises(ShapeError):
         posterior([full_sym_model(2)],
                   exam_data, Hyperparams(delta=3.0, scale=np.eye(2)))
+
+
+def test_posterior_rejects_indefinite_posterior_scale(models):
+    # a symmetric scatter that makes scale + scatter indefinite is rejected
+    # when posterior() builds its one posterior Hyperparams
+    scatter = np.diag([-50.0, 1.0, 1.0, 1.0, 1.0])
+    data = DataSummary(scatter=scatter, n_effective=9, n_raw=10)
+    with pytest.raises(DomainError):
+        posterior(models, data, Hyperparams(delta=3.0, scale=np.eye(5)))
 
 
 def test_report_json_fields(models, exam_data):
