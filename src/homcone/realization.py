@@ -7,7 +7,9 @@ with scalar diagonal blocks and off-diagonal blocks in the subspaces.  The
 lower triangular matrices of the same shape with positive diagonal scalars
 act simply transitively on the realized cone by congruence, which gives:
 
-* a generalized Cholesky factorization of dual points (factor_T),
+* a generalized Cholesky factorization of dual points (factor_T), run on
+  the point's orthonormal coordinates through a per-structure plan of slot
+  offsets and structure constants, in plain floats,
 * closed forms for the determinant functional and its Hessian determinant
   (delta_phi_fast): twice the log determinant of the factor, and a power
   of its diagonal scalars whose exponents (the multidegree) are counted
@@ -24,8 +26,10 @@ only the conjugating matrix and the block structure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +44,26 @@ from .invariant import InvariantSpace, OrthonormalSpan, project_onto
 AXIOM_TOL = 1e-12
 CONJUGATION_TOL = 1e-10
 BASIS_GRAM_TOL = 1e-10
+# a pivot at or below this multiple of its block's diagonal coefficient is
+# rounding noise left by cancellation: the point is on or past the boundary
+PIVOT_RTOL = 16.0 * sys.float_info.epsilon
+
+
+class FactorPlan(NamedTuple):
+    """What the triangular factorization reads of a structure, built once.
+
+    ``slots`` holds the (start, stop) range of each off-diagonal slot's
+    coordinates, in ``offdiag_slots`` order.  ``steps`` runs over the block
+    rows k = r..1; each is (k, row, bilinear) with ``row`` the (slot of
+    V[k,i], i) pairs of row k and ``bilinear`` the (slot of V[i,j], slot of
+    V[k,i], slot of V[k,j], C) updates, where C[e][a][b] =
+    (A^{ij}_e | (A^{ki}_a)^T A^{kj}_b) as nested lists.  ``q`` is the
+    per-block q(k).
+    """
+
+    slots: tuple[tuple[int, int], ...]
+    steps: tuple[tuple, ...]
+    q: tuple[int, ...]
 
 
 class VStructure(OrthonormalSpan):
@@ -121,9 +145,38 @@ class VStructure(OrthonormalSpan):
         out.setflags(write=False)
         return out
 
-    def diag_coeff(self, x: np.ndarray, k: int) -> float:
-        nk = self.block_sizes[k - 1]
-        return float(np.trace(self.block(x, k, k))) / nk
+    @cached_property
+    def plan(self) -> FactorPlan:
+        """Coordinate offsets, update lists and structure constants of factor_T."""
+        order = self.offdiag_slots()
+        index = {lk: s for s, lk in enumerate(order)}
+        slots, start = [], self.r
+        for lk in order:
+            slots.append((start, start + self.dim_of(*lk)))
+            start = slots[-1][1]
+        subs = self.subspaces
+        steps = []
+        for k in range(self.r, 0, -1):
+            row = [(index[(k, j)], j) for j in range(1, k) if (k, j) in index]
+            bilinear = [
+                (
+                    index[(i, j)],
+                    s_ki,
+                    s_kj,
+                    np.einsum(
+                        "euv,awu,bwv->eab", subs[(i, j)], subs[(k, i)], subs[(k, j)]
+                    ).tolist(),
+                )
+                for s_ki, i in row
+                for s_kj, j in row
+                if j < i and (i, j) in index
+            ]
+            steps.append((k, row, bilinear))
+        return FactorPlan(
+            slots=tuple(slots),
+            steps=tuple(steps),
+            q=tuple(self.q(k) for k in range(1, self.r + 1)),
+        )
 
     # -- congruence action -------------------------------------------------
 
@@ -292,49 +345,71 @@ def rho_star_identity(t_elem: TriangularElement) -> np.ndarray:
     return t_elem.structure.project(t.T @ t)
 
 
-def factor_T(structure: VStructure, y: np.ndarray) -> TriangularElement:
-    """Unique triangular element with projection(T^T T) equal to the dual point y.
+def _factor_coords(
+    structure: VStructure, y: np.ndarray
+) -> tuple[list[float], list[list[float]]]:
+    """Diagonal scalars and slot coefficients of the triangular factor of y.
 
-    Block back-substitution from the last block row upward: peel the diagonal
-    scalar, divide out the off-diagonal blocks, then subtract the projected
-    outer-product contributions from the remaining leading part.  A
-    nonpositive pivot certifies that y is outside the open dual cone.
+    The coefficients are those of each T[k,j] in the orthonormal basis of
+    V[k,j], listed in ``offdiag_slots`` order.  Shared by factor_T and
+    delta_phi_fast.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (structure.p, structure.p):
         raise ShapeError(f"expected {structure.p}x{structure.p}, got {y.shape}")
-    if not structure.contains(y, CONJUGATION_TOL):
+    c = structure.coords(y)
+    resid = float(np.linalg.norm(y - structure.from_coords(c)))
+    if resid > CONJUGATION_TOL * max(1.0, float(np.linalg.norm(y))):
         raise DomainError("point is not in the realized space")
-    r = structure.r
-    d = {k: structure.diag_coeff(y, k) for k in range(1, r + 1)}
-    b = {
-        (l, k): structure.block(y, l, k).copy()
-        for (l, k) in structure.offdiag_slots()
-    }
-    diag = [0.0] * r
-    tblocks: dict[tuple[int, int], np.ndarray] = {}
-    for k in range(r, 0, -1):
-        if not d[k] > 0.0:
+    plan = structure.plan
+    c = c.tolist()
+    sizes = structure.block_sizes
+    d = [c[k] / math.sqrt(n) for k, n in enumerate(sizes)]
+    floor = [PIVOT_RTOL * max(dk, 0.0) for dk in d]
+    b = [[x / math.sqrt(2.0) for x in c[lo:hi]] for lo, hi in plan.slots]
+    diag = [0.0] * structure.r
+    t: list[list[float]] = [[] for _ in plan.slots]
+    for k, row, bilinear in plan.steps:
+        dk = d[k - 1]
+        if not dk > floor[k - 1]:
             raise DualMembershipError(
-                f"factorization breakdown at block {k}: pivot {d[k]:.6g} <= 0"
+                f"factorization breakdown at block {k}: pivot {dk:.6g} "
+                f"<= {floor[k - 1]:.3g}"
             )
-        tk = math.sqrt(d[k])
+        tk = math.sqrt(dk)
         diag[k - 1] = tk
-        for j in range(1, k):
-            if (k, j) in b:
-                tblocks[(k, j)] = b[(k, j)] / tk
-        for i in range(1, k):
-            tki = tblocks.get((k, i))
-            if tki is None:
-                continue
-            d[i] -= float(np.sum(tki * tki)) / structure.block_sizes[i - 1]
-            for j in range(1, i):
-                tkj = tblocks.get((k, j))
-                if tkj is None or (i, j) not in b:
-                    continue
-                b[(i, j)] -= project_onto(structure.subspaces[(i, j)], tki.T @ tkj)
-    ordered = tuple(sorted(tblocks.items(), key=lambda item: (item[0][1], item[0][0])))
-    return TriangularElement(structure=structure, diag=tuple(diag), blocks=ordered)
+        for s, i in row:
+            t[s] = [x / tk for x in b[s]]
+            d[i - 1] -= sum(x * x for x in t[s]) / sizes[i - 1]
+        for s_ij, s_ki, s_kj, const in bilinear:
+            tki, tkj, bij = t[s_ki], t[s_kj], b[s_ij]
+            for e, ce in enumerate(const):
+                bij[e] -= sum(
+                    x * sum(cv * z for cv, z in zip(cea, tkj))
+                    for x, cea in zip(tki, ce)
+                )
+    return diag, t
+
+
+def factor_T(structure: VStructure, y: np.ndarray) -> TriangularElement:
+    """Unique triangular element with projection(T^T T) equal to the dual point y.
+
+    Block back-substitution from the last block row upward, on the
+    orthonormal coordinates of y: the diagonal coefficient of block k is
+    d_k = c_k / sqrt(n_k) and the V[l,k] coefficients are c / sqrt(2).  Peel
+    t_k = sqrt(d_k), divide it out of row k, then subtract |t_ki|^2 / n_i
+    from d_i and the projection of t_ki^T t_kj onto V[i,j] from b_ij, which
+    the structure's plan holds as structure constants.  A pivot that is not
+    above PIVOT_RTOL times its block's diagonal coefficient raises
+    DualMembershipError: y is past the boundary of the dual cone, or on it
+    up to rounding.
+    """
+    diag, coeffs = _factor_coords(structure, y)
+    blocks = tuple(
+        (lk, np.einsum("a,aij->ij", np.asarray(tc), structure.subspaces[lk]))
+        for lk, tc in zip(structure.offdiag_slots(), coeffs)
+    )
+    return TriangularElement(structure=structure, diag=tuple(diag), blocks=blocks)
 
 
 def delta_phi_fast(structure: VStructure, y: np.ndarray) -> tuple[float, float]:
@@ -342,13 +417,13 @@ def delta_phi_fast(structure: VStructure, y: np.ndarray) -> tuple[float, float]:
 
     log delta is twice the log determinant of the triangular factor; log phi
     is minus the log determinant of its congruence action, a pure power of
-    the diagonal scalars with the structure's multidegree.
+    the diagonal scalars with the structure's multidegree.  Both read only
+    the factor's diagonal scalars.
     """
-    t_elem = factor_T(structure, y)
-    log_delta_value = 2.0 * t_elem.log_det()
-    log_det_rho = float(
-        sum(s * math.log(t) for s, t in zip(structure.multidegree, t_elem.diag))
-    )
+    diag, _ = _factor_coords(structure, y)
+    log_diag = [math.log(t) for t in diag]
+    log_delta_value = 2.0 * sum(n * lt for n, lt in zip(structure.block_sizes, log_diag))
+    log_det_rho = sum(s * lt for s, lt in zip(structure.multidegree, log_diag))
     return log_delta_value, -log_det_rho
 
 
@@ -356,12 +431,8 @@ def log_gamma_v(structure: VStructure, alpha: float) -> float:
     """Log of the gamma-type integral of the realized cone at exponent alpha."""
     if alpha < 0:
         raise DomainError(f"gamma integral needs alpha >= 0, got {alpha}")
-    n_total = structure.dim
-    r = structure.r
-    total = 0.5 * (n_total - r) * math.log(2.0 * math.pi)
-    for k in range(1, r + 1):
-        nk = structure.block_sizes[k - 1]
-        qk = structure.q(k)
+    total = 0.5 * (structure.dim - structure.r) * math.log(2.0 * math.pi)
+    for nk, qk in zip(structure.block_sizes, structure.plan.q):
         total += (-nk * alpha - (qk + 1) / 2.0) * math.log(nk)
         total += math.lgamma(nk * alpha + qk / 2.0 + 1.0)
     return total
