@@ -6,7 +6,11 @@ the closed primal cone.  The central object is the map sending a dual point
 y to the unique primal maximizer of exp(-tr(xy)) det(x), computed here by a
 damped Newton iteration on the convex objective tr(xy) - log det x.  From
 that map everything else follows: the determinant functional, its Hessian
-in basis coordinates, and the square-root-determinant factor.
+in basis coordinates, and the square-root-determinant factor.  The Newton
+iteration runs on the orthonormal coordinates of the space: the gradient is
+coords(y) - coords(x^{-1}) and the metric at x is B (w (x) w) B^T with
+w = x^{-1} and B the flattened basis, so a matrix is formed only for the
+Cholesky factor of each trial point.
 
 All determinant work is done in log space; the plain-value wrappers are
 thin conveniences that may overflow at statistical sample sizes.
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, DualMembershipError, ShapeError
-from .invariant import InvariantSpace, trace_inner
+from .invariant import InvariantSpace
 
 GRAD_TOL = 1e-11
 MAX_ITER = 100
@@ -78,11 +82,14 @@ def _check_matrix(space: InvariantSpace, m: np.ndarray, what: str) -> np.ndarray
 def metric_matrix(space: InvariantSpace, w: np.ndarray) -> np.ndarray:
     """Matrix of u -> projection of (w u w) in the orthonormal basis.
 
-    With w the inverse of a primal point x this is the Hessian of
-    -log det at x restricted to the space.
+    Entry (a, b) is tr(B_a w B_b w) = vec(B_a)^T (w (x) w) vec(B_b).  With w
+    the inverse of a primal point x this is the Hessian of -log det at x
+    restricted to the space.
     """
-    t = np.einsum("aij,jk->aik", space.basis, w)
-    m = np.einsum("aij,bji->ab", t, t)
+    p = space.p
+    w_kron_w = (w[:, None, :, None] * w[None, :, None, :]).reshape(p * p, p * p)
+    flat = space.flat
+    m = flat @ w_kron_w @ flat.T
     return 0.5 * (m + m.T)
 
 
@@ -99,6 +106,12 @@ def psi(
     backtracking line search that enforces positive definiteness plus Armijo
     decrease.  A collapsed line search or stalled iteration certifies that y
     is outside the open dual cone.
+
+    The iterate and the normalized point are carried as coordinates, so
+    tr(xy) is their dot product and the gradient's Frobenius norm is its
+    coordinate norm.  Each iteration inverts the iterate's Cholesky factor
+    once, w = L^{-T} L^{-1}; the accepted trial point's factor and
+    objective value carry over to the next iteration.
     """
     y = _check_matrix(space, y, "dual argument")
     scale = float(np.linalg.norm(y))
@@ -106,50 +119,47 @@ def psi(
         raise DualMembershipError("trace must be positive on the dual cone")
     p = space.p
     yn = y / scale
-    x = (p / float(np.trace(yn))) * np.eye(p)
+    yc = space.coords(yn)
+    xc = (p / float(np.trace(yn))) * space.coords(np.eye(p))
+    chol = np.linalg.cholesky(space.from_coords(xc))  # a multiple of the identity
+    f = float(xc @ yc) - _logdet_from_chol(chol)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        chol = _cholesky_or_none(x)
-        if chol is None:  # pragma: no cover - iterates stay definite by construction
-            raise ConvergenceError("iterate lost positive definiteness")
-        w = _cho_solve(chol, np.eye(p))
-        w = 0.5 * (w + w.T)
-        grad = yn - space.project(w)
-        grad_norm = float(np.linalg.norm(grad))
+        chol_inv = np.linalg.inv(chol)
+        w = chol_inv.T @ chol_inv
+        grad = yc - space.coords(w)
+        grad_norm = math.sqrt(float(grad @ grad))
         if _trace_sink is not None:
             _trace_sink({"iteration": iterations, "gradient_norm": grad_norm})
         if grad_norm <= GRAD_TOL:
             break
         m = metric_matrix(space, w)
-        g = space.coords(grad)
         try:
-            step_coords = -_cho_solve(np.linalg.cholesky(m), g)
+            step = -_cho_solve(np.linalg.cholesky(m), grad)
         except np.linalg.LinAlgError:
             # the metric only degenerates when the iterate runs to the cone
             # boundary or to infinity, i.e. the objective has no minimizer
             raise DualMembershipError(
                 "iteration diverged; point is not in the open dual cone"
             ) from None
-        step = space.from_coords(step_coords)
-        slope = float(g @ step_coords)
-        f0 = trace_inner(x, yn) - _logdet_from_chol(chol)
+        slope = float(grad @ step)
         # near the optimum the predicted decrease drops below the resolution
         # of f itself; the noise floor keeps the line search from stalling
-        noise = 16.0 * np.finfo(float).eps * max(1.0, abs(f0))
+        noise = 16.0 * np.finfo(float).eps * max(1.0, abs(f))
         t = 1.0
         while True:
-            cand = x + t * step
-            cand_chol = _cholesky_or_none(cand)
+            cand = xc + t * step
+            cand_chol = _cholesky_or_none(space.from_coords(cand))
             if cand_chol is not None:
-                f_cand = trace_inner(cand, yn) - _logdet_from_chol(cand_chol)
-                if f_cand <= f0 + ARMIJO_C * t * slope + noise:
+                f_cand = float(cand @ yc) - _logdet_from_chol(cand_chol)
+                if f_cand <= f + ARMIJO_C * t * slope + noise:
                     break
             t *= 0.5
             if t < 1e-14:
                 raise DualMembershipError(
                     "line search collapsed; point is not in the open dual cone"
                 )
-        x = cand
+        xc, chol, f = cand, cand_chol, f_cand
     else:
         raise ConvergenceError(
             f"no convergence after {max_iter} iterations "
@@ -157,12 +167,12 @@ def psi(
             iterations=max_iter,
             residual=grad_norm * scale,
         )
-    x_star = x / scale
+    x_star = space.from_coords(xc) / scale
     x_inv = np.linalg.inv(x_star)
     residual = float(np.linalg.norm(space.project(0.5 * (x_inv + x_inv.T)) - y))
     return PsiResult(
         x_star=x_star,
-        coords=space.coords(x_star),
+        coords=xc / scale,
         iterations=iterations,
         residual=residual,
     )

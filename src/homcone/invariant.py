@@ -7,12 +7,15 @@ cells.  An orthonormal basis under the trace inner product tr(xy) is built
 from the group orbits of diagonal cells and edge cells, which makes
 projections and coordinates cheap and exactly reproducible.  Coordinates
 and projections live in ``OrthonormalSpan``, which the realized block
-structures share.
+structures share: it flattens the basis once into an (N, p^2) matrix B,
+so coordinates are B vec(x), a point is B^T c, and the projection is
+B^T B vec(x), each one or two matrix products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,17 +38,27 @@ def project_onto(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 class OrthonormalSpan:
     """Coordinates and projections for a subclass's orthonormal ``basis``
-    stack (N, p, p) under the trace inner product."""
+    stack (N, p, p) under the trace inner product, taken through its
+    row-major flattening ``flat``."""
+
+    @cached_property
+    def flat(self) -> np.ndarray:
+        """The basis as a C-contiguous (N, p^2) matrix: row a is vec(B_a)."""
+        basis = self.basis
+        return np.ascontiguousarray(basis.reshape(basis.shape[0], -1))
 
     def coords(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of the projection of x onto the space."""
-        return np.einsum("aij,ij->a", self.basis, x)
+        """Coordinates of the projection of the p x p matrix x onto the space."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.p, self.p):
+            raise ShapeError(f"expected a {self.p}x{self.p} matrix, got {x.shape}")
+        return self.flat @ x.reshape(-1)
 
     def from_coords(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("a,aij->ij", np.asarray(v, dtype=float), self.basis)
+        return (np.asarray(v, dtype=float) @ self.flat).reshape(self.p, self.p)
 
     def project(self, y: np.ndarray) -> np.ndarray:
-        return project_onto(self.basis, y)
+        return self.from_coords(self.coords(y))
 
     def residual_from(self, y: np.ndarray) -> float:
         """Frobenius distance from y to the space."""
@@ -71,12 +84,6 @@ class InvariantSpace(OrthonormalSpan):
     @property
     def p(self) -> int:
         return self.basis.shape[1]
-
-    def project(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.p, self.p):
-            raise ShapeError(f"expected a {self.p}x{self.p} matrix, got {y.shape}")
-        return super().project(y)
 
     def to_dict(self) -> dict:
         return {

@@ -19,8 +19,13 @@ act simply transitively on the realized cone by congruence, which gives:
 An invariant space is hooked up to a realization by an orthogonal
 conjugation (conjugate_space), which is an isometry for the trace inner
 product, so all functionals computed in realized coordinates agree with
-their definitions on the original space.  The resulting Realization keeps
-only the conjugating matrix and the block structure.
+their definitions on the original space.  Projection, conjugation,
+coordinates and the block-form membership residual are then all linear in
+the point, so the resulting Realization composes them into fixed matrices,
+built on first use: ``point_map`` takes vec(y) of a point of the space to
+its realized coordinates stacked over its residual from the block form,
+and ``scale_map`` does the same for projection(D) / 2 of a prior scale D.
+Scoring a model is one matrix-vector product and the float factorization.
 """
 
 from __future__ import annotations
@@ -50,20 +55,25 @@ PIVOT_RTOL = 16.0 * sys.float_info.epsilon
 
 
 class FactorPlan(NamedTuple):
-    """What the triangular factorization reads of a structure, built once.
+    """What the factorization and the gamma integral read of a structure,
+    built once.
 
     ``slots`` holds the (start, stop) range of each off-diagonal slot's
     coordinates, in ``offdiag_slots`` order.  ``steps`` runs over the block
     rows k = r..1; each is (k, row, bilinear) with ``row`` the (slot of
     V[k,i], i) pairs of row k and ``bilinear`` the (slot of V[i,j], slot of
     V[k,i], slot of V[k,j], C) updates, where C[e][a][b] =
-    (A^{ij}_e | (A^{ki}_a)^T A^{kj}_b) as nested lists.  ``q`` is the
-    per-block q(k).
+    (A^{ij}_e | (A^{ki}_a)^T A^{kj}_b) as nested lists.  The gamma integral
+    at exponent alpha is ``gamma_const - alpha * n_log_n`` plus
+    lgamma(n_k alpha + offset_k) over the (n_k, offset_k) pairs of
+    ``lgamma_args``, with offset_k = q(k) / 2 + 1.
     """
 
     slots: tuple[tuple[int, int], ...]
     steps: tuple[tuple, ...]
-    q: tuple[int, ...]
+    gamma_const: float
+    n_log_n: float
+    lgamma_args: tuple[tuple[int, float], ...]
 
 
 class VStructure(OrthonormalSpan):
@@ -72,7 +82,8 @@ class VStructure(OrthonormalSpan):
     ``subspaces`` maps a pair (l, k) with 1 <= k < l <= r to a stack of
     n_l x n_k matrices that is orthonormal under (A|B) = tr(A B^T).  Pairs
     that are absent (or mapped to an empty stack) denote the zero subspace.
-    Coordinates and projections are taken over the realized space's ``basis``.
+    Coordinates and projections are taken over the realized space's
+    ``basis``; ``point_map`` adds the residual from the realized space.
     """
 
     def __init__(self, block_sizes, subspaces=None):
@@ -172,11 +183,27 @@ class VStructure(OrthonormalSpan):
                 if j < i and (i, j) in index
             ]
             steps.append((k, row, bilinear))
+        sizes = self.block_sizes
+        qs = [self.q(k) for k in range(1, self.r + 1)]
         return FactorPlan(
             slots=tuple(slots),
             steps=tuple(steps),
-            q=tuple(self.q(k) for k in range(1, self.r + 1)),
+            gamma_const=0.5 * (self.dim - self.r) * math.log(2.0 * math.pi)
+            - sum((qk + 1) / 2.0 * math.log(nk) for nk, qk in zip(sizes, qs)),
+            n_log_n=sum(nk * math.log(nk) for nk in sizes),
+            lgamma_args=tuple((nk, qk / 2.0 + 1.0) for nk, qk in zip(sizes, qs)),
         )
+
+    @cached_property
+    def point_map(self) -> np.ndarray:
+        """Coordinate rows B stacked over residual rows I - B^T B.
+
+        Applied to vec(y) it gives the coordinates of y, then the residual
+        of y from the realized space; its norm is that of y.
+        """
+        flat = self.flat
+        resid = np.eye(flat.shape[1]) - flat.T @ flat
+        return np.ascontiguousarray(np.vstack([flat, resid]))
 
     # -- congruence action -------------------------------------------------
 
@@ -346,23 +373,25 @@ def rho_star_identity(t_elem: TriangularElement) -> np.ndarray:
 
 
 def _factor_coords(
-    structure: VStructure, y: np.ndarray
+    structure: VStructure, point_map: np.ndarray, y: np.ndarray
 ) -> tuple[list[float], list[list[float]]]:
-    """Diagonal scalars and slot coefficients of the triangular factor of y.
+    """Diagonal scalars and slot coefficients of the triangular factor.
 
-    The coefficients are those of each T[k,j] in the orthonormal basis of
-    V[k,j], listed in ``offdiag_slots`` order.  Shared by factor_T and
-    delta_phi_fast.
+    ``point_map`` carries vec(y) to the realized coordinates stacked over
+    the residual from the realized space: the structure's own point_map
+    for a realized point, or a Realization's map for a point of the
+    original space.  The coefficients are those of each T[k,j] in the
+    orthonormal basis of V[k,j], listed in ``offdiag_slots`` order.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (structure.p, structure.p):
         raise ShapeError(f"expected {structure.p}x{structure.p}, got {y.shape}")
-    c = structure.coords(y)
-    resid = float(np.linalg.norm(y - structure.from_coords(c)))
-    if resid > CONJUGATION_TOL * max(1.0, float(np.linalg.norm(y))):
+    v = point_map @ y.reshape(-1)
+    resid = v[structure.dim:]
+    if math.sqrt(resid @ resid) > CONJUGATION_TOL * max(1.0, math.sqrt(v @ v)):
         raise DomainError("point is not in the realized space")
     plan = structure.plan
-    c = c.tolist()
+    c = v[: structure.dim].tolist()
     sizes = structure.block_sizes
     d = [c[k] / math.sqrt(n) for k, n in enumerate(sizes)]
     floor = [PIVOT_RTOL * max(dk, 0.0) for dk in d]
@@ -391,6 +420,13 @@ def _factor_coords(
     return diag, t
 
 
+def _log_delta_phi(structure: VStructure, diag: list[float]) -> tuple[float, float]:
+    log_diag = [math.log(t) for t in diag]
+    log_delta_value = 2.0 * sum(n * lt for n, lt in zip(structure.block_sizes, log_diag))
+    log_det_rho = sum(s * lt for s, lt in zip(structure.multidegree, log_diag))
+    return log_delta_value, -log_det_rho
+
+
 def factor_T(structure: VStructure, y: np.ndarray) -> TriangularElement:
     """Unique triangular element with projection(T^T T) equal to the dual point y.
 
@@ -404,7 +440,7 @@ def factor_T(structure: VStructure, y: np.ndarray) -> TriangularElement:
     DualMembershipError: y is past the boundary of the dual cone, or on it
     up to rounding.
     """
-    diag, coeffs = _factor_coords(structure, y)
+    diag, coeffs = _factor_coords(structure, structure.point_map, y)
     blocks = tuple(
         (lk, np.einsum("a,aij->ij", np.asarray(tc), structure.subspaces[lk]))
         for lk, tc in zip(structure.offdiag_slots(), coeffs)
@@ -420,21 +456,18 @@ def delta_phi_fast(structure: VStructure, y: np.ndarray) -> tuple[float, float]:
     the diagonal scalars with the structure's multidegree.  Both read only
     the factor's diagonal scalars.
     """
-    diag, _ = _factor_coords(structure, y)
-    log_diag = [math.log(t) for t in diag]
-    log_delta_value = 2.0 * sum(n * lt for n, lt in zip(structure.block_sizes, log_diag))
-    log_det_rho = sum(s * lt for s, lt in zip(structure.multidegree, log_diag))
-    return log_delta_value, -log_det_rho
+    diag, _ = _factor_coords(structure, structure.point_map, y)
+    return _log_delta_phi(structure, diag)
 
 
 def log_gamma_v(structure: VStructure, alpha: float) -> float:
     """Log of the gamma-type integral of the realized cone at exponent alpha."""
     if alpha < 0:
         raise DomainError(f"gamma integral needs alpha >= 0, got {alpha}")
-    total = 0.5 * (structure.dim - structure.r) * math.log(2.0 * math.pi)
-    for nk, qk in zip(structure.block_sizes, structure.plan.q):
-        total += (-nk * alpha - (qk + 1) / 2.0) * math.log(nk)
-        total += math.lgamma(nk * alpha + qk / 2.0 + 1.0)
+    plan = structure.plan
+    total = plan.gamma_const - alpha * plan.n_log_n
+    for nk, offset in plan.lgamma_args:
+        total += math.lgamma(nk * alpha + offset)
     return total
 
 
@@ -446,13 +479,29 @@ def log_gamma_v(structure: VStructure, alpha: float) -> float:
 class Realization:
     """Orthogonal change of coordinates carrying a space onto a block form.
 
-    Holds only what scoring reads: the conjugating matrix u, with
-    u^T y u in the realized space for every y in the original space, and
-    the block structure.  Build it with conjugate_space, which checks that.
+    Holds the conjugating matrix u, with u^T y u in the realized space for
+    every y in the original space, the block structure, and the original
+    space's flattened basis.  Build it with conjugate_space, which checks
+    that.  Scoring reads two linear maps of vec(y), built on first use:
+    with K = u^T (x) u^T (so K vec(y) = vec(u^T y u)) and B the realized
+    flattened basis, ``point_map`` stacks B K over (I - B^T B) K, the
+    realized coordinates over the residual from the block form; and
+    ``scale_map`` folds in the space's projector P and the halving of a
+    prior scale, point_map P / 2.
     """
 
     u: np.ndarray
     structure: VStructure
+    space_flat: np.ndarray  # (N, p^2): the original space's basis, one row each
+
+    @cached_property
+    def point_map(self) -> np.ndarray:
+        u_t = self.u.T
+        return self.structure.point_map @ np.kron(u_t, u_t)
+
+    @cached_property
+    def scale_map(self) -> np.ndarray:
+        return 0.5 * (self.point_map @ (self.space_flat.T @ self.space_flat))
 
     def realize_point(self, y: np.ndarray) -> np.ndarray:
         return self.u.T @ y @ self.u
@@ -461,7 +510,15 @@ class Realization:
         return log_gamma_v(self.structure, alpha)
 
     def log_delta_phi(self, y: np.ndarray) -> tuple[float, float]:
-        return delta_phi_fast(self.structure, self.realize_point(y))
+        """(log delta, log phi) at a point y of the original space."""
+        diag, _ = _factor_coords(self.structure, self.point_map, y)
+        return _log_delta_phi(self.structure, diag)
+
+    def log_delta_phi_at_scale(self, scale: np.ndarray) -> tuple[float, float]:
+        """(log delta, log phi) at projection(scale) / 2, the point at which a
+        prior with scale matrix ``scale`` is scored."""
+        diag, _ = _factor_coords(self.structure, self.scale_map, scale)
+        return _log_delta_phi(self.structure, diag)
 
 
 def conjugate_space(
@@ -496,4 +553,4 @@ def conjugate_space(
         raise ConjugationError(
             f"dimension mismatch: space has {space.dim}, block form has {structure.dim}"
         )
-    return Realization(u=u, structure=structure)
+    return Realization(u=u, structure=structure, space_flat=space.flat)

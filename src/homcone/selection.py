@@ -33,10 +33,19 @@ from .errors import (
 from .invariant import InvariantSpace, same_space
 from .realization import Realization, conjugate_space
 
+SYMMETRY_RTOL = 1e-9
+
+
+def _check_symmetric(m: np.ndarray, what: str) -> None:
+    """ShapeError unless the square matrix m is symmetric to SYMMETRY_RTOL
+    relative to its largest entry."""
+    if m.size and np.max(np.abs(m - m.T)) > SYMMETRY_RTOL * np.max(np.abs(m)):
+        raise ShapeError(f"{what} must be symmetric")
+
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Prior shape (> 2) and positive definite prior scale matrix."""
+    """Prior shape (> 2) and symmetric positive definite prior scale matrix."""
 
     delta: float
     scale: np.ndarray
@@ -50,6 +59,7 @@ class Hyperparams:
         object.__setattr__(self, "scale", scale)
         if scale.ndim != 2 or scale.shape[0] != scale.shape[1]:
             raise ShapeError(f"scale matrix must be square, got {scale.shape}")
+        _check_symmetric(scale, "scale matrix")
         try:
             np.linalg.cholesky(scale)
         except np.linalg.LinAlgError:
@@ -150,8 +160,7 @@ def scatter_summary(scatter, n_raw: int, centered: bool) -> DataSummary:
     scatter = np.asarray(scatter, dtype=float)
     if scatter.ndim != 2 or scatter.shape[0] != scatter.shape[1]:
         raise ShapeError(f"scatter must be square, got {scatter.shape}")
-    if not np.allclose(scatter, scatter.T, atol=1e-9):
-        raise ShapeError("scatter must be symmetric")
+    _check_symmetric(scatter, "scatter")
     n_eff = n_raw - 1 if centered else n_raw
     return DataSummary(scatter=scatter, n_effective=n_eff, n_raw=n_raw)
 
@@ -205,7 +214,10 @@ def log_I_terms(model: Model, hyper: Hyperparams) -> LogITerms:
     realization: the gamma factor at exponent (delta - 2) / 2 from its block
     sizes and subspace dimensions, and the determinant functionals at the
     projected point scale / 2 from the triangular factor and the multidegree.
-    ``hyper`` is taken as already validated.
+    The realization's cached scale map takes the scale matrix straight to
+    the realized coordinates of that point, in one matrix-vector product.
+    ``hyper`` is taken as already validated; a scale of the wrong size
+    raises ShapeError.
     """
     if model.realization is None:
         raise CapabilityError(
@@ -213,8 +225,7 @@ def log_I_terms(model: Model, hyper: Hyperparams) -> LogITerms:
             "the gamma factor cannot be computed"
         )
     alpha = (hyper.delta - 2.0) / 2.0
-    y = model.space.project(hyper.scale) / 2.0
-    ld, lp = model.realization.log_delta_phi(y)
+    ld, lp = model.realization.log_delta_phi_at_scale(hyper.scale)
     return LogITerms(alpha, model.realization.log_gamma(alpha), ld, lp)
 
 
@@ -263,10 +274,11 @@ def posterior(models, data: DataSummary, hyper: Hyperparams) -> SelectionReport:
     graph = models[0].space.graph
     if any(m.space.graph != graph for m in models):
         raise UsageError("all models must share one graph")
-    if data.scatter.shape != (graph.vertex_count, graph.vertex_count):
-        raise ShapeError(
-            f"scatter is {data.scatter.shape}, graph has {graph.vertex_count} vertices"
-        )
+    p = graph.vertex_count
+    if data.scatter.shape != (p, p):
+        raise ShapeError(f"scatter is {data.scatter.shape}, graph has {p} vertices")
+    if hyper.scale.shape != (p, p):
+        raise ShapeError(f"prior scale is {hyper.scale.shape}, graph has {p} vertices")
     post = Hyperparams(
         delta=hyper.delta + data.n_effective, scale=hyper.scale + data.scatter
     )

@@ -5,9 +5,11 @@ import pytest
 
 import homcone as hc
 from homcone import cone
+from homcone.butterfly import registry_spaces
 from homcone.errors import DomainError, DualMembershipError, ShapeError
 from homcone.graphs import Graph, PermutationGroup
 from homcone.invariant import build_invariant_space
+from homcone.verify import random_dual_point
 
 from closed_forms import PHI_LOG, log_delta_g1
 
@@ -28,6 +30,19 @@ def random_primal(space, rng, spread=0.3):
 
 # ---------------------------------------------------------------------------
 # the inverse-projection solve
+
+def test_psi_iteration_counts_pinned():
+    # the Newton solves of verify's cross-path check, in its order and seed;
+    # the counts are those of the matrix-form iteration, whose steps the
+    # coordinate form must reproduce
+    rng = np.random.default_rng(20240601)
+    counts = [
+        cone.psi(space, random_dual_point(space, rng)).iterations
+        for _, space in registry_spaces()
+        for _ in range(3)
+    ]
+    assert counts == [8, 9, 9, 8, 7, 9, 7, 7, 9, 9, 8, 9, 8, 7, 7, 9, 8, 8, 7, 6, 7]
+
 
 def test_psi_is_matrix_inverse_on_full_cone(dual_point):
     space = full_sym_space(3)

@@ -203,6 +203,13 @@ def test_non_subgroup_raises_invariance_error(butterfly):
 def test_project_shape_error(spaces):
     with pytest.raises(ShapeError):
         project(spaces["G1"], np.eye(4))
+    # a flat or column vector with p^2 entries is not read as a matrix
+    for span in (spaces["G1"], hc.full_sym_structure(5)):
+        for bad in (np.ones(25), np.ones((25, 1))):
+            with pytest.raises(ShapeError):
+                span.coords(bad)
+            with pytest.raises(ShapeError):
+                span.project(bad)
 
 
 def test_degree_mismatch(butterfly):

@@ -29,6 +29,7 @@ from homcone.realization import (
     rho_star_identity,
     validate_vstructure,
 )
+from homcone.selection import Hyperparams, log_I_terms
 from homcone.verify import CROSS_PATH_RTOL
 
 
@@ -486,3 +487,51 @@ def test_fast_path_matches_newton_on_generated_points(models_by_id, mid, y0):
 def test_fast_path_matches_newton_on_ill_conditioned_points(models_by_id, y0):
     for m in models_by_id.values():
         check_against_newton(m, y0)
+
+
+# ---------------------------------------------------------------------------
+# the cached linear maps of a realization
+
+MAPPED_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("mid", [f"G{i}" for i in range(1, 8)])
+@GENERATED
+@given(scale=gram_points(5), delta=st.floats(2.5, 200.0))
+def test_scale_map_matches_matrix_route(models_by_id, mid, scale, delta):
+    # the one matrix-vector product of log_I_terms against project ->
+    # realize_point -> delta_phi_fast, the route it replaces.  The two round
+    # the point's coordinates differently, and the factorization amplifies
+    # that by up to the scale's condition number (about 1.4 eps cond seen
+    # over 28 000 points), so past condition ~1e3 the bound grows with it.
+    m = models_by_id[mid]
+    terms = log_I_terms(m, Hyperparams(delta=delta, scale=scale))
+    y = m.realization.realize_point(m.space.project(scale) / 2.0)
+    ld, lp = delta_phi_fast(m.realization.structure, y)
+    tol = max(MAPPED_RTOL, 16.0 * np.finfo(float).eps * np.linalg.cond(scale))
+    assert rel_err(terms.log_delta, ld) <= tol
+    assert rel_err(terms.log_phi, lp) <= tol
+
+
+def test_point_map_rejects_points_off_the_space(models_by_id):
+    real = models_by_id["G7"].realization
+    y = np.eye(5)
+    assert real.log_delta_phi(y) == pytest.approx((0.0, 0.0), abs=1e-12)
+    off_edge = np.eye(5)
+    off_edge[0, 3] = off_edge[3, 0] = 0.5  # (1,4) is not an edge
+    uneven_orbit = np.eye(5)
+    uneven_orbit[0, 0] = 2.0  # one diagonal cell of the orbit {1,2,4,5}
+    asymmetric = np.eye(5)
+    asymmetric[0, 2] = 0.3  # (1,3) without (3,1)
+    for bad in (off_edge, uneven_orbit, asymmetric):
+        with pytest.raises(DomainError):
+            real.log_delta_phi(bad)
+
+
+def test_realization_maps_reject_wrong_size(models_by_id):
+    real = models_by_id["G7"].realization
+    for bad in (np.eye(4), np.eye(1), np.ones(25)):
+        with pytest.raises(ShapeError):
+            real.log_delta_phi(bad)
+        with pytest.raises(ShapeError):
+            real.log_delta_phi_at_scale(bad)

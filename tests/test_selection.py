@@ -181,6 +181,24 @@ def test_hyperparams_validation():
         Hyperparams(delta=3.0, scale=np.zeros((5, 4)))
 
 
+def test_hyperparams_rejects_non_symmetric_scale():
+    # Cholesky reads only the lower triangle, so this factors although its
+    # symmetric part has eigenvalue -0.5
+    scale = np.eye(5)
+    scale[0, 4] = 3.0
+    with pytest.raises(ShapeError):
+        Hyperparams(delta=3.0, scale=scale)
+    # rounding-level asymmetry passes
+    scale = np.eye(5)
+    scale[0, 4] = 1e-12
+    Hyperparams(delta=3.0, scale=scale)
+
+
+def test_log_I_rejects_wrongly_sized_scale(models_by_id):
+    with pytest.raises(ShapeError):
+        log_I(models_by_id["G1"], 3.0, np.eye(4))
+
+
 # ---------------------------------------------------------------------------
 # posterior over models
 
@@ -251,6 +269,13 @@ def test_posterior_usage_errors(models, exam_data):
     with pytest.raises(ShapeError):
         posterior([full_sym_model(2)],
                   exam_data, Hyperparams(delta=3.0, scale=np.eye(2)))
+
+
+@pytest.mark.parametrize("p", [1, 4])
+def test_posterior_rejects_wrongly_sized_prior_scale(models, exam_data, p):
+    # a 4x4 scale does not broadcast against the 5x5 scatter, a 1x1 does
+    with pytest.raises(ShapeError):
+        posterior(models, exam_data, Hyperparams(delta=3.0, scale=np.eye(p)))
 
 
 def test_posterior_rejects_indefinite_posterior_scale(models):
