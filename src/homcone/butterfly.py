@@ -3,9 +3,11 @@
 The graph carries the examination-marks conditional independence structure
 (mechanics, vectors, algebra, analysis, statistics).  Its automorphism group
 is dihedral of order 8 with ten subgroups inducing seven distinct invariant
-spaces.  For each distinct space the registry ships an orthogonal matrix and
-a block structure realizing the cone, stored with exact symbolic entries
-(0, +-1, +-1/sqrt(2)) and rendered to floats at load time.
+spaces.  The registry is package data and stores only what cannot be
+derived: the graph, generators of the ten named subgroups, and for each
+distinct space an orthogonal matrix and a block structure realizing the
+cone, with exact symbolic entries (0, +-1, +-1/sqrt(2)) rendered to floats
+at load time.  Which subgroups share a space is computed, not stored.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from importlib import resources
 
 import numpy as np
 
+from .errors import CapabilityError
 from .graphs import Graph, Permutation, PermutationGroup, graph_from_dict
 from .invariant import InvariantSpace, build_invariant_space
 from .realization import VStructure
@@ -34,38 +37,22 @@ _SYMBOLS = {
 @dataclass(frozen=True, eq=False)
 class RegistryEntry:
     model_id: str
-    merged_ids: tuple[str, ...]
     u: np.ndarray
     structure: VStructure
 
 
-def _parse_symbol(token: str) -> float:
-    try:
-        return _SYMBOLS[token]
-    except KeyError:
-        raise ValueError(f"unknown registry symbol {token!r}") from None
-
-
 def _parse_matrix(rows) -> np.ndarray:
-    return np.array([[_parse_symbol(tok) for tok in row] for row in rows])
-
-
-def _default_registry_text() -> str:
-    return (
-        resources.files("homcone").joinpath("data/butterfly_registry.json").read_text()
-    )
-
-
-def load_registry_data(path=None) -> dict:
-    if path is None:
-        return json.loads(_default_registry_text())
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        return np.array([[_SYMBOLS[tok] for tok in row] for row in rows])
+    except KeyError as exc:
+        raise ValueError(f"unknown registry symbol {exc.args[0]!r}") from None
 
 
 @lru_cache(maxsize=1)
 def _default_data() -> dict:
-    return load_registry_data()
+    """The registry shipped as package data, parsed once per process."""
+    text = resources.files("homcone").joinpath("data/butterfly_registry.json").read_text()
+    return json.loads(text)
 
 
 def butterfly_graph() -> Graph:
@@ -83,36 +70,38 @@ def butterfly_subgroups() -> dict[str, PermutationGroup]:
     return out
 
 
-def merged_classes() -> dict[str, tuple[str, ...]]:
-    return {k: tuple(v) for k, v in _default_data()["merged_classes"].items()}
-
-
-def butterfly_registry(path=None) -> list[RegistryEntry]:
+def butterfly_registry() -> list[RegistryEntry]:
     """The seven realization entries, one per distinct invariant space."""
-    data = _default_data() if path is None else load_registry_data(path)
-    merged = {k: tuple(v) for k, v in data["merged_classes"].items()}
     entries = []
-    for raw in data["entries"]:
+    for raw in _default_data()["entries"]:
         subs = {
             key: [_parse_matrix(m) for m in mats] for key, mats in raw["subspaces"].items()
         }
         structure = VStructure.from_dict({"block_sizes": raw["block_sizes"], "subspaces": subs})
-        entries.append(
-            RegistryEntry(
-                model_id=raw["id"],
-                merged_ids=merged.get(raw["id"], (raw["id"],)),
-                u=_parse_matrix(raw["u"]),
-                structure=structure,
-            )
-        )
+        entries.append(RegistryEntry(raw["id"], _parse_matrix(raw["u"]), structure))
     return entries
 
 
-def registry_spaces(path=None) -> list[tuple[RegistryEntry, InvariantSpace]]:
-    """Each registry entry with the invariant space of its subgroup."""
+def registry_spaces() -> list[tuple[RegistryEntry, InvariantSpace, tuple[str, ...]]]:
+    """Each registry entry with its invariant space and the named subgroups
+    that share the space.
+
+    The ten named subgroups, in G1..G10 order, fall into classes of equal
+    orbit partition, which is what ``same_space`` compares; each class is
+    labelled by its first member.  The entries must be exactly one per class
+    label, else CapabilityError.  Triples come in class order.
+    """
     graph = butterfly_graph()
-    subgroups = butterfly_subgroups()
-    return [
-        (entry, build_invariant_space(graph, subgroups[entry.model_id]))
-        for entry in butterfly_registry(path)
-    ]
+    classes: dict[tuple, list[str]] = {}
+    spaces = {}
+    for name, group in butterfly_subgroups().items():
+        spaces[name] = build_invariant_space(graph, group)
+        classes.setdefault(spaces[name].orbits, []).append(name)
+    members = {names[0]: tuple(names) for names in classes.values()}
+    registry = butterfly_registry()
+    ids = sorted(entry.model_id for entry in registry)
+    if ids != sorted(members):
+        raise CapabilityError(f"registry entries {ids} are not one per distinct-space "
+                              f"class {list(members.values())}")
+    entries = {entry.model_id: entry for entry in registry}
+    return [(entries[label], spaces[label], names) for label, names in members.items()]

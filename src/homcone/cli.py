@@ -91,11 +91,8 @@ def _resolve_data(args, p):
 def _resolve_scale(args, p):
     if getattr(args, "scale_file", None):
         with open(args.scale_file, "r", encoding="utf-8") as fh:
-            mat = np.asarray(json.load(fh), dtype=float)
-        if mat.shape != (p, p):
-            raise ValueError(f"scale matrix is {mat.shape}, expected {(p, p)}")
-        return mat
-    return args.d_scale * np.eye(p)
+            return np.asarray(json.load(fh), dtype=float)
+    return np.diag(np.full(p, args.d_scale))  # not d * eye: inf * 0 is NaN
 
 
 def _resolve_models(args):
@@ -111,7 +108,7 @@ def _resolve_models(args):
             "no block-realization registry for this graph; "
             "the gamma factor of the normalizing constant is unavailable"
         )
-    return graph, build_butterfly_models(getattr(args, "registry", None))
+    return graph, build_butterfly_models()
 
 
 def _dump_json(obj) -> str:
@@ -206,9 +203,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_verification(
-        args.level, registry_path=args.registry, samples=args.samples, seed=args.seed
-    )
+    results = run_verification(args.level, samples=args.samples, seed=args.seed)
     failed = [r for r in results if not r.passed]
     for r in results:
         mark = "ok" if r.passed else "FAIL"
@@ -237,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_stat_args(p, with_data=True):
         p.add_argument("--graph", help="graph JSON file (default: built-in benchmark)")
-        p.add_argument("--registry", help="override the realization registry JSON file")
         if with_data:
             p.add_argument("--data", help="CSV of observations, one row each")
             p.add_argument("--scatter", help="JSON scatter object")
@@ -272,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the self-check suites")
     p_ver.add_argument("--level", choices=("fast", "mc"), default="fast")
-    p_ver.add_argument("--registry", help="override the realization registry JSON file")
     p_ver.add_argument("--samples", type=int, help="Monte Carlo sample count")
     p_ver.add_argument("--seed", type=int, default=0xC0FFEE)
     p_ver.set_defaults(func=cmd_verify)

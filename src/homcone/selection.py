@@ -15,7 +15,8 @@ sample sizes of interest the plain values overflow doubles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import NamedTuple
 
@@ -34,12 +35,16 @@ from .invariant import InvariantSpace, same_space
 from .realization import Realization, conjugate_space
 
 SYMMETRY_RTOL = 1e-9
+PSD_RTOL = 1e-9
 
 
 def _check_symmetric(m: np.ndarray, what: str) -> None:
-    """ShapeError unless the square matrix m is symmetric to SYMMETRY_RTOL
-    relative to its largest entry."""
-    if m.size and np.max(np.abs(m - m.T)) > SYMMETRY_RTOL * np.max(np.abs(m)):
+    """DomainError unless the square matrix m is finite, ShapeError unless it
+    is symmetric to SYMMETRY_RTOL relative to its largest entry."""
+    largest = np.max(np.abs(m), initial=0.0)  # NaN or inf if any entry is
+    if not math.isfinite(largest):
+        raise DomainError(f"{what} has a non-finite entry")
+    if np.max(np.abs(m - m.T), initial=0.0) > SYMMETRY_RTOL * largest:
         raise ShapeError(f"{what} must be symmetric")
 
 
@@ -51,6 +56,8 @@ class Hyperparams:
     scale: np.ndarray
 
     def __post_init__(self):
+        if not math.isfinite(self.delta):
+            raise DomainError(f"prior shape must be finite, got {self.delta}")
         if not self.delta > 2.0:
             raise IntegrabilityError(
                 f"prior shape must exceed 2 for the normalizing integral, got {self.delta}"
@@ -68,11 +75,19 @@ class Hyperparams:
 
 @dataclass(frozen=True)
 class DataSummary:
-    """Scatter matrix plus raw and degrees-of-freedom-corrected sample sizes."""
+    """Finite scatter matrix plus raw and degrees-of-freedom-corrected sample
+    sizes, 1 <= n_effective <= n_raw; anything else raises DomainError."""
 
     scatter: np.ndarray
     n_effective: int
     n_raw: int
+
+    def __post_init__(self):
+        if not np.isfinite(self.scatter).all():
+            raise DomainError("scatter has a non-finite entry")
+        if not 1 <= self.n_effective <= self.n_raw:
+            raise DomainError(f"need 1 <= n_effective <= n_raw, "
+                              f"got {self.n_effective} and {self.n_raw}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,21 +120,7 @@ class SelectionReport:
     winner_id: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "winner": self.winner_id,
-            "models": [
-                {
-                    "model_id": r.model_id,
-                    "merged_labels": list(r.merged_labels),
-                    "dim": r.dim,
-                    "log_I_prior": r.log_I_prior,
-                    "log_I_posterior": r.log_I_posterior,
-                    "log_score": r.log_score,
-                    "probability": r.probability,
-                }
-                for r in self.records
-            ],
-        }
+        return {"winner": self.winner_id, "models": [asdict(r) for r in self.records]}
 
     def render_table(self) -> str:
         lines = [
@@ -157,10 +158,16 @@ def summarize_data(rows, center: bool = True) -> DataSummary:
 
 
 def scatter_summary(scatter, n_raw: int, centered: bool) -> DataSummary:
+    """Summary of a caller-supplied scatter: it must also be symmetric and
+    have no eigenvalue below -PSD_RTOL times the largest magnitude."""
     scatter = np.asarray(scatter, dtype=float)
     if scatter.ndim != 2 or scatter.shape[0] != scatter.shape[1]:
         raise ShapeError(f"scatter must be square, got {scatter.shape}")
     _check_symmetric(scatter, "scatter")
+    eig = np.linalg.eigvalsh(scatter)
+    if eig.size and eig[0] < -PSD_RTOL * np.max(np.abs(eig)):
+        raise DomainError(f"scatter has eigenvalue {eig[0]:.3g}; it must be positive "
+                          "definite, or semidefinite if rows are fewer than vertices")
     n_eff = n_raw - 1 if centered else n_raw
     return DataSummary(scatter=scatter, n_effective=n_eff, n_raw=n_raw)
 
@@ -181,16 +188,18 @@ def exam_marks_summary() -> DataSummary:
     return scatter_summary(data["scatter"], int(data["n_raw"]), bool(data["centered"]))
 
 
-def build_butterfly_models(registry_path=None) -> list[Model]:
-    """The seven distinct models of the built-in benchmark, with realizations."""
+def build_butterfly_models() -> list[Model]:
+    """The seven distinct models of the built-in benchmark, one per class of
+    named subgroups sharing an invariant space, each with the realization of
+    its registry entry."""
     return [
         Model(
             label=entry.model_id,
             space=space,
             realization=conjugate_space(space, entry.u, entry.structure),
-            merged_labels=entry.merged_ids,
+            merged_labels=merged,
         )
-        for entry, space in registry_spaces(registry_path)
+        for entry, space, merged in registry_spaces()
     ]
 
 

@@ -46,10 +46,16 @@ def random_dual_point(space, rng, scale=1.0):
     return scale * space.project(d)
 
 
-def check_registry(pairs) -> list[CheckResult]:
-    """Axioms and conjugation validity of every (entry, space) registry pair."""
+def check_registry(triples):
+    """Axioms and conjugation validity of every (entry, space, merged labels)
+    triple of ``registry_spaces``.
+
+    Returns the results and, per entry, (model id, space, outcome): the
+    realization its conjugation returned, or the error it raised.
+    """
     results = []
-    for entry, space in pairs:
+    conjugated = []
+    for entry, space, _ in triples:
         report = validate_vstructure(entry.structure)
         if not report.passed:
             bad = [v.detail for vs in report.violations.values() for v in vs]
@@ -59,25 +65,27 @@ def check_registry(pairs) -> list[CheckResult]:
         else:
             results.append(CheckResult(f"axioms {entry.model_id}", True, "V1 V2 V3 hold"))
         try:
-            conjugate_space(space, entry.u, entry.structure)
+            outcome = conjugate_space(space, entry.u, entry.structure)
             results.append(
                 CheckResult(f"conjugation {entry.model_id}", True, "block form matched")
             )
         except HomconeError as exc:
+            outcome = exc
             results.append(CheckResult(f"conjugation {entry.model_id}", False, str(exc)))
-    return results
+        conjugated.append((entry.model_id, space, outcome))
+    return results, conjugated
 
 
-def check_cross_path(pairs, points: int = 3, seed: int = 20240601) -> list[CheckResult]:
+def check_cross_path(conjugated, points: int = 3,
+                     seed: int = 20240601) -> list[CheckResult]:
     """Triangular-factorization functionals against the Newton-based route,
-    on every (entry, space) registry pair."""
+    on every (model id, space, realization or conjugation error) triple of
+    check_registry."""
     results = []
     rng = np.random.default_rng(seed)
-    for entry, space in pairs:
-        try:
-            realization = conjugate_space(space, entry.u, entry.structure)
-        except HomconeError as exc:
-            results.append(CheckResult(f"cross-path {entry.model_id}", False, str(exc)))
+    for model_id, space, realization in conjugated:
+        if isinstance(realization, HomconeError):
+            results.append(CheckResult(f"cross-path {model_id}", False, str(realization)))
             continue
         worst = 0.0
         ok = True
@@ -95,7 +103,7 @@ def check_cross_path(pairs, points: int = 3, seed: int = 20240601) -> list[Check
             ok = ok and err <= CROSS_PATH_RTOL
         results.append(
             CheckResult(
-                f"cross-path {entry.model_id}",
+                f"cross-path {model_id}",
                 ok,
                 f"worst relative disagreement {worst:.2e} over {points} points",
             )
@@ -150,7 +158,7 @@ def mc_reference_cases():
     real_ray = conjugate_space(z_ray, np.eye(3), ray_structure(3))
     cases.append(("ray p=3", z_ray, real_ray, 1.3 * np.eye(3), 1.0))
 
-    entry7, space7 = next((e, z) for e, z in registry_spaces() if e.model_id == "G7")
+    entry7, space7, _ = next(t for t in registry_spaces() if t[0].model_id == "G7")
     real7 = conjugate_space(space7, entry7.u, entry7.structure)
     cases.append(("hub-symmetric space", space7, real7, 0.5 * np.eye(5), 0.5))
 
@@ -175,16 +183,15 @@ def check_mc(samples: int = 200_000, seed: int = 0xC0FFEE) -> list[CheckResult]:
     return results
 
 
-def run_verification(level: str, registry_path=None, samples: int | None = None,
+def run_verification(level: str, samples: int | None = None,
                      seed: int = 0xC0FFEE) -> list[CheckResult]:
     if level == "fast":
         try:
-            pairs = registry_spaces(registry_path)
+            triples = registry_spaces()
         except (HomconeError, ValueError, OSError, KeyError) as exc:
-            results = [CheckResult("registry load", False, str(exc))]
-        else:
-            results = check_registry(pairs) + check_cross_path(pairs)
-        return results + check_siegel()
+            return [CheckResult("registry load", False, str(exc))] + check_siegel()
+        results, conjugated = check_registry(triples)
+        return results + check_cross_path(conjugated) + check_siegel()
     if level == "mc":
         return check_mc(samples=samples or 200_000, seed=seed)
     raise ValueError(f"unknown verification level {level!r}")

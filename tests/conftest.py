@@ -1,7 +1,12 @@
+import copy
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import homcone as hc
+from homcone import butterfly as butterfly_module
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +48,24 @@ def dual_point():
         return scale * space.project(a @ a.T + 0.1 * np.eye(space.p))
 
     return make
+
+
+@pytest.fixture
+def serve_registry(monkeypatch, tmp_path):
+    """Serve the registry package data from a copy under tmp_path.
+
+    Yields (shipped, serve): the shipped registry, parsed, and a function
+    that replaces the served JSON text and clears the parse cache.
+    """
+    shipped = butterfly_module._default_data()
+    (tmp_path / "data").mkdir()
+    path = tmp_path / "data" / "butterfly_registry.json"
+
+    def serve(text):
+        path.write_text(text)
+        butterfly_module._default_data.cache_clear()
+
+    monkeypatch.setattr(butterfly_module, "resources", SimpleNamespace(files=lambda _: tmp_path))
+    serve(json.dumps(shipped))
+    yield copy.deepcopy(shipped), serve
+    butterfly_module._default_data.cache_clear()

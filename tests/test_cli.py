@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import homcone as hc
-from homcone.butterfly import load_registry_data
 from homcone.cli import main
 from homcone.graphs import Permutation, PermutationGroup
 
@@ -151,6 +150,62 @@ def test_select_scatter_indefinite_posterior_scale(capsys, tmp_path):
     assert "positive definite" in err
 
 
+def _scatter_file(tmp_path, edit=lambda s: s, n_raw=88):
+    """The exam-marks scatter, passed through edit, as a JSON scatter file."""
+    scatter = edit(hc.exam_marks_summary().scatter)
+    path = tmp_path / "scatter.json"
+    # json writes NaN as the bare token NaN, which json.load accepts
+    path.write_text(json.dumps({"scatter": scatter.tolist(), "n_raw": n_raw, "centered": True}))
+    return ["--scatter", str(path)]
+
+
+def _with_nan(scatter):
+    scatter[0, 0] = np.nan
+    return scatter
+
+
+def _csv_with_nan_cell(tmp_path):
+    rows = np.random.default_rng(7).standard_normal((12, 5))
+    rows[3, 2] = np.nan
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(",".join(f"{x:.4f}" for x in r) for r in rows))
+    return ["--data", str(path)]
+
+
+BAD_DATA = {
+    "one-centered-row": lambda t: _scatter_file(t, n_raw=1),
+    "negated-scatter": lambda t: _scatter_file(t, edit=np.negative),
+    "nan-scatter-entry": lambda t: _scatter_file(t, edit=_with_nan),
+    "nan-csv-cell": _csv_with_nan_cell,
+}
+BAD_PRIOR = {
+    "infinite-shape": (["--delta", "inf"], 2),
+    "nan-shape": (["--delta", "nan"], 2),
+    "infinite-scale": (["--d-scale", "inf"], 2),
+    "nan-scale": (["--d-scale", "nan"], 2),
+    "shape-at-two": (["--delta", "2"], 3),
+}
+EXAM = ["--fixture", "exam-marks"]
+BAD_INPUTS = {
+    **{f"select-{n}": (lambda t, m=m: ["select", *m(t)], 2) for n, m in BAD_DATA.items()},
+    **{f"fit-{n}": (lambda t, m=m: ["fit", "--model", "G3", *m(t)], 2)
+       for n, m in BAD_DATA.items()},
+    **{f"select-{n}": (lambda t, o=o: ["select", *EXAM, *o], c)
+       for n, (o, c) in BAD_PRIOR.items()},
+    **{f"constants-{n}": (lambda t, o=o: ["constants", *o], c)
+       for n, (o, c) in BAD_PRIOR.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_with_its_code_and_prints_nothing(capsys, tmp_path, case):
+    make_argv, expected = BAD_INPUTS[case]
+    code, out, err = run(capsys, make_argv(tmp_path))
+    assert code == expected, err
+    assert out == ""  # no table, so no nan cell either
+    assert err.startswith("error: ")
+
+
 def test_fit_table(capsys):
     code, out, _ = run(capsys, ["fit", "--fixture", "exam-marks", "--model", "G3"])
     assert code == 0
@@ -221,24 +276,49 @@ def test_verify_mc_small(capsys):
     assert out.count("[ok]") == 3
 
 
-def test_verify_corrupted_registry(capsys, tmp_path):
-    data = load_registry_data()
-    data["entries"][2]["u"][0][0] = "0"  # breaks orthogonality of the G3 matrix
-    path = tmp_path / "registry.json"
-    path.write_text(json.dumps(data))
-    code, out, _ = run(capsys, ["verify", "--level", "fast", "--registry", str(path)])
+def test_verify_corrupted_registry(capsys, serve_registry):
+    shipped, serve = serve_registry
+    shipped["entries"][2]["u"][0][0] = "0"  # breaks orthogonality of the G3 matrix
+    serve(json.dumps(shipped))
+    code, out, _ = run(capsys, ["verify", "--level", "fast"])
     assert code == 5
-    assert "[FAIL]" in out
-    assert "G3" in out
+    assert "[FAIL] conjugation G3" in out
+    assert "[FAIL] cross-path G3" in out
+    assert out.count("[FAIL]") == 2
 
 
-def test_verify_unloadable_registry(capsys, tmp_path):
-    path = tmp_path / "registry.json"
-    path.write_text(json.dumps(load_registry_data())[:100])  # truncated JSON
-    code, out, _ = run(capsys, ["verify", "--level", "fast", "--registry", str(path)])
+def test_verify_unloadable_registry(capsys, serve_registry):
+    shipped, serve = serve_registry
+    serve(json.dumps(shipped)[:100])  # truncated JSON
+    code, out, _ = run(capsys, ["verify", "--level", "fast"])
     assert code == 5
     assert out.count("registry load") == 1
     assert "[ok] siegel p=2" in out
+
+
+def test_verify_reports_entries_that_are_not_class_labels(capsys, serve_registry):
+    shipped, serve = serve_registry
+    shipped["entries"][5]["id"] = "G8"  # G8 shares G6's space, labelled G6
+    serve(json.dumps(shipped))
+    code, out, _ = run(capsys, ["verify", "--level", "fast"])
+    assert code == 5
+    assert out.startswith("[FAIL] registry load: registry entries")
+    code, _, err = run(capsys, ["select", "--fixture", "exam-marks"])
+    assert code == 4 and "distinct-space class" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--fixture", "exam-marks"],
+    ["fit", "--fixture", "exam-marks", "--model", "G3"],
+    ["constants"],
+    ["verify"],
+], ids=lambda argv: argv[0])
+def test_registry_option_is_gone(capsys, argv):
+    # the registry is package data only
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--registry", "x.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --registry x.json" in capsys.readouterr().err
 
 
 def test_verbose_newton_trace(capsys):

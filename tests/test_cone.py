@@ -38,7 +38,7 @@ def test_psi_iteration_counts_pinned():
     rng = np.random.default_rng(20240601)
     counts = [
         cone.psi(space, random_dual_point(space, rng)).iterations
-        for _, space in registry_spaces()
+        for _, space, _ in registry_spaces()
         for _ in range(3)
     ]
     assert counts == [8, 9, 9, 8, 7, 9, 7, 7, 9, 9, 8, 9, 8, 7, 7, 9, 8, 8, 7, 6, 7]

@@ -9,11 +9,10 @@ from homcone.butterfly import (
     butterfly_graph,
     butterfly_registry,
     butterfly_subgroups,
-    load_registry_data,
-    merged_classes,
 )
 from homcone.graphs import Permutation, PermutationGroup, automorphism_group, enumerate_subgroups
-from homcone.invariant import build_invariant_space, same_space
+from homcone.errors import CapabilityError
+from homcone.invariant import same_space
 from homcone.realization import conjugate_space
 
 from closed_forms import GAMMA_LOG
@@ -47,13 +46,30 @@ def test_named_generators():
     )
 
 
-def test_merged_classes_match_space_equality(spaces):
-    merged = merged_classes()
-    assert merged["G6"] == ("G6", "G8")
-    assert merged["G7"] == ("G7", "G9", "G10")
-    for rep, members in merged.items():
-        for member in members:
-            assert same_space(spaces[rep], spaces[member])
+def test_models_merge_named_subgroups_of_equal_space(models, spaces):
+    # the classes the registry used to store, now derived from the spaces
+    assert {m.label: m.merged_labels for m in models} == {
+        "G1": ("G1",), "G2": ("G2",), "G3": ("G3",), "G4": ("G4",),
+        "G5": ("G5",), "G6": ("G6", "G8"), "G7": ("G7", "G9", "G10"),
+    }
+    for m in models:
+        for member in m.merged_labels:
+            assert same_space(m.space, spaces[member])
+    reps = [m.space for m in models]
+    assert not any(same_space(a, b) for i, a in enumerate(reps) for b in reps[:i])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda entries: entries[5].update(id="G8"),  # G8 shares G6's space, labelled G6
+    lambda entries: entries.append(dict(entries[0])),  # G1 twice
+    lambda entries: entries.pop(),  # G7 missing
+], ids=["member-not-label", "duplicate", "missing"])
+def test_models_reject_entries_that_are_not_class_labels(serve_registry, edit):
+    shipped, serve = serve_registry
+    edit(shipped["entries"])
+    serve(json.dumps(shipped))
+    with pytest.raises(CapabilityError, match="not one per distinct-space class"):
+        hc.build_butterfly_models()
 
 
 def test_registry_entries_cover_distinct_spaces():
@@ -86,18 +102,9 @@ def test_gamma_matches_closed_forms(models_by_id):
             assert abs(real.log_gamma(alpha) - form(alpha)) < 1e-10
 
 
-def test_registry_rejects_unknown_symbol(tmp_path):
-    data = load_registry_data()
-    data["entries"][0]["u"][0][0] = "2"
-    bad = tmp_path / "registry.json"
-    bad.write_text(json.dumps(data))
-    with pytest.raises(ValueError):
-        butterfly_registry(bad)
-
-
-def test_registry_override_path(tmp_path):
-    data = load_registry_data()
-    path = tmp_path / "registry.json"
-    path.write_text(json.dumps(data))
-    entries = butterfly_registry(path)
-    assert len(entries) == 7
+def test_registry_rejects_unknown_symbol(serve_registry):
+    shipped, serve = serve_registry
+    shipped["entries"][0]["u"][0][0] = "2"
+    serve(json.dumps(shipped))
+    with pytest.raises(ValueError, match="unknown registry symbol"):
+        butterfly_registry()
