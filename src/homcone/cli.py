@@ -49,33 +49,35 @@ EXIT_CAPABILITY = 4
 EXIT_VERIFY = 5
 
 
+def _is_number(tok) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
 def _load_rows_csv(path):
-    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for record in csv.reader(fh):
-            if not record:
-                continue
-            try:
-                rows.append([float(tok) for tok in record])
-            except ValueError:
-                if rows:
-                    raise
-                continue  # header line
-    if not rows:
+        records = [record for record in csv.reader(fh) if record]
+    if records and not any(_is_number(tok) for tok in records[0]):
+        del records[0]  # header line: no cell is a number
+    if not records:
         raise ValueError(f"no numeric rows in {path}")
-    return np.array(rows)
+    return np.array([[float(tok) for tok in record] for record in records])
 
 
 def _resolve_graph(args):
-    if getattr(args, "graph", None):
+    if args.graph:
         return load_graph(args.graph)
     return butterfly_graph()
 
 
 def _resolve_data(args, p):
-    sources = [s for s in ("data", "scatter", "fixture") if getattr(args, s, None)]
-    if len(sources) != 1:
+    if sum(map(bool, (args.data, args.scatter, args.fixture))) != 1:
         raise ValueError("provide exactly one of --data, --scatter, --fixture")
+    if args.no_center and not args.data:
+        raise ValueError("--no-center applies to --data only")
     if args.fixture:
         if args.fixture != "exam-marks":
             raise ValueError(f"unknown fixture {args.fixture!r} (available: exam-marks)")
@@ -89,9 +91,12 @@ def _resolve_data(args, p):
 
 
 def _resolve_scale(args, p):
-    if getattr(args, "scale_file", None):
+    if args.scale_file:
         with open(args.scale_file, "r", encoding="utf-8") as fh:
-            return np.asarray(json.load(fh), dtype=float)
+            try:
+                return np.asarray(json.load(fh), dtype=float)
+            except TypeError:  # an object, or an array holding one
+                raise ValueError("--D must hold a JSON array of numbers") from None
     return np.diag(np.full(p, args.d_scale))  # not d * eye: inf * 0 is NaN
 
 
@@ -213,6 +218,24 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", help="graph JSON file (default: built-in benchmark)")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", help="CSV of observations, one row each")
+    data.add_argument("--scatter", help="JSON scatter object")
+    data.add_argument("--fixture", help="named built-in data set (exam-marks)")
+    data.add_argument("--no-center", action="store_true",
+                      help="do not center the --data observations")
+    prior = argparse.ArgumentParser(add_help=False)
+    prior.add_argument("--delta", type=float, default=3.0,
+                       help="prior shape parameter (> 2, default 3)")
+    prior.add_argument("--d-scale", type=float, default=1.0,
+                       help="prior scale is this multiple of the identity (default 1)")
+    prior.add_argument("--D", dest="scale_file",
+                       help="prior scale matrix as a JSON file (overrides --d-scale)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", choices=("table", "json"), default="table")
+
     parser = argparse.ArgumentParser(
         prog="homcone",
         description="Bayesian selection of permutation-invariant Gaussian "
@@ -222,53 +245,32 @@ def build_parser() -> argparse.ArgumentParser:
                         help="dump solver iteration records to stderr as JSON lines")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_aut = sub.add_parser("aut", help="automorphism group of a graph")
-    p_aut.add_argument("--graph", help="graph JSON file (default: built-in benchmark)")
-    p_aut.set_defaults(func=cmd_aut)
+    def add(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
 
-    p_sub = sub.add_parser("subgroups", help="all subgroups of the automorphism group")
-    p_sub.add_argument("--graph", help="graph JSON file (default: built-in benchmark)")
-    p_sub.set_defaults(func=cmd_subgroups)
+    add("aut", cmd_aut, "automorphism group of a graph", graph)
+    add("subgroups", cmd_subgroups, "all subgroups of the automorphism group", graph)
+    add("select", cmd_select, "posterior probabilities over symmetry models",
+        graph, data, prior, output)
 
-    def add_stat_args(p, with_data=True):
-        p.add_argument("--graph", help="graph JSON file (default: built-in benchmark)")
-        if with_data:
-            p.add_argument("--data", help="CSV of observations, one row each")
-            p.add_argument("--scatter", help="JSON scatter object")
-            p.add_argument("--fixture", help="named built-in data set (exam-marks)")
-            p.add_argument("--no-center", action="store_true",
-                           help="do not center CSV observations")
-        p.add_argument("--delta", type=float, default=3.0,
-                       help="prior shape parameter (> 2, default 3)")
-        p.add_argument("--d-scale", type=float, default=1.0,
-                       help="prior scale is this multiple of the identity (default 1)")
-        p.add_argument("--D", dest="scale_file",
-                       help="prior scale matrix as a JSON file (overrides --d-scale)")
-        p.add_argument("--output", choices=("table", "json"), default="table")
-
-    p_sel = sub.add_parser("select", help="posterior probabilities over symmetry models")
-    add_stat_args(p_sel)
-    p_sel.set_defaults(func=cmd_select)
-
-    p_fit = sub.add_parser("fit", help="fitted concentration table for one model")
-    add_stat_args(p_fit)
+    p_fit = add("fit", cmd_fit, "fitted concentration table for one model",
+                graph, data, output)
     p_fit.add_argument("--model", required=True, help="model id, e.g. G3")
     p_fit.add_argument("--mle", action="store_true",
                        help="use the restricted-likelihood maximizer instead of the "
                             "symmetry-projected estimate")
-    p_fit.set_defaults(func=cmd_fit)
 
-    p_const = sub.add_parser("constants",
-                             help="log gamma / delta / phi / I at the prior point")
-    add_stat_args(p_const, with_data=False)
+    p_const = add("constants", cmd_constants,
+                  "log gamma / delta / phi / I at the prior point", graph, prior, output)
     p_const.add_argument("--model", help="comma-separated model ids (default: all)")
-    p_const.set_defaults(func=cmd_constants)
 
-    p_ver = sub.add_parser("verify", help="run the self-check suites")
+    p_ver = add("verify", cmd_verify, "run the self-check suites")
     p_ver.add_argument("--level", choices=("fast", "mc"), default="fast")
-    p_ver.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    p_ver.add_argument("--seed", type=int, default=0xC0FFEE)
-    p_ver.set_defaults(func=cmd_verify)
+    p_ver.add_argument("--samples", type=int,
+                       help="Monte Carlo sample count (--level mc only)")
+    p_ver.add_argument("--seed", type=int, help="Monte Carlo seed (--level mc only)")
 
     return parser
 
@@ -287,7 +289,7 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    except (HomconeError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (HomconeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:

@@ -28,7 +28,6 @@ from .invariant import InvariantSpace
 
 GRAD_TOL = 1e-11
 MAX_ITER = 100
-MEMBERSHIP_TOL = 1e-10
 ARMIJO_C = 1e-4
 
 # Optional sink for per-iteration Newton records, set by the CLI when verbose.
@@ -71,7 +70,7 @@ def _check_matrix(space: InvariantSpace, m: np.ndarray, what: str) -> np.ndarray
     m = np.asarray(m, dtype=float)
     if m.shape != (space.p, space.p):
         raise ShapeError(f"{what} must be {space.p}x{space.p}, got {m.shape}")
-    if not space.contains(m, MEMBERSHIP_TOL):
+    if not space.contains(m):
         raise DomainError(
             f"{what} is not in the invariant space "
             f"(projection residual {space.residual_from(m):.3e})"

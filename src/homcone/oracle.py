@@ -96,6 +96,8 @@ def mc_cone_integral(
     seed: int = DEFAULT_SEED,
 ) -> McEstimate:
     """Importance-sampling estimate of the cone integral at a dual point."""
+    if samples < 1:
+        raise DomainError(f"sample count must be >= 1, got {samples}")
     n_dim = space.dim
     if n_dim > MC_DIM_LIMIT:
         raise ScopeError(

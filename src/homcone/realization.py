@@ -44,10 +44,9 @@ from .errors import (
     DualMembershipError,
     ShapeError,
 )
-from .invariant import InvariantSpace, OrthonormalSpan, project_onto
+from .invariant import SPAN_TOL, InvariantSpace, OrthonormalSpan, project_onto
 
 AXIOM_TOL = 1e-12
-CONJUGATION_TOL = 1e-10
 BASIS_GRAM_TOL = 1e-10
 # a pivot at or below this multiple of its block's diagonal coefficient is
 # rounding noise left by cancellation: the point is on or past the boundary
@@ -388,7 +387,7 @@ def _factor_coords(
         raise ShapeError(f"expected {structure.p}x{structure.p}, got {y.shape}")
     v = point_map @ y.reshape(-1)
     resid = v[structure.dim:]
-    if math.sqrt(resid @ resid) > CONJUGATION_TOL * max(1.0, math.sqrt(v @ v)):
+    if math.sqrt(resid @ resid) > SPAN_TOL * max(1.0, math.sqrt(v @ v)):
         raise DomainError("point is not in the realized space")
     plan = structure.plan
     c = v[: structure.dim].tolist()
@@ -543,7 +542,7 @@ def conjugate_space(
         raise ConjugationError(f"u is not orthogonal (residual {ortho_resid:.3e})")
     for a, bmat in enumerate(space.basis):
         resid = structure.residual_from(u.T @ bmat @ u)
-        if resid > CONJUGATION_TOL:
+        if resid > SPAN_TOL:
             raise ConjugationError(
                 f"conjugated basis element {a} leaves the block form "
                 f"(residual {resid:.3e})",

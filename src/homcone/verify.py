@@ -20,7 +20,7 @@ from .butterfly import registry_spaces
 from .errors import HomconeError
 from .graphs import Graph, Permutation, PermutationGroup
 from .invariant import build_invariant_space
-from .oracle import mc_cone_integral
+from .oracle import DEFAULT_SEED, mc_cone_integral
 from .realization import (
     conjugate_space,
     full_sym_structure,
@@ -31,6 +31,7 @@ from .realization import (
 
 CROSS_PATH_RTOL = 1e-8
 SIEGEL_TOL = 1e-10
+MC_SAMPLES = 200_000
 
 
 @dataclass
@@ -165,7 +166,7 @@ def mc_reference_cases():
     return cases
 
 
-def check_mc(samples: int = 200_000, seed: int = 0xC0FFEE) -> list[CheckResult]:
+def check_mc(samples: int = MC_SAMPLES, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Factorization identity against Monte Carlo on three small cones."""
     results = []
     for name, space, realization, y, alpha in mc_reference_cases():
@@ -184,8 +185,12 @@ def check_mc(samples: int = 200_000, seed: int = 0xC0FFEE) -> list[CheckResult]:
 
 
 def run_verification(level: str, samples: int | None = None,
-                     seed: int = 0xC0FFEE) -> list[CheckResult]:
+                     seed: int | None = None) -> list[CheckResult]:
+    """Run the fast or the mc suite; samples and seed apply to mc only and
+    default to MC_SAMPLES and the oracle's DEFAULT_SEED."""
     if level == "fast":
+        if samples is not None or seed is not None:
+            raise ValueError("samples and seed apply to the mc level only")
         try:
             triples = registry_spaces()
         except (HomconeError, ValueError, OSError, KeyError) as exc:
@@ -193,5 +198,6 @@ def run_verification(level: str, samples: int | None = None,
         results, conjugated = check_registry(triples)
         return results + check_cross_path(conjugated) + check_siegel()
     if level == "mc":
-        return check_mc(samples=samples or 200_000, seed=seed)
+        return check_mc(samples=MC_SAMPLES if samples is None else samples,
+                        seed=DEFAULT_SEED if seed is None else seed)
     raise ValueError(f"unknown verification level {level!r}")

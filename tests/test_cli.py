@@ -172,7 +172,22 @@ def _csv_with_nan_cell(tmp_path):
     return ["--data", str(path)]
 
 
+def _csv_with_bad_first_row(tmp_path):
+    # one cell of the first row is not a number: a bad data row, not a header
+    rows = np.random.default_rng(7).standard_normal((12, 5))
+    path = tmp_path / "data.csv"
+    path.write_text("1,2,x,4,5\n" + "\n".join(",".join(f"{x:.4f}" for x in r) for r in rows))
+    return ["--data", str(path)]
+
+
+def _object_scale_file(tmp_path):
+    path = tmp_path / "scale.json"
+    path.write_text(json.dumps({"a": 1}))
+    return ["--D", str(path)]
+
+
 BAD_DATA = {
+    "bad-first-csv-row": _csv_with_bad_first_row,
     "one-centered-row": lambda t: _scatter_file(t, n_raw=1),
     "negated-scatter": lambda t: _scatter_file(t, edit=np.negative),
     "nan-scatter-entry": lambda t: _scatter_file(t, edit=_with_nan),
@@ -194,6 +209,14 @@ BAD_INPUTS = {
        for n, (o, c) in BAD_PRIOR.items()},
     **{f"constants-{n}": (lambda t, o=o: ["constants", *o], c)
        for n, (o, c) in BAD_PRIOR.items()},
+    "select-object-scale-file": (lambda t: ["select", *EXAM, *_object_scale_file(t)], 2),
+    # options whose values could not take effect
+    "select-no-center-fixture": (lambda t: ["select", *EXAM, "--no-center"], 2),
+    "select-no-center-scatter": (lambda t: ["select", *_scatter_file(t), "--no-center"], 2),
+    "verify-fast-seed": (lambda t: ["verify", "--level", "fast", "--seed", "3"], 2),
+    "verify-fast-samples": (lambda t: ["verify", "--level", "fast", "--samples", "7"], 2),
+    "verify-mc-no-samples": (lambda t: ["verify", "--level", "mc", "--samples", "0"], 2),
+    "verify-mc-negative-samples": (lambda t: ["verify", "--level", "mc", "--samples", "-5"], 2),
 }
 
 
@@ -319,6 +342,41 @@ def test_registry_option_is_gone(capsys, argv):
         main([*argv, "--registry", "x.json"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --registry x.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [
+    ["--delta", "3"],
+    ["--d-scale", "100"],
+    ["--D", "x.json"],
+], ids=lambda option: option[0])
+def test_fit_has_no_prior_options(capsys, option):
+    # the fitted concentration does not depend on the prior
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--fixture", "exam-marks", "--model", "G3", *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+def _off_center_csv(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = rng.multivariate_normal(np.full(5, 10.0), np.eye(5) * 100.0, size=30)
+    path = tmp_path / "data.csv"
+    lines = [",".join(repr(float(x)) for x in r) for r in rows]
+    path.write_text("\n".join(["m,v,alg,an,s", *lines]))
+    return rows, str(path)
+
+
+def test_no_center_scores_the_uncentered_data(capsys, tmp_path):
+    rows, path = _off_center_csv(tmp_path)
+    argv = ["select", "--data", path, "--d-scale", "100", "--output", "json"]
+    code, out, _ = run(capsys, [*argv, "--no-center"])
+    assert code == 0
+    report = hc.posterior(hc.build_butterfly_models(),
+                          hc.summarize_data(rows, center=False),
+                          hc.Hyperparams(delta=3.0, scale=100.0 * np.eye(5)))
+    assert json.loads(out) == json.loads(json.dumps(report.to_json_dict()))
+    code, centered, _ = run(capsys, argv)
+    assert code == 0 and json.loads(centered) != json.loads(out)
 
 
 def test_verbose_newton_trace(capsys):

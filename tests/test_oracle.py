@@ -89,6 +89,12 @@ def test_negative_exponent_rejected():
         mc_cone_integral(full_sym_space(2), -1.0, np.eye(2), samples=1000, seed=0)
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sample_count_below_one_rejected(samples):
+    with pytest.raises(DomainError):
+        mc_cone_integral(full_sym_space(2), 1.0, np.eye(2), samples=samples, seed=0)
+
+
 def test_low_ess_warning_record():
     est = _estimate_from_sums(sum_w=1.0, sum_w2=1.0, n=1000, seed=0)
     assert est.effective_samples == 1.0
