@@ -34,13 +34,11 @@ from .graphs import (
 from .invariant import InvariantSpace, build_invariant_space, project, same_space
 from .cone import (
     PsiResult,
-    delta,
     hessian_matrix,
     in_dual_cone,
     in_primal_cone,
     log_delta,
     log_phi,
-    phi,
     psi,
 )
 from .realization import (

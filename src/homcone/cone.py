@@ -6,14 +6,14 @@ the closed primal cone.  The central object is the map sending a dual point
 y to the unique primal maximizer of exp(-tr(xy)) det(x), computed here by a
 damped Newton iteration on the convex objective tr(xy) - log det x.  From
 that map everything else follows: the determinant functional, its Hessian
-in basis coordinates, and the square-root-determinant factor.  The Newton
-iteration runs on the orthonormal coordinates of the space: the gradient is
+in basis coordinates, and the square-root-determinant factor, all carried
+by the solution ``psi`` returns.  The Newton iteration runs on the
+orthonormal coordinates of the space: the gradient is
 coords(y) - coords(x^{-1}) and the metric at x is B (w (x) w) B^T with
 w = x^{-1} and B the flattened basis, so a matrix is formed only for the
 Cholesky factor of each trial point.
 
-All determinant work is done in log space; the plain-value wrappers are
-thin conveniences that may overflow at statistical sample sizes.
+All determinant work is done in log space.
 """
 
 from __future__ import annotations
@@ -42,12 +42,18 @@ def set_newton_trace(sink) -> None:
 
 @dataclass
 class PsiResult:
-    """Converged solution of the inverse-projection map at a dual point."""
+    """Converged solution of the inverse-projection map at a dual point, with
+    the functionals read off it: log delta, log phi and the metric at x_star,
+    the Hessian of -log det there restricted to the space (whose inverse is
+    the Hessian of -log delta at y)."""
 
     x_star: np.ndarray
     coords: np.ndarray
     iterations: int
     residual: float
+    log_delta: float
+    log_phi: float
+    metric: np.ndarray
 
 
 def _cholesky_or_none(x: np.ndarray):
@@ -92,12 +98,7 @@ def metric_matrix(space: InvariantSpace, w: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def psi(
-    space: InvariantSpace,
-    y: np.ndarray,
-    *,
-    max_iter: int = MAX_ITER,
-) -> PsiResult:
+def psi(space: InvariantSpace, y: np.ndarray) -> PsiResult:
     """Solve projection(x^{-1}) = y for positive definite x in the space.
 
     The problem is solved on the Frobenius-normalized copy of y (the map is
@@ -110,7 +111,9 @@ def psi(
     tr(xy) is their dot product and the gradient's Frobenius norm is its
     coordinate norm.  Each iteration inverts the iterate's Cholesky factor
     once, w = L^{-T} L^{-1}; the accepted trial point's factor and
-    objective value carry over to the next iteration.
+    objective value carry over to the next iteration.  The functionals in
+    the result are read off the last iterate's factor, inverse and metric;
+    rescaling x by 1/scale multiplies the metric by scale^2.
     """
     y = _check_matrix(space, y, "dual argument")
     scale = float(np.linalg.norm(y))
@@ -123,24 +126,25 @@ def psi(
     chol = np.linalg.cholesky(space.from_coords(xc))  # a multiple of the identity
     f = float(xc @ yc) - _logdet_from_chol(chol)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         chol_inv = np.linalg.inv(chol)
         w = chol_inv.T @ chol_inv
         grad = yc - space.coords(w)
         grad_norm = math.sqrt(float(grad @ grad))
         if _trace_sink is not None:
             _trace_sink({"iteration": iterations, "gradient_norm": grad_norm})
-        if grad_norm <= GRAD_TOL:
-            break
         m = metric_matrix(space, w)
         try:
-            step = -_cho_solve(np.linalg.cholesky(m), grad)
+            m_chol = np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
             # the metric only degenerates when the iterate runs to the cone
             # boundary or to infinity, i.e. the objective has no minimizer
             raise DualMembershipError(
                 "iteration diverged; point is not in the open dual cone"
             ) from None
+        if grad_norm <= GRAD_TOL:
+            break
+        step = -_cho_solve(m_chol, grad)
         slope = float(grad @ step)
         # near the optimum the predicted decrease drops below the resolution
         # of f itself; the noise floor keeps the line search from stalling
@@ -161,62 +165,42 @@ def psi(
         xc, chol, f = cand, cand_chol, f_cand
     else:
         raise ConvergenceError(
-            f"no convergence after {max_iter} iterations "
+            f"no convergence after {MAX_ITER} iterations "
             f"(gradient norm {grad_norm:.3e})",
-            iterations=max_iter,
+            iterations=MAX_ITER,
             residual=grad_norm * scale,
         )
-    x_star = space.from_coords(xc) / scale
-    x_inv = np.linalg.inv(x_star)
-    residual = float(np.linalg.norm(space.project(0.5 * (x_inv + x_inv.T)) - y))
+    residual = float(np.linalg.norm(space.project(scale * w) - y))
     return PsiResult(
-        x_star=x_star,
+        x_star=space.from_coords(xc) / scale,
         coords=xc / scale,
         iterations=iterations,
         residual=residual,
+        log_delta=p * math.log(scale) - _logdet_from_chol(chol),
+        log_phi=-0.5 * _logdet_from_chol(m_chol) - space.dim * math.log(scale),
+        metric=(scale * scale) * m,
     )
 
 
-def log_delta(space: InvariantSpace, y: np.ndarray, psi_result: PsiResult | None = None) -> float:
+def log_delta(space: InvariantSpace, y: np.ndarray) -> float:
     """log of the reciprocal determinant of the primal solution at y."""
-    res = psi_result if psi_result is not None else psi(space, y)
-    chol = _cholesky_or_none(res.x_star)
-    if chol is None:  # pragma: no cover - converged solutions are definite
-        raise ConvergenceError("solution is not positive definite")
-    return -_logdet_from_chol(chol)
+    return psi(space, y).log_delta
 
 
-def delta(space: InvariantSpace, y: np.ndarray) -> float:
-    return math.exp(log_delta(space, y))
-
-
-def hessian_matrix(
-    space: InvariantSpace, y: np.ndarray, psi_result: PsiResult | None = None
-) -> np.ndarray:
+def hessian_matrix(space: InvariantSpace, y: np.ndarray) -> np.ndarray:
     """Hessian of -log(delta) at y in the orthonormal basis (symmetric PD).
 
     Computed as the inverse of the metric matrix at the primal solution,
     which is the derivative identity obtained by differentiating
     projection(x^{-1}) = y along the map.
     """
-    res = psi_result if psi_result is not None else psi(space, y)
-    w = np.linalg.inv(res.x_star)
-    m = metric_matrix(space, 0.5 * (w + w.T))
-    s = np.linalg.inv(m)
+    s = np.linalg.inv(psi(space, y).metric)
     return 0.5 * (s + s.T)
 
 
-def log_phi(space: InvariantSpace, y: np.ndarray, psi_result: PsiResult | None = None) -> float:
+def log_phi(space: InvariantSpace, y: np.ndarray) -> float:
     """log of the square root determinant of the Hessian of -log(delta)."""
-    res = psi_result if psi_result is not None else psi(space, y)
-    w = np.linalg.inv(res.x_star)
-    m = metric_matrix(space, 0.5 * (w + w.T))
-    chol = np.linalg.cholesky(m)
-    return -0.5 * _logdet_from_chol(chol)
-
-
-def phi(space: InvariantSpace, y: np.ndarray) -> float:
-    return math.exp(log_phi(space, y))
+    return psi(space, y).log_phi
 
 
 def in_primal_cone(space: InvariantSpace, x: np.ndarray) -> bool:
@@ -227,7 +211,6 @@ def in_primal_cone(space: InvariantSpace, x: np.ndarray) -> bool:
 
 def in_dual_cone(space: InvariantSpace, y: np.ndarray) -> bool:
     """Membership in the open dual cone, certified by a converged interior solve."""
-    _check_matrix(space, y, "dual candidate")
     try:
         psi(space, y)
     except (DualMembershipError, ConvergenceError):

@@ -269,9 +269,6 @@ class PermutationGroup:
     def __hash__(self) -> int:
         return hash((self.degree, self.elements))
 
-    def is_subgroup_of(self, other: "PermutationGroup") -> bool:
-        return self.degree == other.degree and set(self.elements) <= set(other.elements)
-
 
 def automorphism_group(g: Graph) -> PermutationGroup:
     """All vertex permutations preserving adjacency, by pruned backtracking."""

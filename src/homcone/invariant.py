@@ -25,11 +25,6 @@ from .graphs import Graph, PermutationGroup
 SPAN_TOL = 1e-10
 
 
-def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """tr(ab) for symmetric a, b."""
-    return float(np.sum(a * b))
-
-
 def project_onto(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Orthogonal projection of x onto the span of an orthonormal stack of
     matrices under (a|b) = tr(a b^T)."""
@@ -84,12 +79,6 @@ class InvariantSpace(OrthonormalSpan):
     @property
     def p(self) -> int:
         return self.basis.shape[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "basis": [b.tolist() for b in self.basis],
-            "orbits": [[list(c) for c in orbit] for orbit in self.orbits],
-        }
 
 
 def _cell_orbits(g: Graph, group: PermutationGroup):

@@ -96,8 +96,9 @@ def mc_cone_integral(
     seed: int = DEFAULT_SEED,
 ) -> McEstimate:
     """Importance-sampling estimate of the cone integral at a dual point."""
-    if samples < 1:
-        raise DomainError(f"sample count must be >= 1, got {samples}")
+    if samples < 2:
+        # a standard error needs at least two draws
+        raise DomainError(f"sample count must be >= 2, got {samples}")
     n_dim = space.dim
     if n_dim > MC_DIM_LIMIT:
         raise ScopeError(
@@ -111,11 +112,9 @@ def mc_cone_integral(
     df = PROPOSAL_DF
 
     if alpha > 0:
-        mode = cone.psi(space, y / alpha).x_star
-        mu = space.coords(mode)
-        w_inv = np.linalg.inv(mode)
-        precision = alpha * cone.metric_matrix(space, 0.5 * (w_inv + w_inv.T))
-        scale = np.linalg.inv(precision)
+        res = cone.psi(space, y / alpha)
+        mu = res.coords
+        scale = np.linalg.inv(alpha * res.metric)
         chol = np.linalg.cholesky(0.5 * (scale + scale.T))
         log_norm = _student_t_log_norm(df, n_dim, chol)
 
@@ -135,11 +134,9 @@ def mc_cone_integral(
         rate = float(e_hat @ y_coords)
         if rate <= 0:
             raise DomainError("dual pairing with the identity ray must be positive")
-        x_ref = cone.psi(space, 2.0 * y).x_star
-        w_inv = np.linalg.inv(x_ref)
-        precision = 0.5 * cone.metric_matrix(space, 0.5 * (w_inv + w_inv.T))
-        scale_full = np.linalg.inv(precision)
-        s_ref = float(e_hat @ space.coords(x_ref))
+        ref = cone.psi(space, 2.0 * y)
+        scale_full = np.linalg.inv(0.5 * ref.metric)
+        s_ref = float(e_hat @ ref.coords)
         full = np.linalg.qr(np.concatenate([e_hat[:, None], np.eye(n_dim)], axis=1))[0]
         q_perp = full[:, 1:n_dim]
         n_perp = n_dim - 1

@@ -222,15 +222,6 @@ class VStructure(OrthonormalSpan):
 
     # -- serialization -----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "block_sizes": list(self.block_sizes),
-            "subspaces": {
-                f"{l},{k}": [a.tolist() for a in arr]
-                for (l, k), arr in sorted(self.subspaces.items())
-            },
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "VStructure":
         subs = {}
@@ -358,11 +349,6 @@ class TriangularElement:
         for (l, k), b in self.blocks:
             t[v.block_slice(l), v.block_slice(k)] = b
         return t
-
-    def log_det(self) -> float:
-        return float(
-            sum(n * math.log(t) for n, t in zip(self.structure.block_sizes, self.diag))
-        )
 
 
 def rho_star_identity(t_elem: TriangularElement) -> np.ndarray:
@@ -501,9 +487,6 @@ class Realization:
     @cached_property
     def scale_map(self) -> np.ndarray:
         return 0.5 * (self.point_map @ (self.space_flat.T @ self.space_flat))
-
-    def realize_point(self, y: np.ndarray) -> np.ndarray:
-        return self.u.T @ y @ self.u
 
     def log_gamma(self, alpha: float) -> float:
         return log_gamma_v(self.structure, alpha)

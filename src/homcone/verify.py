@@ -93,8 +93,7 @@ def check_cross_path(conjugated, points: int = 3,
         for _ in range(points):
             y = random_dual_point(space, rng)
             res = cone.psi(space, y)
-            ld_num = cone.log_delta(space, y, res)
-            lp_num = cone.log_phi(space, y, res)
+            ld_num, lp_num = res.log_delta, res.log_phi
             ld_fast, lp_fast = realization.log_delta_phi(y)
             err = max(
                 abs(ld_num - ld_fast) / max(1.0, abs(ld_num)),

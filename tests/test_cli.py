@@ -217,6 +217,7 @@ BAD_INPUTS = {
     "verify-fast-samples": (lambda t: ["verify", "--level", "fast", "--samples", "7"], 2),
     "verify-mc-no-samples": (lambda t: ["verify", "--level", "mc", "--samples", "0"], 2),
     "verify-mc-negative-samples": (lambda t: ["verify", "--level", "mc", "--samples", "-5"], 2),
+    "verify-mc-one-sample": (lambda t: ["verify", "--level", "mc", "--samples", "1"], 2),
 }
 
 

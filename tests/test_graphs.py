@@ -233,7 +233,7 @@ def test_subgroup_properties(butterfly):
         assert group.order % h.order == 0  # Lagrange
         elems = set(h.elements)
         assert all(a.compose(b) in elems for a in elems for b in elems)
-        assert h.is_subgroup_of(group)
+        assert h.degree == group.degree and elems <= set(group.elements)
         # stored generators regenerate exactly this subgroup
         assert PermutationGroup.generate(group.degree, h.generators) == h
 

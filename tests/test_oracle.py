@@ -89,7 +89,7 @@ def test_negative_exponent_rejected():
         mc_cone_integral(full_sym_space(2), -1.0, np.eye(2), samples=1000, seed=0)
 
 
-@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("samples", [0, -5, 1])
 def test_sample_count_below_one_rejected(samples):
     with pytest.raises(DomainError):
         mc_cone_integral(full_sym_space(2), 1.0, np.eye(2), samples=samples, seed=0)

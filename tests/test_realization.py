@@ -82,15 +82,6 @@ def test_structure_rejects_non_orthonormal_basis():
         VStructure([1, 1], {(2, 1): np.array([[[2.0]]])})
 
 
-def test_structure_json_round_trip():
-    s = registry_by_id()["G3"].structure
-    clone = VStructure.from_dict(s.to_dict())
-    assert clone.block_sizes == s.block_sizes
-    assert clone.dim == s.dim
-    for key, arr in s.subspaces.items():
-        assert np.allclose(clone.subspaces[key], arr)
-
-
 # ---------------------------------------------------------------------------
 # gamma integral
 
@@ -153,7 +144,8 @@ def test_factor_reproduces_dual_point(dual_point):
 def test_factor_exam_scatter_in_realized_coordinates(models_by_id, exam_data):
     m3 = models_by_id["G3"]
     y = m3.space.project(exam_data.scatter / exam_data.n_effective)
-    y_realized = m3.realization.realize_point(y)
+    u = m3.realization.u
+    y_realized = u.T @ y @ u
     t = factor_T(m3.realization.structure, y_realized)
     assert np.linalg.norm(rho_star_identity(t) - y_realized) < 1e-10
 
@@ -289,8 +281,7 @@ def test_delta_phi_fast_vs_numeric(models, dual_point):
         for _ in range(5):
             y = dual_point(m.space, rng)
             res = cone.psi(m.space, y)
-            ld = cone.log_delta(m.space, y, res)
-            lp = cone.log_phi(m.space, y, res)
+            ld, lp = res.log_delta, res.log_phi
             ld_fast, lp_fast = m.realization.log_delta_phi(y)
             assert abs(ld - ld_fast) < 1e-8 * max(1.0, abs(ld))
             assert abs(lp - lp_fast) < 1e-8 * max(1.0, abs(lp))
@@ -302,10 +293,14 @@ def test_factor_log_det_matches_inverse_determinant(models, dual_point):
     rng = np.random.default_rng(27)
     for m in models:
         y = dual_point(m.space, rng)
-        t = factor_T(m.realization.structure, m.realization.realize_point(y))
+        u = m.realization.u
+        t = factor_T(m.realization.structure, u.T @ y @ u)
+        log_det_t = sum(
+            n * math.log(d) for n, d in zip(t.structure.block_sizes, t.diag)
+        )
         x_star = cone.psi(m.space, y).x_star
         assert np.isclose(
-            2.0 * t.log_det(), -np.linalg.slogdet(x_star)[1], rtol=0, atol=1e-8
+            2.0 * log_det_t, -np.linalg.slogdet(x_star)[1], rtol=0, atol=1e-8
         )
 
 
@@ -323,7 +318,7 @@ def test_conjugation_full_sym_identity():
     structure = full_sym_structure(3)
     real = conjugate_space(space, np.eye(3), structure)
     # realized coordinates of the space basis are orthonormal: an isometry
-    rows = np.array([structure.coords(real.realize_point(b)) for b in space.basis])
+    rows = np.array([structure.coords(real.u.T @ b @ real.u) for b in space.basis])
     assert np.allclose(rows @ rows.T, np.eye(space.dim), atol=1e-12)
 
 
@@ -465,8 +460,8 @@ def check_against_newton(m, y0):
     y = m.space.project(y0)
     res = cone.psi(m.space, y)
     ld, lp = m.realization.log_delta_phi(y)
-    assert rel_err(ld, cone.log_delta(m.space, y, res)) <= CROSS_PATH_RTOL
-    assert rel_err(lp, cone.log_phi(m.space, y, res)) <= CROSS_PATH_RTOL
+    assert rel_err(ld, res.log_delta) <= CROSS_PATH_RTOL
+    assert rel_err(lp, res.log_phi) <= CROSS_PATH_RTOL
 
 
 @pytest.mark.parametrize("mid", [f"G{i}" for i in range(1, 8)])
@@ -489,6 +484,31 @@ def test_fast_path_matches_newton_on_ill_conditioned_points(models_by_id, y0):
         check_against_newton(m, y0)
 
 
+PSI_FIELD_RTOL = 1e-10
+
+
+@pytest.mark.parametrize(
+    "sid",
+    [
+        *(pytest.param(f"G{i}", id=f"G{i}") for i in range(1, 8)),
+        *(pytest.param(p, id=f"full_sym{p}") for p in range(2, 6)),
+    ],
+)
+@GENERATED
+@given(data=st.data())
+def test_psi_result_functionals_match_recomputation(models_by_id, sid, data):
+    # the functionals psi reads off its last iterate, against recomputing
+    # them from x_star: a second factorization, an inverse and a metric build
+    space = models_by_id[sid].space if isinstance(sid, str) else full_sym_structure(sid)
+    y0 = data.draw(gram_points(space.p, log10_cond=(0.0, NEWTON_LOG10_COND)))
+    res = cone.psi(space, space.project(y0))
+    assert rel_err(res.log_delta, -np.linalg.slogdet(res.x_star)[1]) <= PSI_FIELD_RTOL
+    w = np.linalg.inv(res.x_star)
+    metric = cone.metric_matrix(space, 0.5 * (w + w.T))
+    assert np.linalg.norm(res.metric - metric) <= PSI_FIELD_RTOL * np.linalg.norm(metric)
+    assert rel_err(res.log_phi, -0.5 * np.linalg.slogdet(res.metric)[1]) <= PSI_FIELD_RTOL
+
+
 # ---------------------------------------------------------------------------
 # the cached linear maps of a realization
 
@@ -500,13 +520,14 @@ MAPPED_RTOL = 1e-12
 @given(scale=gram_points(5), delta=st.floats(2.5, 200.0))
 def test_scale_map_matches_matrix_route(models_by_id, mid, scale, delta):
     # the one matrix-vector product of log_I_terms against project ->
-    # realize_point -> delta_phi_fast, the route it replaces.  The two round
+    # u^T y u -> delta_phi_fast, the route it replaces.  The two round
     # the point's coordinates differently, and the factorization amplifies
     # that by up to the scale's condition number (about 1.4 eps cond seen
     # over 28 000 points), so past condition ~1e3 the bound grows with it.
     m = models_by_id[mid]
     terms = log_I_terms(m, Hyperparams(delta=delta, scale=scale))
-    y = m.realization.realize_point(m.space.project(scale) / 2.0)
+    u = m.realization.u
+    y = u.T @ (m.space.project(scale) / 2.0) @ u
     ld, lp = delta_phi_fast(m.realization.structure, y)
     tol = max(MAPPED_RTOL, 16.0 * np.finfo(float).eps * np.linalg.cond(scale))
     assert rel_err(terms.log_delta, ld) <= tol
