@@ -7,18 +7,28 @@ enforce explicit size limits.  Subgroup enumeration and generator search
 work on an integer multiplication table of the group (element indices in
 sorted element order) and store each subgroup as an ``int`` bitmask over
 those indices; ``Permutation`` objects are built only for what is returned.
+Each group builds its table at most once (``PermutationGroup.cayley``):
+``automorphism_group`` hands the table it built to the group it returns,
+and ``enumerate_subgroups`` reads it from there.  The subgroup <H, g> of an
+already closed H is formed by a walk over the right cosets of H, adding a
+whole coset per new representative, not by closing from the identity.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ScopeError, ShapeError
 
 AUTOMORPHISM_VERTEX_LIMIT = 10
+# 7! = 5040, the order of Aut(K7): the multiplication table of that order
+# takes about 0.2 GiB
+AUTOMORPHISM_ORDER_LIMIT = 5040
 SUBGROUP_ORDER_LIMIT = 120
 
 
@@ -166,68 +176,95 @@ def _close(degree: int, seed) -> frozenset[Permutation]:
 def _cayley_table(elements) -> tuple[tuple[Permutation, ...], list[list[int]]]:
     """Sorted elements and their multiplication table: table[i][j] is the
     index of elements[i].compose(elements[j]).  Index 0 is the identity,
-    which sorts first and which a closed list contains."""
+    which sorts first and which a closed list contains.  Raises ValueError
+    if the list is not closed under composition."""
     elems = tuple(sorted(elements))
+    if elems and elems[0].degree > 1:
+        # a.compose(b) picks a's images at the positions b's images name
+        pickers = [operator.itemgetter(*(w - 1 for w in b.images)) for b in elems]
+    else:
+        # below degree 2 the identity is the only permutation (and an
+        # itemgetter of one index would return an item, not a tuple)
+        pickers = [tuple] * len(elems)
     index = {e.images: i for i, e in enumerate(elems)}
     table = []
     for a in elems:
-        row = []
-        for b in elems:
-            k = index.get(tuple(a.images[w - 1] for w in b.images))
-            if k is None:
-                raise ValueError(
-                    f"elements are not a group: {a.cycle_string()} after "
-                    f"{b.cycle_string()} is missing"
-                )
-            row.append(k)
+        row = [index.get(pick(a.images)) for pick in pickers]
+        if None in row:
+            b = elems[row.index(None)]
+            raise ValueError(
+                f"elements are not a group: {a.cycle_string()} after "
+                f"{b.cycle_string()} is missing"
+            )
         table.append(row)
     return elems, table
 
 
-def _table_closure(table, gens) -> int:
-    """Bitmask of the subgroup generated by the element indices in gens
-    (index 0 is the identity)."""
-    mask, frontier = 1, [0]
-    while frontier:
-        new = []
-        for a in frontier:
-            row = table[a]
-            for g in gens:
-                c = row[g]
-                if not mask >> c & 1:
-                    mask |= 1 << c
-                    new.append(c)
-        frontier = new
+def _coset_closure(table, sub: int, members: list[int], gens) -> int:
+    """Bitmask of the subgroup generated by the element indices in gens,
+    which must include generators of the subgroup H with bitmask sub and
+    element indices members.
+
+    The result is a union of right cosets H y.  Starting from H itself,
+    each coset representative y is multiplied on the right by every
+    generator; a product z outside the mask brings in the whole coset H z.
+    The union is then closed under the generators, so it is the group."""
+    mask, reps = sub, [0]
+    for y in reps:
+        row = table[y]
+        for s in gens:
+            z = row[s]
+            if not mask >> z & 1:
+                for h in members:
+                    mask |= 1 << table[h][z]
+                reps.append(z)
     return mask
+
+
+def _cyclic_masks(table) -> list[int]:
+    """Bitmask of the cyclic subgroup of every element index."""
+    masks = []
+    for e in range(len(table)):
+        mask, x = 1, e
+        while x:
+            mask |= 1 << x
+            x = table[x][e]
+        masks.append(mask)
+    return masks
 
 
 def _members(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _minimal_generators(table, mask: int) -> tuple[int, ...]:
+def _minimal_generators(table, cyclic, mask: int) -> tuple[int, ...]:
     """Greedy small generating set of the subgroup with the given bitmask:
     repeatedly add the element that grows the generated subgroup the most,
-    preferring high cyclic order then element order."""
+    preferring high cyclic order then element order.  ``cyclic`` holds the
+    bitmask of each element's cyclic subgroup (``_cyclic_masks``).
 
-    def cyclic_order(i: int) -> int:
-        n, x = 1, i
-        while x:
-            x = table[x][i]
-            n += 1
-        return n
-
-    candidates = sorted(_members(mask & ~1), key=lambda i: (-cyclic_order(i), i))
+    A candidate whose cyclic subgroup lies inside that of one already tried
+    in the round is skipped: it generates no more, comes later in the
+    preference order, and only a strictly larger subgroup replaces the best
+    so far.  For the same reason a round stops at the first candidate that
+    generates the whole subgroup.  Neither changes the choice."""
+    candidates = sorted(_members(mask & ~1), key=lambda i: (-cyclic[i].bit_count(), i))
     chosen: list[int] = []
     current = 1
     while current != mask:
+        members = _members(current)
         best, best_closed = None, current
+        tried: list[int] = []
         for e in candidates:
-            if current >> e & 1:
+            c = cyclic[e]
+            if current >> e & 1 or any(c & ~t == 0 for t in tried):
                 continue
-            closed = _table_closure(table, chosen + [e])
+            tried.append(c)
+            closed = _coset_closure(table, current, members, chosen + [e])
             if closed.bit_count() > best_closed.bit_count():
                 best, best_closed = e, closed
+                if closed == mask:
+                    break
         chosen.append(best)
         current = best_closed
     return tuple(chosen)
@@ -235,7 +272,11 @@ def _minimal_generators(table, mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class PermutationGroup:
-    """Finite permutation group with its full element list materialized."""
+    """Finite permutation group with its full element list materialized.
+
+    ``generators`` generate ``elements``; every constructor in this module
+    (``generate``, ``automorphism_group``, ``enumerate_subgroups``) keeps
+    that promise, and ``invariant.build_invariant_space`` relies on it."""
 
     degree: int
     generators: tuple[Permutation, ...]
@@ -258,6 +299,12 @@ class PermutationGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def cayley(self) -> tuple[tuple[Permutation, ...], list[list[int]]]:
+        """The sorted elements and their multiplication table
+        (``_cayley_table``), built once per group."""
+        return _cayley_table(self.elements)
+
     def __contains__(self, perm: Permutation) -> bool:
         return perm in set(self.elements)
 
@@ -271,7 +318,11 @@ class PermutationGroup:
 
 
 def automorphism_group(g: Graph) -> PermutationGroup:
-    """All vertex permutations preserving adjacency, by pruned backtracking."""
+    """All vertex permutations preserving adjacency, by pruned backtracking.
+
+    Raises ScopeError past AUTOMORPHISM_VERTEX_LIMIT vertices, and as soon
+    as the search finds more than AUTOMORPHISM_ORDER_LIMIT automorphisms,
+    before the multiplication table (|Aut|^2 entries) is built."""
     p = g.vertex_count
     if p > AUTOMORPHISM_VERTEX_LIMIT:
         raise ScopeError(
@@ -285,6 +336,11 @@ def automorphism_group(g: Graph) -> PermutationGroup:
 
     def extend(v: int) -> None:
         if v > p:
+            if len(found) == AUTOMORPHISM_ORDER_LIMIT:
+                raise ScopeError(
+                    f"automorphism group has more than {AUTOMORPHISM_ORDER_LIMIT} "
+                    f"elements; its multiplication table is limited to that order"
+                )
             found.append(Permutation(tuple(images)))
             return
         for w in range(1, p + 1):
@@ -298,10 +354,14 @@ def automorphism_group(g: Graph) -> PermutationGroup:
 
     extend(1)
     elems, table = _cayley_table(found)
-    gens = _minimal_generators(table, (1 << len(elems)) - 1)
-    return PermutationGroup(
+    gens = _minimal_generators(table, _cyclic_masks(table), (1 << len(elems)) - 1)
+    group = PermutationGroup(
         degree=p, generators=tuple(elems[i] for i in gens), elements=elems
     )
+    # cached_property keeps its value in the instance dict: hand over the
+    # table built here so that enumerate_subgroups does not build it again
+    group.__dict__["cayley"] = elems, table
+    return group
 
 
 def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
@@ -310,11 +370,12 @@ def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
     Cyclic extension on the group's multiplication table: starting from the
     trivial group, each newly found subgroup H (an int bitmask of element
     indices) is grown by every element g outside it, closing the generators
-    H was found with plus g, until a round finds nothing new.  Every subgroup
-    ends a chain of such one-element extensions from the trivial group, so
-    the search reaches the complete subgroup lattice.  After g is tried, the
-    rest of gH and Hg is skipped: <H, gh> = <H, hg> = <H, g> for h in H, so
-    those elements could only rediscover a subgroup already found.
+    H was found with plus g by a walk over the right cosets of H, until a
+    round finds nothing new.  Every subgroup ends a chain of such
+    one-element extensions from the trivial group, so the search reaches the
+    complete subgroup lattice.  After g is tried, the rest of gH and Hg is
+    skipped: <H, gh> = <H, hg> = <H, g> for h in H, so those elements could
+    only rediscover a subgroup already found.
 
     Raises ValueError if ``group.elements`` is not closed under composition.
     """
@@ -323,7 +384,7 @@ def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
             f"subgroup enumeration is brute force, limited to order "
             f"{SUBGROUP_ORDER_LIMIT} (got {group.order})"
         )
-    elems, table = _cayley_table(group.elements)
+    elems, table = group.cayley
     n = len(elems)
     subs: dict[int, tuple[int, ...]] = {1: ()}
     frontier = [1]
@@ -336,7 +397,7 @@ def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
                 if tried >> g & 1:
                     continue
                 gens = subs[h] + (g,)
-                k = _table_closure(table, gens)
+                k = _coset_closure(table, h, members, gens)
                 if k not in subs:
                     subs[k] = gens
                     new.append(k)
@@ -344,11 +405,12 @@ def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
                 for x in members:
                     tried |= 1 << row[x] | 1 << table[x][g]
         frontier = new
+    cyclic = _cyclic_masks(table)
     keyed = sorted((h.bit_count(), _members(h), h) for h in subs)
     return [
         PermutationGroup(
             degree=group.degree,
-            generators=tuple(elems[i] for i in _minimal_generators(table, h)),
+            generators=tuple(elems[i] for i in _minimal_generators(table, cyclic, h)),
             elements=tuple(elems[i] for i in indices),
         )
         for _, indices, h in keyed

@@ -14,6 +14,7 @@ B^T B vec(x), each one or two matrix products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,6 +83,11 @@ class InvariantSpace(OrthonormalSpan):
 
 
 def _cell_orbits(g: Graph, group: PermutationGroup):
+    """Orbits of the diagonal and edge cells (i <= j) under the group, each
+    sorted, ordered by first cell.  Each orbit is a search from one cell
+    that applies the group's generators, which generate every element.
+    Every generator meets every edge cell once, so the search also raises
+    InvarianceError if one maps an edge to a non-edge."""
     cells = [(i, i) for i in range(1, g.vertex_count + 1)]
     cells += g.edge_list()
     seen: set[tuple[int, int]] = set()
@@ -89,45 +95,43 @@ def _cell_orbits(g: Graph, group: PermutationGroup):
     for cell in cells:
         if cell in seen:
             continue
-        orbit = set()
-        for sigma in group.elements:
-            i, j = sigma(cell[0]), sigma(cell[1])
-            orbit.add((min(i, j), max(i, j)))
-        seen.update(orbit)
+        seen.add(cell)
+        orbit = [cell]
+        for i, j in orbit:
+            for sigma in group.generators:
+                a, b = sigma.images[i - 1], sigma.images[j - 1]
+                image = (a, b) if a <= b else (b, a)
+                if image in seen:
+                    continue
+                if a != b and image not in g.edges:
+                    raise InvarianceError(
+                        f"permutation {sigma.cycle_string()} maps edge ({i},{j}) to "
+                        f"non-edge ({a},{b}); not an automorphism",
+                        permutation=sigma,
+                        edge=(i, j),
+                    )
+                seen.add(image)
+                orbit.append(image)
         orbits.append(tuple(sorted(orbit)))
     orbits.sort(key=lambda orb: orb[0])
     return orbits
 
 
 def build_invariant_space(g: Graph, group: PermutationGroup) -> InvariantSpace:
-    """Construct the invariant space for a subgroup of the graph automorphisms."""
+    """Construct the invariant space for a subgroup of the graph automorphisms.
+
+    Raises InvarianceError if a generator of the group is not an
+    automorphism (a group maps edges to edges iff its generators do)."""
     p = g.vertex_count
     if group.degree != p:
         raise ShapeError(f"group degree {group.degree} != vertex count {p}")
-    for sigma in group.elements:
-        for i, j in g.edge_list():
-            if not g.has_edge(sigma(i), sigma(j)):
-                raise InvarianceError(
-                    f"permutation {sigma.cycle_string()} maps edge ({i},{j}) to "
-                    f"non-edge ({sigma(i)},{sigma(j)}); not an automorphism",
-                    permutation=sigma,
-                    edge=(i, j),
-                )
     orbits = _cell_orbits(g, group)
-    mats = []
-    for orbit in orbits:
-        b = np.zeros((p, p))
-        if orbit[0][0] == orbit[0][1]:
-            w = 1.0 / np.sqrt(len(orbit))
-            for i, _ in orbit:
-                b[i - 1, i - 1] = w
-        else:
-            w = 1.0 / np.sqrt(2.0 * len(orbit))
-            for i, j in orbit:
-                b[i - 1, j - 1] = w
-                b[j - 1, i - 1] = w
-        mats.append(b)
-    basis = np.array(mats)
+    basis = np.zeros((len(orbits), p, p))
+    for b, orbit in zip(basis, orbits):
+        diagonal = orbit[0][0] == orbit[0][1]
+        w = 1.0 / math.sqrt(len(orbit) if diagonal else 2.0 * len(orbit))
+        for i, j in orbit:
+            b[i - 1, j - 1] = b[j - 1, i - 1] = w
     basis.setflags(write=False)
     return InvariantSpace(graph=g, group=group, basis=basis, orbits=tuple(orbits))
 

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import random
+import time
 
 import pytest
 
@@ -8,9 +10,15 @@ import homcone as hc
 from homcone.cli import main
 from homcone.errors import ScopeError, ShapeError
 from homcone.graphs import (
+    AUTOMORPHISM_ORDER_LIMIT,
     Graph,
     Permutation,
     PermutationGroup,
+    _cayley_table,
+    _coset_closure,
+    _cyclic_masks,
+    _members,
+    _minimal_generators,
     automorphism_group,
     enumerate_subgroups,
     is_homogeneous_graph,
@@ -62,6 +70,51 @@ def brute_force_homogeneous(g):
         if len(sub) == 3 and degs == [1, 1, 2, 2]:
             return False  # induced 4-path
     return True
+
+
+def composed_table(elems):
+    """Multiplication table of sorted, closed elements by Permutation.compose."""
+    index = {e: i for i, e in enumerate(elems)}
+    return [[index[a.compose(b)] for b in elems] for a in elems]
+
+
+def table_closure(table, gens):
+    """Bitmask of the subgroup generated by the element indices in gens,
+    closed from the identity (index 0) by a search over products."""
+    mask, frontier = 1, [0]
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                c = table[a][g]
+                if not mask >> c & 1:
+                    mask |= 1 << c
+                    new.append(c)
+        frontier = new
+    return mask
+
+
+def greedy_generators(table, mask):
+    """Greedy generating set: each round adds the candidate (by descending
+    element order, then index) whose closure with the chosen ones is
+    strictly largest, closing every candidate from the identity."""
+
+    def order(i):
+        return table_closure(table, [i]).bit_count()
+
+    candidates = sorted(_members(mask & ~1), key=lambda i: (-order(i), i))
+    chosen, current = [], 1
+    while current != mask:
+        best, best_closed = None, current
+        for e in candidates:
+            if current >> e & 1:
+                continue
+            closed = table_closure(table, chosen + [e])
+            if closed.bit_count() > best_closed.bit_count():
+                best, best_closed = e, closed
+        chosen.append(best)
+        current = best_closed
+    return tuple(chosen)
 
 
 def path_graph(n):
@@ -195,6 +248,39 @@ def test_automorphism_scope_limit():
         automorphism_group(g)
 
 
+def test_automorphism_order_limit():
+    # Aut(K7) has order 5040, the limit itself; K8 (order 40320) stops
+    # during the search, before an |Aut|^2 multiplication table is built.
+    assert AUTOMORPHISM_ORDER_LIMIT >= 5040
+    t0 = time.perf_counter()
+    with pytest.raises(ScopeError, match="more than 5040"):
+        automorphism_group(complete_graph(8))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_aut_past_order_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "k8.json"
+    path.write_text(json.dumps(
+        {"labels": [str(i) for i in range(1, 9)],
+         "edges": [list(e) for e in itertools.combinations(range(1, 9), 2)]}
+    ))
+    t0 = time.perf_counter()
+    assert main(["aut", "--graph", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "5040" in captured.err
+
+
+def test_aut_k6_line_pinned(tmp_path, capsys):
+    path = tmp_path / "k6.json"
+    path.write_text(json.dumps(
+        {"labels": [str(i) for i in range(1, 7)],
+         "edges": [list(e) for e in itertools.combinations(range(1, 7), 2)]}
+    ))
+    assert main(["aut", "--graph", str(path)]) == 0
+    assert capsys.readouterr().out == "order 720; generators (2 3)(4 5 6), (1 2)(3 4 5)\n"
+
+
 # ---------------------------------------------------------------------------
 # subgroup enumeration
 
@@ -271,6 +357,7 @@ def test_three_generator_subgroup_found():
 
 STAR_EDGES = [(1, j) for j in range(2, 6)]
 WINDMILL_EDGES = [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5), (1, 6), (1, 7), (6, 7)]
+WINDMILL = Graph.build([str(i) for i in range(1, 8)], WINDMILL_EDGES)
 
 
 @pytest.mark.parametrize(
@@ -351,6 +438,59 @@ def test_subgroups_reject_non_closed_elements():
     fake = PermutationGroup(degree=3, generators=(), elements=(e, rot))
     with pytest.raises(ValueError):
         enumerate_subgroups(fake)
+
+
+# ---------------------------------------------------------------------------
+# the multiplication table and the searches on it, against plain oracles
+
+def test_cached_table_matches_fresh_table(butterfly):
+    for g in (butterfly, complete_graph(4), complete_graph(5), WINDMILL):
+        group = automorphism_group(g)
+        elems, table = group.cayley
+        assert (elems, table) == _cayley_table(group.elements)
+        assert elems == group.elements and table == composed_table(elems)
+        assert "cayley" in vars(group)  # handed over, not built again
+    # a group built from generators builds its table on first use
+    grp = PermutationGroup.generate(5, [Permutation.from_cycle_string("(1 5 2 4)", 5)])
+    assert grp.cayley == (grp.elements, composed_table(grp.elements))
+    assert PermutationGroup.trivial(1).cayley == ((Permutation((1,)),), [[0]])
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [WINDMILL, complete_graph(5)],
+    ids=["windmill", "K5"],
+)
+def test_coset_closure_matches_closure_from_identity(graph):
+    group = automorphism_group(graph)
+    elems, table = group.cayley
+    index = {e: i for i, e in enumerate(elems)}
+    subs = enumerate_subgroups(group)
+    rng = random.Random(12)
+    for _ in range(300):
+        h = rng.choice(subs)
+        mask = sum(1 << index[e] for e in h.elements)
+        gens = tuple(index[e] for e in h.generators)
+        assert table_closure(table, gens) == mask
+        new = tuple(rng.randrange(len(elems)) for _ in range(rng.randint(1, 2)))
+        got = _coset_closure(table, mask, _members(mask), gens + new)
+        assert got == table_closure(table, gens + new)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [WINDMILL, complete_graph(5)],
+    ids=["windmill", "K5"],
+)
+def test_minimal_generators_match_plain_greedy(graph):
+    group = automorphism_group(graph)
+    elems, table = group.cayley
+    index = {e: i for i, e in enumerate(elems)}
+    cyclic = _cyclic_masks(table)
+    assert cyclic == [table_closure(table, [e]) for e in range(len(elems))]
+    for h in enumerate_subgroups(group):
+        mask = sum(1 << index[e] for e in h.elements)
+        assert _minimal_generators(table, cyclic, mask) == greedy_generators(table, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,45 @@ from homcone.graphs import (
 )
 from homcone.invariant import build_invariant_space, project, same_space
 from homcone.realization import full_sym_structure
+
+
+def element_orbits_and_basis(g, group):
+    """Cell orbits from every group element, and the orthonormal basis built
+    one orbit matrix at a time: the construction that reads each element."""
+    cells = [(i, i) for i in range(1, g.vertex_count + 1)] + g.edge_list()
+    seen, orbits = set(), []
+    for cell in cells:
+        if cell in seen:
+            continue
+        orbit = set()
+        for sigma in group.elements:
+            i, j = sigma(cell[0]), sigma(cell[1])
+            orbit.add((min(i, j), max(i, j)))
+        seen.update(orbit)
+        orbits.append(tuple(sorted(orbit)))
+    orbits.sort(key=lambda orb: orb[0])
+    p = g.vertex_count
+    mats = []
+    for orbit in orbits:
+        b = np.zeros((p, p))
+        if orbit[0][0] == orbit[0][1]:
+            w = 1.0 / np.sqrt(len(orbit))
+            for i, _ in orbit:
+                b[i - 1, i - 1] = w
+        else:
+            w = 1.0 / np.sqrt(2.0 * len(orbit))
+            for i, j in orbit:
+                b[i - 1, j - 1] = w
+                b[j - 1, i - 1] = w
+        mats.append(b)
+    return tuple(orbits), np.array(mats)
+
+
+def relabeled(g, rng):
+    """The graph with its vertices renamed by a random permutation."""
+    perm = list(range(1, g.vertex_count + 1))
+    rng.shuffle(perm)
+    return Graph.build(g.labels, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
 
 
 def perm_matrix(sigma):
@@ -183,6 +223,32 @@ def test_same_space_agrees_with_projection_residuals(p, edges, classes):
         if all(mutual_projection_residual(z, r) > 1e-10 for r in reps):
             reps.append(z)
     assert len(reps) == classes
+
+
+def numbered_graph(p, edges):
+    return Graph.build([str(i) for i in range(1, p + 1)], edges)
+
+
+LATTICE_GRAPHS = {
+    "butterfly": hc.butterfly_graph(),
+    "K4": numbered_graph(4, itertools.combinations(range(1, 5), 2)),
+    "star": numbered_graph(5, [(1, j) for j in range(2, 6)]),
+    "windmill": numbered_graph(
+        7, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5), (1, 6), (1, 7), (6, 7)]
+    ),
+    "K5": numbered_graph(5, itertools.combinations(range(1, 6), 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(LATTICE_GRAPHS))
+def test_generator_orbits_match_element_orbits(name):
+    base = LATTICE_GRAPHS[name]
+    for g in (base, relabeled(base, random.Random(name))):
+        for h in enumerate_subgroups(automorphism_group(g)):
+            space = build_invariant_space(g, h)
+            orbits, basis = element_orbits_and_basis(g, h)
+            assert space.orbits == orbits
+            assert np.array_equal(space.basis, basis)
 
 
 def test_same_space_usage_error(spaces):
