@@ -28,7 +28,15 @@ from .errors import (
     HomogeneityError,
     IntegrabilityError,
 )
-from .graphs import automorphism_group, enumerate_subgroups, is_homogeneous_graph, load_graph
+from .graphs import (
+    automorphism_group,
+    automorphisms,
+    check_subgroup_order,
+    enumerate_subgroups,
+    group_of_elements,
+    is_homogeneous_graph,
+    load_graph,
+)
 from .selection import (
     Hyperparams,
     build_butterfly_models,
@@ -130,7 +138,11 @@ def cmd_aut(args) -> int:
 
 def cmd_subgroups(args) -> int:
     graph = _resolve_graph(args)
-    group = automorphism_group(graph)
+    # refuse a group past the enumeration limit before its |Aut|^2
+    # multiplication table is built
+    elements = automorphisms(graph)
+    check_subgroup_order(len(elements))
+    group = group_of_elements(graph.vertex_count, elements)
     subs = enumerate_subgroups(group)
     print(f"{len(subs)} subgroups of the automorphism group (order {group.order})")
     for i, h in enumerate(subs, start=1):

@@ -8,10 +8,13 @@ damped Newton iteration on the convex objective tr(xy) - log det x.  From
 that map everything else follows: the determinant functional, its Hessian
 in basis coordinates, and the square-root-determinant factor, all carried
 by the solution ``psi`` returns.  The Newton iteration runs on the
-orthonormal coordinates of the space: the gradient is
-coords(y) - coords(x^{-1}) and the metric at x is B (w (x) w) B^T with
-w = x^{-1} and B the flattened basis, so a matrix is formed only for the
-Cholesky factor of each trial point.
+orthonormal coordinates of the space.  With x = L L^T and each basis
+element B_a transformed by congruence, C_a = L^{-1} B_a L^{-T}, the
+gradient is coords(y) - tr(C_a) and the metric at x,
+tr(B_a x^{-1} B_b x^{-1}), is the Gram matrix <C_a, C_b> of the flattened
+C_a; a trial point becomes a matrix only for its Cholesky factor.
+``metric_matrix`` keeps the Kronecker form of that metric as the
+reference.
 
 All determinant work is done in log space.
 """
@@ -63,13 +66,8 @@ def _cholesky_or_none(x: np.ndarray):
         return None
 
 
-def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (chol chol^T) z = b for the lower Cholesky factor chol."""
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
-
-
 def _logdet_from_chol(chol: np.ndarray) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return 2.0 * float(np.log(chol.diagonal()).sum())
 
 
 def _check_matrix(space: InvariantSpace, m: np.ndarray, what: str) -> np.ndarray:
@@ -89,7 +87,8 @@ def metric_matrix(space: InvariantSpace, w: np.ndarray) -> np.ndarray:
 
     Entry (a, b) is tr(B_a w B_b w) = vec(B_a)^T (w (x) w) vec(B_b).  With w
     the inverse of a primal point x this is the Hessian of -log det at x
-    restricted to the space.
+    restricted to the space.  This Kronecker form is the reference for the
+    Gram form ``psi`` computes its metric in; ``psi`` does not call it.
     """
     p = space.p
     w_kron_w = (w[:, None, :, None] * w[None, :, None, :]).reshape(p * p, p * p)
@@ -109,17 +108,23 @@ def psi(space: InvariantSpace, y: np.ndarray) -> PsiResult:
 
     The iterate and the normalized point are carried as coordinates, so
     tr(xy) is their dot product and the gradient's Frobenius norm is its
-    coordinate norm.  Each iteration inverts the iterate's Cholesky factor
-    once, w = L^{-T} L^{-1}; the accepted trial point's factor and
-    objective value carry over to the next iteration.  The functionals in
-    the result are read off the last iterate's factor, inverse and metric;
-    rescaling x by 1/scale multiplies the metric by scale^2.
+    coordinate norm.  Each iteration inverts the iterate's Cholesky factor L
+    once and transforms the whole basis with it, C_a = L^{-1} B_a L^{-T}.
+    With w = x^{-1} = L^{-T} L^{-1}, coords(w)_a = tr(C_a) gives the
+    gradient, and tr(B_a w B_b w) = <C_a, C_b> gives the metric as the Gram
+    matrix of the flattened C_a.  The metric's Cholesky factor must exist
+    (else the iteration has diverged); the Newton step is one solve against
+    the metric.  The accepted trial point's factor and objective value carry
+    over to the next iteration.  The functionals in the result are read off
+    the last iterate's factor and metric; rescaling x by 1/scale multiplies
+    the metric by scale^2.
     """
     y = _check_matrix(space, y, "dual argument")
     scale = float(np.linalg.norm(y))
     if scale == 0.0 or np.trace(y) <= 0.0:
         raise DualMembershipError("trace must be positive on the dual cone")
-    p = space.p
+    p, dim = space.p, space.dim
+    basis, flat = space.basis, space.flat
     yn = y / scale
     yc = space.coords(yn)
     xc = (p / float(np.trace(yn))) * space.coords(np.eye(p))
@@ -128,12 +133,13 @@ def psi(space: InvariantSpace, y: np.ndarray) -> PsiResult:
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
         chol_inv = np.linalg.inv(chol)
-        w = chol_inv.T @ chol_inv
-        grad = yc - space.coords(w)
+        congruent = (chol_inv @ basis @ chol_inv.T).reshape(dim, p * p)
+        coords_w = congruent[:, :: p + 1].sum(axis=1)  # traces of the C_a
+        grad = yc - coords_w
         grad_norm = math.sqrt(float(grad @ grad))
         if _trace_sink is not None:
             _trace_sink({"iteration": iterations, "gradient_norm": grad_norm})
-        m = metric_matrix(space, w)
+        m = congruent @ congruent.T
         try:
             m_chol = np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
@@ -144,7 +150,7 @@ def psi(space: InvariantSpace, y: np.ndarray) -> PsiResult:
             ) from None
         if grad_norm <= GRAD_TOL:
             break
-        step = -_cho_solve(m_chol, grad)
+        step = -np.linalg.solve(m, grad)
         slope = float(grad @ step)
         # near the optimum the predicted decrease drops below the resolution
         # of f itself; the noise floor keeps the line search from stalling
@@ -152,7 +158,7 @@ def psi(space: InvariantSpace, y: np.ndarray) -> PsiResult:
         t = 1.0
         while True:
             cand = xc + t * step
-            cand_chol = _cholesky_or_none(space.from_coords(cand))
+            cand_chol = _cholesky_or_none((cand @ flat).reshape(p, p))
             if cand_chol is not None:
                 f_cand = float(cand @ yc) - _logdet_from_chol(cand_chol)
                 if f_cand <= f + ARMIJO_C * t * slope + noise:
@@ -170,14 +176,14 @@ def psi(space: InvariantSpace, y: np.ndarray) -> PsiResult:
             iterations=MAX_ITER,
             residual=grad_norm * scale,
         )
-    residual = float(np.linalg.norm(space.project(scale * w) - y))
+    residual = float(np.linalg.norm(space.from_coords(scale * coords_w) - y))
     return PsiResult(
         x_star=space.from_coords(xc) / scale,
         coords=xc / scale,
         iterations=iterations,
         residual=residual,
         log_delta=p * math.log(scale) - _logdet_from_chol(chol),
-        log_phi=-0.5 * _logdet_from_chol(m_chol) - space.dim * math.log(scale),
+        log_phi=-0.5 * _logdet_from_chol(m_chol) - dim * math.log(scale),
         metric=(scale * scale) * m,
     )
 

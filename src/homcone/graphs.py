@@ -317,12 +317,11 @@ class PermutationGroup:
         return hash((self.degree, self.elements))
 
 
-def automorphism_group(g: Graph) -> PermutationGroup:
+def automorphisms(g: Graph) -> list[Permutation]:
     """All vertex permutations preserving adjacency, by pruned backtracking.
 
     Raises ScopeError past AUTOMORPHISM_VERTEX_LIMIT vertices, and as soon
-    as the search finds more than AUTOMORPHISM_ORDER_LIMIT automorphisms,
-    before the multiplication table (|Aut|^2 entries) is built."""
+    as the search finds more than AUTOMORPHISM_ORDER_LIMIT automorphisms."""
     p = g.vertex_count
     if p > AUTOMORPHISM_VERTEX_LIMIT:
         raise ScopeError(
@@ -353,15 +352,38 @@ def automorphism_group(g: Graph) -> PermutationGroup:
                 used[w] = False
 
     extend(1)
-    elems, table = _cayley_table(found)
+    return found
+
+
+def group_of_elements(degree: int, elements) -> PermutationGroup:
+    """The group whose elements are exactly ``elements`` (a list closed under
+    composition, else ValueError), with a minimal generating set picked on
+    its multiplication table."""
+    elems, table = _cayley_table(elements)
     gens = _minimal_generators(table, _cyclic_masks(table), (1 << len(elems)) - 1)
     group = PermutationGroup(
-        degree=p, generators=tuple(elems[i] for i in gens), elements=elems
+        degree=degree, generators=tuple(elems[i] for i in gens), elements=elems
     )
     # cached_property keeps its value in the instance dict: hand over the
     # table built here so that enumerate_subgroups does not build it again
     group.__dict__["cayley"] = elems, table
     return group
+
+
+def automorphism_group(g: Graph) -> PermutationGroup:
+    """The group of ``automorphisms``, which raise ScopeError before the
+    multiplication table (|Aut|^2 entries) is built."""
+    return group_of_elements(g.vertex_count, automorphisms(g))
+
+
+def check_subgroup_order(order: int) -> None:
+    """Raise ScopeError if a group of this order is past the subgroup
+    enumeration limit."""
+    if order > SUBGROUP_ORDER_LIMIT:
+        raise ScopeError(
+            f"subgroup enumeration is brute force, limited to order "
+            f"{SUBGROUP_ORDER_LIMIT} (got {order})"
+        )
 
 
 def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
@@ -379,11 +401,7 @@ def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
 
     Raises ValueError if ``group.elements`` is not closed under composition.
     """
-    if group.order > SUBGROUP_ORDER_LIMIT:
-        raise ScopeError(
-            f"subgroup enumeration is brute force, limited to order "
-            f"{SUBGROUP_ORDER_LIMIT} (got {group.order})"
-        )
+    check_subgroup_order(group.order)
     elems, table = group.cayley
     n = len(elems)
     subs: dict[int, tuple[int, ...]] = {1: ()}

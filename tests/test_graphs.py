@@ -271,6 +271,21 @@ def test_aut_past_order_limit_exits_2(tmp_path, capsys):
     assert captured.out == "" and "5040" in captured.err
 
 
+def test_subgroups_past_order_limit_exits_2(tmp_path, capsys):
+    # Aut(K7) (order 5040) is within the automorphism limit but past the
+    # enumeration limit: refused on its order, before the 5040 x 5040 table
+    path = tmp_path / "k7.json"
+    path.write_text(json.dumps(
+        {"labels": [str(i) for i in range(1, 8)],
+         "edges": [list(e) for e in itertools.combinations(range(1, 8), 2)]}
+    ))
+    t0 = time.perf_counter()
+    assert main(["subgroups", "--graph", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "limited to order 120 (got 5040)" in captured.err
+
+
 def test_aut_k6_line_pinned(tmp_path, capsys):
     path = tmp_path / "k6.json"
     path.write_text(json.dumps(
