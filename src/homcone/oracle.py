@@ -13,6 +13,15 @@ whose width scales with the ray coordinate, matching the linear growth of
 the cone's slices.  Proposals landing outside the cone get weight zero,
 which keeps the estimator unbiased.
 
+Cone membership and the log-determinant come from one symmetric elimination
+(LDL^T without pivoting) run across the sample axis: each of the
+p(p+1)/2 upper-triangle entries is a contiguous row over the samples, and
+every update is one array operation on such a row.  By Sylvester's
+criterion a symmetric matrix is positive definite exactly when every pivot
+is positive, and then log det is the sum of the pivots' logs.  The test
+works on matrix entries alone; it calls neither the Newton solve nor any
+realization.
+
 Sampling is chunked with seeds spawned per chunk from the master seed and
 chunk sums merged in a fixed order, so estimates are reproducible for a
 given (seed, samples) pair.
@@ -21,6 +30,7 @@ given (seed, samples) pair.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,14 +78,47 @@ def _estimate_from_sums(sum_w: float, sum_w2: float, n: int, seed: int) -> McEst
     )
 
 
+def _pivot_logdet(upper: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positive-definiteness and log det of a batch of symmetric p x p matrices.
+
+    ``upper`` holds the upper-triangle entries, one row per entry in
+    ``np.triu_indices(p)`` order and one column per matrix; it is overwritten.
+    Returns (pd, logdet) with logdet = 0 where pd is False.  A matrix leaves
+    pd at its first pivot that is not positive; from there on its pivots are
+    taken as +inf, so its multipliers are 0 and its entries stop changing,
+    which keeps the elimination free of overflow and division by zero.
+    """
+    rows = {ij: upper[r] for r, ij in enumerate(zip(*np.triu_indices(p)))}
+    m = upper.shape[1]
+    pd = np.ones(m, dtype=bool)
+    logdet = np.zeros(m)
+    f = np.empty(m)
+    tmp = np.empty(m)
+    for k in range(p):
+        d = rows[k, k]
+        pd &= d > 0.0
+        d = np.where(pd, d, np.inf)
+        logdet += np.log(d)
+        for i in range(k + 1, p):
+            np.divide(rows[k, i], d, out=f)
+            for j in range(i, p):
+                np.multiply(f, rows[k, j], out=tmp)
+                rows[i, j] -= tmp
+    return pd, np.where(pd, logdet, 0.0)
+
+
 def _log_f_batch(space, coords, y_coords, alpha):
-    """Log integrand per sample; -inf outside the open primal cone."""
-    mats = np.einsum("sa,aij->sij", coords, space.basis)
-    eigs = np.linalg.eigvalsh(mats)
-    pd = eigs[:, 0] > 0.0
-    safe = np.where(pd[:, None], eigs, 1.0)
-    logdet = np.sum(np.log(safe), axis=1)
-    log_f = -coords @ y_coords + alpha * logdet
+    """Log integrand per sample; -inf outside the open primal cone.
+
+    Only the upper triangle of each sample's matrix is formed, as an
+    (p(p+1)/2, m) array of contiguous rows, and ``_pivot_logdet`` tests
+    membership by the signs of its elimination pivots.
+    """
+    p = space.p
+    iu, ju = np.triu_indices(p)
+    upper = space.flat[:, iu * p + ju].T @ coords.T
+    pd, logdet = _pivot_logdet(upper, p)
+    log_f = alpha * logdet - coords @ y_coords
     return np.where(pd, log_f, -np.inf)
 
 
@@ -96,6 +139,10 @@ def mc_cone_integral(
     seed: int = DEFAULT_SEED,
 ) -> McEstimate:
     """Importance-sampling estimate of the cone integral at a dual point."""
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise DomainError(f"sample count must be an integer, got {samples!r}") from None
     if samples < 2:
         # a standard error needs at least two draws
         raise DomainError(f"sample count must be >= 2, got {samples}")
@@ -105,8 +152,8 @@ def mc_cone_integral(
             f"Monte Carlo integration is limited to {MC_DIM_LIMIT} dimensions "
             f"(got {n_dim}); variance is not controlled beyond that"
         )
-    if alpha < 0:
-        raise DomainError(f"integrand exponent must be >= 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise DomainError(f"integrand exponent must be finite and >= 0, got {alpha}")
     y = np.asarray(y, dtype=float)
     y_coords = space.coords(y)
     df = PROPOSAL_DF

@@ -1,5 +1,8 @@
+import ast
 import itertools
 import math
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from homcone.oracle import (
     finite_diff_hessian,
     mc_cone_integral,
     _estimate_from_sums,
+    _pivot_logdet,
 )
 from homcone.realization import full_sym_structure, log_gamma_v, ray_structure
 
@@ -95,6 +99,25 @@ def test_sample_count_below_one_rejected(samples):
         mc_cone_integral(full_sym_space(2), 1.0, np.eye(2), samples=samples, seed=0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_exponent_rejected(alpha):
+    with pytest.raises(DomainError, match="finite"):
+        mc_cone_integral(full_sym_space(2), alpha, np.eye(2), samples=1000, seed=0)
+
+
+@pytest.mark.parametrize("samples", [1000.0, 2.5, "1000", None])
+def test_non_integer_sample_count_rejected(samples):
+    with pytest.raises(DomainError, match="integer"):
+        mc_cone_integral(full_sym_space(2), 1.0, np.eye(2), samples=samples, seed=0)
+
+
+def test_integer_like_sample_count_accepted():
+    space = full_sym_space(2)
+    a = mc_cone_integral(space, 1.0, np.eye(2), samples=np.int64(1000), seed=3)
+    b = mc_cone_integral(space, 1.0, np.eye(2), samples=1000, seed=3)
+    assert a.samples == 1000 and a.value == b.value
+
+
 def test_low_ess_warning_record():
     est = _estimate_from_sums(sum_w=1.0, sum_w2=1.0, n=1000, seed=0)
     assert est.effective_samples == 1.0
@@ -104,6 +127,139 @@ def test_low_ess_warning_record():
 def test_healthy_ess_no_warning():
     est = _estimate_from_sums(sum_w=1000.0, sum_w2=1100.0, n=1000, seed=0)
     assert est.warning is None
+
+
+# ---------------------------------------------------------------------------
+# the pivot membership test, against eigendecomposition references
+
+
+def _pivots(mats):
+    """Run the elimination on an (m, p, p) stack; RuntimeWarnings are errors."""
+    p = mats.shape[-1]
+    iu, ju = np.triu_indices(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return _pivot_logdet(np.ascontiguousarray(mats[:, iu, ju].T), p)
+
+
+def _rotated(rng, eigs):
+    """q diag(eigs) q^T for a random orthogonal q per row of eigs."""
+    q, _ = np.linalg.qr(rng.standard_normal(eigs.shape + eigs.shape[-1:]))
+    return (q * eigs[:, None, :]) @ q.transpose(0, 2, 1)
+
+
+SCALES = [1e-8, 1.0, 1e8]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("p", range(1, 8))
+def test_pivots_match_slogdet_on_positive_definite(p, scale):
+    rng = np.random.default_rng(1400 + p)
+    b = rng.standard_normal((300, p, p))
+    mats = scale * (b @ b.transpose(0, 2, 1) + 0.1 * np.eye(p))
+    pd, logdet = _pivots(mats)
+    assert np.all(np.linalg.eigvalsh(mats)[:, 0] > 0)
+    assert pd.all()
+    sign, ref = np.linalg.slogdet(mats)
+    assert np.all(sign > 0)
+    assert np.all(np.abs(logdet - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("p", range(2, 8))
+def test_pivots_reject_indefinite_with_positive_determinant(p, scale):
+    # two negative eigenvalues: det > 0, so a sign-of-det test would pass them
+    rng = np.random.default_rng(1500 + p)
+    eigs = np.exp(rng.uniform(-2.0, 2.0, (300, p)))
+    for row in eigs:
+        row[rng.choice(p, 2, replace=False)] *= -1.0
+    mats = scale * _rotated(rng, eigs)
+    assert np.all(np.linalg.eigvalsh(mats)[:, 0] < 0)
+    assert np.all(np.linalg.slogdet(mats)[0] > 0)
+    pd, logdet = _pivots(mats)
+    assert not pd.any()
+    assert np.all(logdet == 0.0)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("p", range(1, 8))
+def test_pivots_reject_singular_psd(p, scale):
+    rng = np.random.default_rng(1600 + p)
+    b = rng.standard_normal((200, p, p))
+    full = scale * (b @ b.transpose(0, 2, 1) + 0.1 * np.eye(p))
+    # a zero row and column anywhere: that pivot stays exactly 0
+    zeroed = full.copy()
+    for mat, z in zip(zeroed, rng.integers(0, p, len(zeroed))):
+        mat[z, :] = 0.0
+        mat[:, z] = 0.0
+    stacks = [zeroed]
+    if p > 1:
+        # one index repeated next to itself: the second pivot is a - (a/a)a = 0
+        dup = []
+        for mat, i in zip(full, rng.integers(0, p - 1, len(full))):
+            idx = np.r_[0:i + 1, i, i + 1:p - 1]
+            dup.append(mat[:p - 1, :p - 1][np.ix_(idx, idx)])
+        stacks.append(np.array(dup))
+    for mats in stacks:
+        assert np.all(np.linalg.matrix_rank(mats) < p)
+        pd, _ = _pivots(mats)
+        assert not pd.any()
+
+
+def _log_f_batch_eigvalsh(space, coords, y_coords, alpha):
+    """The batched-eigendecomposition membership test the pivots replaced."""
+    mats = np.einsum("sa,aij->sij", coords, space.basis)
+    eigs = np.linalg.eigvalsh(mats)
+    pd = eigs[:, 0] > 0.0
+    safe = np.where(pd[:, None], eigs, 1.0)
+    logdet = np.sum(np.log(safe), axis=1)
+    log_f = -coords @ y_coords + alpha * logdet
+    return np.where(pd, log_f, -np.inf)
+
+
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("zero_alpha", [False, True])
+def test_estimates_match_eigvalsh_route(monkeypatch, case, zero_alpha):
+    _, space, _, y, alpha = verify.mc_reference_cases()[case]
+    alpha = 0.0 if zero_alpha else alpha
+    new = mc_cone_integral(space, alpha, y, samples=60_000, seed=1401 + case)
+    monkeypatch.setattr(oracle, "_log_f_batch", _log_f_batch_eigvalsh)
+    old = mc_cone_integral(space, alpha, y, samples=60_000, seed=1401 + case)
+    for field in ("value", "std_error", "effective_samples"):
+        assert math.isclose(getattr(new, field), getattr(old, field),
+                            rel_tol=1e-12, abs_tol=0.0), field
+    assert new.warning == old.warning
+
+
+def _sibling_imports(module: str) -> set[str]:
+    """Names of homcone modules a homcone module imports directly."""
+    tree = ast.parse((pathlib.Path(hc.__file__).parent / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1 or node.module == "homcone":
+                found.update(a.name for a in node.names)
+            elif node.module and node.module.startswith("homcone."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("homcone."))
+    return found
+
+
+@pytest.mark.parametrize("module", ["oracle", "cone"])
+def test_independent_paths_import_no_factorization(module):
+    # the Monte Carlo oracle and the Newton solve check the triangular
+    # factorization, so neither may reach it through any chain of imports
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(_sibling_imports(name))
+    assert not seen & {"realization", "selection", "butterfly"}, sorted(seen)
 
 
 # ---------------------------------------------------------------------------
