@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, DualMembershipError, ShapeError
-from .invariant import InvariantSpace
+from .invariant import SPAN_TOL, InvariantSpace
 
 GRAD_TOL = 1e-11
 MAX_ITER = 100
@@ -70,16 +70,23 @@ def _logdet_from_chol(chol: np.ndarray) -> float:
     return 2.0 * float(np.log(chol.diagonal()).sum())
 
 
-def _check_matrix(space: InvariantSpace, m: np.ndarray, what: str) -> np.ndarray:
+def _check_matrix(
+    space: InvariantSpace, m: np.ndarray, what: str
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """m as a float array with its coordinates and its Frobenius norm,
+    after checking its shape and that it lies in the space."""
     m = np.asarray(m, dtype=float)
     if m.shape != (space.p, space.p):
         raise ShapeError(f"{what} must be {space.p}x{space.p}, got {m.shape}")
-    if not space.contains(m):
+    coords = space.coords(m)
+    norm = float(np.linalg.norm(m))
+    residual = float(np.linalg.norm(m - space.from_coords(coords)))
+    if residual > SPAN_TOL * max(1.0, norm):
         raise DomainError(
             f"{what} is not in the invariant space "
-            f"(projection residual {space.residual_from(m):.3e})"
+            f"(projection residual {residual:.3e})"
         )
-    return m
+    return m, coords, norm
 
 
 def metric_matrix(space: InvariantSpace, w: np.ndarray) -> np.ndarray:
@@ -119,14 +126,13 @@ def psi(space: InvariantSpace, y: np.ndarray) -> PsiResult:
     the last iterate's factor and metric; rescaling x by 1/scale multiplies
     the metric by scale^2.
     """
-    y = _check_matrix(space, y, "dual argument")
-    scale = float(np.linalg.norm(y))
+    y, coords_y, scale = _check_matrix(space, y, "dual argument")
     if scale == 0.0 or np.trace(y) <= 0.0:
         raise DualMembershipError("trace must be positive on the dual cone")
     p, dim = space.p, space.dim
     basis, flat = space.basis, space.flat
     yn = y / scale
-    yc = space.coords(yn)
+    yc = coords_y / scale
     xc = (p / float(np.trace(yn))) * space.coords(np.eye(p))
     chol = np.linalg.cholesky(space.from_coords(xc))  # a multiple of the identity
     f = float(xc @ yc) - _logdet_from_chol(chol)
@@ -211,7 +217,7 @@ def log_phi(space: InvariantSpace, y: np.ndarray) -> float:
 
 def in_primal_cone(space: InvariantSpace, x: np.ndarray) -> bool:
     """Membership in the open primal cone, via symmetric factorization."""
-    x = _check_matrix(space, x, "primal candidate")
+    x = _check_matrix(space, x, "primal candidate")[0]
     return _cholesky_or_none(x) is not None
 
 

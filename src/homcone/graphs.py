@@ -11,7 +11,8 @@ Each group builds its table at most once (``PermutationGroup.cayley``):
 ``automorphism_group`` hands the table it built to the group it returns,
 and ``enumerate_subgroups`` reads it from there.  The subgroup <H, g> of an
 already closed H is formed by a walk over the right cosets of H, adding a
-whole coset per new representative, not by closing from the identity.
+whole coset per new representative, not by closing from the identity, and
+only one subgroup per conjugacy class is extended.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ AUTOMORPHISM_VERTEX_LIMIT = 10
 # 7! = 5040, the order of Aut(K7): the multiplication table of that order
 # takes about 0.2 GiB
 AUTOMORPHISM_ORDER_LIMIT = 5040
-SUBGROUP_ORDER_LIMIT = 120
+# 6! = 720, the order of Aut(K6), whose 1455 subgroups fall in 56 classes
+SUBGROUP_ORDER_LIMIT = 720
 
 
 @dataclass(frozen=True)
@@ -234,7 +236,8 @@ def _cyclic_masks(table) -> list[int]:
 
 
 def _members(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    # the binary digits low bit first, without the "0b" prefix
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def _minimal_generators(table, cyclic, mask: int) -> tuple[int, ...]:
@@ -247,10 +250,14 @@ def _minimal_generators(table, cyclic, mask: int) -> tuple[int, ...]:
     in the round is skipped: it generates no more, comes later in the
     preference order, and only a strictly larger subgroup replaces the best
     so far.  For the same reason a round stops at the first candidate that
-    generates the whole subgroup.  Neither changes the choice."""
+    generates the whole subgroup, and the first round, where each candidate
+    generates its cyclic subgroup, goes to the first candidate unclosed.
+    None of this changes the choice."""
     candidates = sorted(_members(mask & ~1), key=lambda i: (-cyclic[i].bit_count(), i))
-    chosen: list[int] = []
-    current = 1
+    if not candidates:
+        return ()
+    chosen = [candidates[0]]
+    current = cyclic[candidates[0]]
     while current != mask:
         members = _members(current)
         best, best_closed = None, current
@@ -381,49 +388,82 @@ def check_subgroup_order(order: int) -> None:
     enumeration limit."""
     if order > SUBGROUP_ORDER_LIMIT:
         raise ScopeError(
-            f"subgroup enumeration is brute force, limited to order "
+            f"subgroup enumeration is limited to order "
             f"{SUBGROUP_ORDER_LIMIT} (got {order})"
         )
+
+
+def _conjugation_maps(table, gens) -> list[list[int]]:
+    """For each generator index s, the map k -> index of s^-1 k s."""
+    maps = []
+    for s in gens:
+        inv_row = table[table[s].index(0)]
+        maps.append([table[x][s] for x in inv_row])
+    return maps
+
+
+def _conjugates(maps, mask: int) -> set[int]:
+    """Bitmasks of every conjugate of the subgroup with the given bitmask:
+    its orbit under the conjugation maps of a generating set of the group."""
+    orbit = {mask}
+    todo = [_members(mask)]
+    for current in todo:
+        for conj in maps:
+            image = [conj[k] for k in current]
+            image_mask = 0
+            for k in image:
+                image_mask |= 1 << k
+            if image_mask not in orbit:
+                orbit.add(image_mask)
+                todo.append(image)
+    return orbit
 
 
 def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
     """Every subgroup exactly once, sorted by order then by element list.
 
-    Cyclic extension on the group's multiplication table: starting from the
-    trivial group, each newly found subgroup H (an int bitmask of element
-    indices) is grown by every element g outside it, closing the generators
-    H was found with plus g by a walk over the right cosets of H, until a
-    round finds nothing new.  Every subgroup ends a chain of such
-    one-element extensions from the trivial group, so the search reaches the
-    complete subgroup lattice.  After g is tried, the rest of gH and Hg is
-    skipped: <H, gh> = <H, hg> = <H, g> for h in H, so those elements could
-    only rediscover a subgroup already found.
+    Cyclic extension over conjugacy class representatives, on the group's
+    multiplication table (subgroups are int bitmasks of element indices).
+    Starting from the trivial group, each representative H is grown by the
+    elements g outside it, closing the generators H was found with plus g
+    by a walk over the right cosets of H.  A subgroup K not yet seen brings
+    in its whole conjugacy class, the orbit of its bitmask under
+    conjugation by generators of the group taken from the table, and K
+    becomes the representative that is grown in turn.  This reaches every
+    subgroup: if K = <H, g>, then K^x = <H^x, g^x> for the representative
+    H^x of H's class, so some conjugate of K is found from H^x.  The
+    argument holds as well for orbits under any subgroup of the group, so
+    a short generator list costs time, not subgroups.  After g is tried,
+    every g' with <g'> = <g> is skipped together with g'H and Hg':
+    <H, g'h> = <H, hg'> = <H, g'> = <H, g> for h in H.
 
     Raises ValueError if ``group.elements`` is not closed under composition.
     """
     check_subgroup_order(group.order)
     elems, table = group.cayley
     n = len(elems)
-    subs: dict[int, tuple[int, ...]] = {1: ()}
-    frontier = [1]
-    while frontier:
-        new = []
-        for h in frontier:
-            members = _members(h)
-            tried = h
-            for g in range(n):
-                if tried >> g & 1:
-                    continue
-                gens = subs[h] + (g,)
-                k = _coset_closure(table, h, members, gens)
-                if k not in subs:
-                    subs[k] = gens
-                    new.append(k)
-                row = table[g]
-                for x in members:
-                    tried |= 1 << row[x] | 1 << table[x][g]
-        frontier = new
     cyclic = _cyclic_masks(table)
+    maps = _conjugation_maps(table, _minimal_generators(table, cyclic, (1 << n) - 1))
+    same_cyclic: dict[int, list[int]] = {}
+    for e, c in enumerate(cyclic):
+        same_cyclic.setdefault(c, []).append(e)
+    subs = {1}
+    reps: list[tuple[int, tuple[int, ...]]] = [(1, ())]
+    for h, h_gens in reps:
+        members = _members(h)
+        tried = h
+        for g in range(n):
+            if tried >> g & 1:
+                continue
+            gens = h_gens + (g,)
+            k = _coset_closure(table, h, members, gens)
+            if k not in subs:
+                subs |= _conjugates(maps, k)
+                reps.append((k, gens))
+            for x in same_cyclic[cyclic[g]]:
+                row = table[x]
+                for y in members:
+                    tried |= 1 << row[y] | 1 << table[y][x]
     keyed = sorted((h.bit_count(), _members(h), h) for h in subs)
     return [
         PermutationGroup(

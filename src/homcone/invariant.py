@@ -60,9 +60,6 @@ class OrthonormalSpan:
         """Frobenius distance from y to the space."""
         return float(np.linalg.norm(y - self.project(y)))
 
-    def contains(self, y: np.ndarray) -> bool:
-        return self.residual_from(y) <= SPAN_TOL * max(1.0, float(np.linalg.norm(y)))
-
 
 @dataclass(frozen=True, eq=False)
 class InvariantSpace(OrthonormalSpan):

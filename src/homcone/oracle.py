@@ -146,6 +146,12 @@ def mc_cone_integral(
     if samples < 2:
         # a standard error needs at least two draws
         raise DomainError(f"sample count must be >= 2, got {samples}")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise DomainError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     n_dim = space.dim
     if n_dim > MC_DIM_LIMIT:
         raise ScopeError(

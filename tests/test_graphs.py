@@ -11,6 +11,7 @@ from homcone.cli import main
 from homcone.errors import ScopeError, ShapeError
 from homcone.graphs import (
     AUTOMORPHISM_ORDER_LIMIT,
+    SUBGROUP_ORDER_LIMIT,
     Graph,
     Permutation,
     PermutationGroup,
@@ -115,6 +116,47 @@ def greedy_generators(table, mask):
         chosen.append(best)
         current = best_closed
     return tuple(chosen)
+
+
+def every_subgroup_extension(group):
+    """Bitmasks of all subgroups by cyclic extension of every subgroup found:
+    each new subgroup H is grown by every element outside it, skipping the
+    rest of gH and Hg once g is tried, until a round finds nothing new."""
+    elems, table = group.cayley
+    subs = {1: ()}
+    frontier = [1]
+    while frontier:
+        new = []
+        for h in frontier:
+            members = _members(h)
+            tried = h
+            for g in range(len(elems)):
+                if tried >> g & 1:
+                    continue
+                gens = subs[h] + (g,)
+                k = _coset_closure(table, h, members, gens)
+                if k not in subs:
+                    subs[k] = gens
+                    new.append(k)
+                row = table[g]
+                for x in members:
+                    tried |= 1 << row[x] | 1 << table[x][g]
+        frontier = new
+    return set(subs)
+
+
+def subgroup_masks(group, subs):
+    index = {e: i for i, e in enumerate(group.cayley[0])}
+    return {sum(1 << index[e] for e in h.elements) for h in subs}
+
+
+def relabelled(g, rng):
+    images = list(range(1, g.vertex_count + 1))
+    rng.shuffle(images)
+    return Graph.build(
+        [g.labels[images.index(v)] for v in range(1, g.vertex_count + 1)],
+        [(images[i - 1], images[j - 1]) for i, j in g.edges],
+    )
 
 
 def path_graph(n):
@@ -273,7 +315,8 @@ def test_aut_past_order_limit_exits_2(tmp_path, capsys):
 
 def test_subgroups_past_order_limit_exits_2(tmp_path, capsys):
     # Aut(K7) (order 5040) is within the automorphism limit but past the
-    # enumeration limit: refused on its order, before the 5040 x 5040 table
+    # enumeration limit (720): refused on its order, before the 5040 x 5040
+    # table
     path = tmp_path / "k7.json"
     path.write_text(json.dumps(
         {"labels": [str(i) for i in range(1, 8)],
@@ -283,7 +326,7 @@ def test_subgroups_past_order_limit_exits_2(tmp_path, capsys):
     assert main(["subgroups", "--graph", str(path)]) == 2
     assert time.perf_counter() - t0 < 1.0
     captured = capsys.readouterr()
-    assert captured.out == "" and "limited to order 120 (got 5040)" in captured.err
+    assert captured.out == "" and "limited to order 720 (got 5040)" in captured.err
 
 
 def test_aut_k6_line_pinned(tmp_path, capsys):
@@ -340,18 +383,18 @@ def test_subgroup_properties(butterfly):
 
 
 def test_subgroup_scope_limit():
-    # S5 has order 120; a padded degree-6 copy has the same order but the
-    # limit is on order, so build S5 itself times C2 to exceed it.
-    gens = [Permutation((2, 1, 3, 4, 5, 6)), Permutation((2, 3, 4, 5, 1, 6)),
-            Permutation((1, 2, 3, 4, 5, 6))]
-    big = PermutationGroup.generate(6, gens + [Permutation((1, 2, 3, 4, 5, 6))])
-    assert big.order == 120
-    assert len(enumerate_subgroups(big)) == 156  # exactly at the limit still works
-    swap6 = Permutation((2, 1, 3, 4, 6, 5))
-    bigger = PermutationGroup.generate(6, [g for g in big.generators] + [swap6])
-    assert bigger.order > 120
-    with pytest.raises(ScopeError):
+    # S6 has order 720, the limit itself; S6 x C2 on 8 points (order 1440)
+    # is refused on its order, before its multiplication table is built.
+    s6_gens = [Permutation.from_cycle_string("(1 2)", 8),
+               Permutation.from_cycle_string("(1 2 3 4 5 6)", 8)]
+    s6 = PermutationGroup.generate(8, s6_gens)
+    assert s6.order == SUBGROUP_ORDER_LIMIT == 720
+    assert len(enumerate_subgroups(s6)) == 1455  # exactly at the limit still works
+    bigger = PermutationGroup.generate(8, s6_gens + [Permutation.from_cycle_string("(7 8)", 8)])
+    assert bigger.order == 1440
+    with pytest.raises(ScopeError, match="limited to order 720 [(]got 1440[)]"):
         enumerate_subgroups(bigger)
+    assert "cayley" not in vars(bigger)
 
 
 def test_three_generator_subgroup_found():
@@ -444,6 +487,68 @@ def test_subgroup_listing_pinned(name, tmp_path, capsys):
     assert main(["subgroups", "--graph", str(path)]) == 0
     listing = capsys.readouterr().out
     assert hashlib.sha256(listing.encode()).hexdigest() == SUBGROUP_LISTING_SHA256[name]
+
+
+LATTICE_GRAPHS = {
+    "butterfly": hc.butterfly_graph(),
+    "K4": complete_graph(4),
+    "star": Graph.build([str(i) for i in range(1, 6)], STAR_EDGES),
+    "windmill": WINDMILL,
+}
+
+
+@pytest.mark.parametrize(
+    "graph, seed",
+    [(g, seed) for g in LATTICE_GRAPHS.values() for seed in range(1, 6)]
+    + [(complete_graph(5), None)],
+    ids=[f"{name}-{seed}" for name in LATTICE_GRAPHS for seed in range(1, 6)] + ["K5"],
+)
+def test_class_representatives_match_every_subgroup_extension(graph, seed):
+    # a relabelling reorders the elements, so the table indices, the
+    # conjugation generators and the search order all change
+    if seed is not None:
+        graph = relabelled(graph, random.Random(seed))
+    group = automorphism_group(graph)
+    subs = enumerate_subgroups(group)
+    assert len(subs) == len({h.elements for h in subs})
+    assert subgroup_masks(group, subs) == every_subgroup_extension(group)
+
+
+@pytest.mark.parametrize("graph", [WINDMILL, complete_graph(5)], ids=["windmill", "K5"])
+def test_subgroups_closed_under_conjugation(graph):
+    group = automorphism_group(graph)
+    got = {frozenset(h.elements) for h in enumerate_subgroups(group)}
+    for x in group.elements:
+        x_inv = x.inverse()
+        for h in got:
+            assert frozenset(x_inv.compose(k).compose(x) for k in h) in got
+
+
+def test_k6_lattice_classes():
+    group = automorphism_group(complete_graph(6))
+    subs = [frozenset(h.elements) for h in enumerate_subgroups(group)]
+    assert len(subs) == 1455
+    # conjugacy classes as orbits under the group's generators, by
+    # Permutation.compose
+    left, classes = set(subs), 0
+    while left:
+        orbit = [left.pop()]
+        for h in orbit:
+            for s in group.generators:
+                image = frozenset(s.inverse().compose(k).compose(s) for k in h)
+                if image in left:
+                    left.discard(image)
+                    orbit.append(image)
+        classes += 1
+    assert classes == 56
+
+
+def test_subgroups_of_group_without_generators():
+    # the conjugation generators come from the table, not group.generators
+    elements = automorphism_group(WINDMILL).elements
+    bare = PermutationGroup(degree=7, generators=(), elements=elements)
+    assert subgroup_masks(bare, enumerate_subgroups(bare)) == every_subgroup_extension(bare)
+    assert len(enumerate_subgroups(bare)) == 98
 
 
 def test_subgroups_reject_non_closed_elements():

@@ -111,6 +111,17 @@ def test_non_integer_sample_count_rejected(samples):
         mc_cone_integral(full_sym_space(2), 1.0, np.eye(2), samples=samples, seed=0)
 
 
+@pytest.mark.parametrize("seed", [1.5, "7", None])
+def test_non_integer_seed_rejected(seed):
+    with pytest.raises(DomainError, match="integer"):
+        mc_cone_integral(full_sym_space(2), 1.0, np.eye(2), samples=1000, seed=seed)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(DomainError, match=">= 0"):
+        mc_cone_integral(full_sym_space(2), 1.0, np.eye(2), samples=1000, seed=-1)
+
+
 def test_integer_like_sample_count_accepted():
     space = full_sym_space(2)
     a = mc_cone_integral(space, 1.0, np.eye(2), samples=np.int64(1000), seed=3)
