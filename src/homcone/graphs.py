@@ -17,7 +17,6 @@ only one subgroup per conjugacy class is extended.
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 import re
@@ -32,6 +31,18 @@ AUTOMORPHISM_VERTEX_LIMIT = 10
 AUTOMORPHISM_ORDER_LIMIT = 5040
 # 6! = 720, the order of Aut(K6), whose 1455 subgroups fall in 56 classes
 SUBGROUP_ORDER_LIMIT = 720
+
+
+def _vertex_pair(edge) -> tuple[int, int]:
+    """The two vertex indices of an edge, which must be a pair of integers
+    (numpy integers included, bools not); anything else is a ValueError."""
+    try:
+        i, j = edge
+        if not (isinstance(i, bool) or isinstance(j, bool)):
+            return operator.index(i), operator.index(j)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"edge {edge!r} is not a pair of integer vertex indices")
 
 
 @dataclass(frozen=True)
@@ -49,7 +60,7 @@ class Graph:
             raise ValueError("graph needs at least one vertex")
         normalized = set()
         for e in edges:
-            i, j = int(e[0]), int(e[1])
+            i, j = _vertex_pair(e)
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             if not (1 <= i <= p and 1 <= j <= p):
@@ -475,38 +486,15 @@ def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
     ]
 
 
-def _is_chordal(g: Graph) -> bool:
-    # Repeated simplicial-vertex elimination; succeeds iff a perfect
-    # elimination ordering exists.
-    remaining = set(range(1, g.vertex_count + 1))
-    nbrs = {v: set(g.neighbors(v)) for v in remaining}
-    while remaining:
-        for v in sorted(remaining):
-            around = nbrs[v] & remaining
-            if all(g.has_edge(a, b) for a, b in itertools.combinations(sorted(around), 2)):
-                remaining.discard(v)
-                break
-        else:
-            return False
-    return True
-
-
-def _has_induced_p4(g: Graph) -> bool:
-    # Three induced edges on four vertices with degree multiset {1,1,2,2}
-    # is exactly a path on four vertices.
-    for quad in itertools.combinations(range(1, g.vertex_count + 1), 4):
-        pairs = [(a, b) for a, b in itertools.combinations(quad, 2) if g.has_edge(a, b)]
-        if len(pairs) != 3:
-            continue
-        deg = {v: 0 for v in quad}
-        for a, b in pairs:
-            deg[a] += 1
-            deg[b] += 1
-        if sorted(deg.values()) == [1, 1, 2, 2]:
-            return True
-    return False
-
-
 def is_homogeneous_graph(g: Graph) -> bool:
-    """True iff the graph is chordal and contains no induced path on 4 vertices."""
-    return _is_chordal(g) and not _has_induced_p4(g)
+    """True iff the graph is homogeneous: chordal with no induced path on 4
+    vertices.  Tested as: the two ends of every edge uv have nested closed
+    neighbourhoods, N[u] <= N[v] or N[v] <= N[u].
+
+    Take an edge uv with x in N[u] - N[v] and y in N[v] - N[u]: then x u v y
+    is an induced 4-cycle if x ~ y and an induced 4-path if not, and the
+    middle edge of either has such x and y.  Every longer induced cycle
+    contains an induced 4-path, so the test holds exactly when the graph is
+    chordal and free of induced 4-paths."""
+    closed = {v: g.neighbors(v) | {v} for v in range(1, g.vertex_count + 1)}
+    return all(closed[u] <= closed[v] or closed[v] <= closed[u] for u, v in g.edges)

@@ -34,6 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
@@ -263,68 +264,51 @@ class VStructureReport:
         return all(not v for v in self.violations.values())
 
 
-def _span_residual(structure: VStructure, l: int, k: int, c: np.ndarray) -> float:
-    arr = structure.subspaces.get((l, k))
-    return float(np.linalg.norm(c if arr is None else c - project_onto(arr, c)))
-
-
 def validate_vstructure(structure: VStructure) -> VStructureReport:
-    """Check the three closure axioms, reporting every witnessed failure."""
+    """Check the three closure axioms, reporting every witnessed failure.
+
+    V1: the symmetrized product of two basis elements of V[l,k] is a multiple
+    of the identity.  For blocks j < k < l, V2: V[l,j] V[k,j]^T lies in
+    V[l,k], and V3: V[l,k] V[k,j] lies in V[l,j]; a missing subspace is {0}.
+    """
     report: dict[str, list[AxiomViolation]] = {"V1": [], "V2": [], "V3": []}
-    r = structure.r
-    for (l, k), arr in sorted(structure.subspaces.items()):
+    subs = structure.subspaces
+
+    def check(axiom: str, where: tuple, residual, detail: str) -> None:
+        if residual > AXIOM_TOL:
+            report[axiom].append(AxiomViolation(axiom, where, float(residual), detail))
+
+    for (l, k), arr in sorted(subs.items()):
         nl = structure.block_sizes[l - 1]
-        for i in range(arr.shape[0]):
-            for j in range(i, arr.shape[0]):
-                prod = arr[i] @ arr[j].T + arr[j] @ arr[i].T
-                resid = float(
-                    np.linalg.norm(prod - (np.trace(prod) / nl) * np.eye(nl))
-                )
-                if resid > AXIOM_TOL:
-                    report["V1"].append(
-                        AxiomViolation(
-                            "V1",
-                            (l, k, i, j),
-                            resid,
-                            f"symmetrized product of basis elements {i},{j} of "
-                            f"V[{l},{k}] is not a multiple of the identity",
-                        )
+        for i, j in combinations_with_replacement(range(arr.shape[0]), 2):
+            prod = arr[i] @ arr[j].T + arr[j] @ arr[i].T
+            check(
+                "V1",
+                (l, k, i, j),
+                np.linalg.norm(prod - (np.trace(prod) / nl) * np.eye(nl)),
+                f"symmetrized product of basis elements {i},{j} of "
+                f"V[{l},{k}] is not a multiple of the identity",
+            )
+    for j, k, l in combinations(range(1, structure.r + 1), 3):
+        # (axiom, left factor, right factor, where: target block and the third)
+        for axiom, a_key, b_key, where, transpose in (
+            ("V2", (l, j), (k, j), (l, k, j), True),
+            ("V3", (l, k), (k, j), (l, j, k), False),
+        ):
+            a_arr, b_arr = subs.get(a_key), subs.get(b_key)
+            if a_arr is None or b_arr is None:
+                continue
+            span = subs.get(where[:2])
+            for ia, a in enumerate(a_arr):
+                for ib, b in enumerate(b_arr):
+                    c = a @ b.T if transpose else a @ b
+                    check(
+                        axiom,
+                        (*where, ia, ib),
+                        np.linalg.norm(c if span is None else c - project_onto(span, c)),
+                        f"V[{a_key[0]},{a_key[1]}]#{ia} times V[{b_key[0]},{b_key[1]}]"
+                        f"#{ib}{'^T' if transpose else ''} leaves V[{where[0]},{where[1]}]",
                     )
-    for j in range(1, r + 1):
-        for k in range(j + 1, r + 1):
-            for l in range(k + 1, r + 1):
-                a_lj = structure.subspaces.get((l, j))
-                b_kj = structure.subspaces.get((k, j))
-                if a_lj is not None and b_kj is not None:
-                    for ia, a in enumerate(a_lj):
-                        for ib, b in enumerate(b_kj):
-                            resid = _span_residual(structure, l, k, a @ b.T)
-                            if resid > AXIOM_TOL:
-                                report["V2"].append(
-                                    AxiomViolation(
-                                        "V2",
-                                        (l, k, j, ia, ib),
-                                        resid,
-                                        f"V[{l},{j}]#{ia} times V[{k},{j}]#{ib}^T "
-                                        f"leaves V[{l},{k}]",
-                                    )
-                                )
-                a_lk = structure.subspaces.get((l, k))
-                b_kj = structure.subspaces.get((k, j))
-                if a_lk is not None and b_kj is not None:
-                    for ia, a in enumerate(a_lk):
-                        for ib, b in enumerate(b_kj):
-                            resid = _span_residual(structure, l, j, a @ b)
-                            if resid > AXIOM_TOL:
-                                report["V3"].append(
-                                    AxiomViolation(
-                                        "V3",
-                                        (l, j, k, ia, ib),
-                                        resid,
-                                        f"V[{l},{k}]#{ia} times V[{k},{j}]#{ib} "
-                                        f"leaves V[{l},{j}]",
-                                    )
-                                )
     return VStructureReport(violations=report)
 
 

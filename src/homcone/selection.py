@@ -172,20 +172,29 @@ def scatter_summary(scatter, n_raw: int, centered: bool) -> DataSummary:
     return DataSummary(scatter=scatter, n_effective=n_eff, n_raw=n_raw)
 
 
-def load_scatter_json(path) -> DataSummary:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def _scatter_from_json(data) -> DataSummary:
+    """Summary of a parsed JSON scatter object: a 'scatter' matrix, an
+    integer 'n_raw' and a boolean 'centered'; anything else is a ValueError."""
     try:
-        return scatter_summary(data["scatter"], int(data["n_raw"]), bool(data["centered"]))
+        scatter, n_raw, centered = data["scatter"], data["n_raw"], data["centered"]
+        if isinstance(n_raw, bool) or not isinstance(n_raw, int):
+            raise ValueError(f"scatter object's 'n_raw' must be an integer, got {n_raw!r}")
+        if not isinstance(centered, bool):
+            raise ValueError(f"scatter object's 'centered' must be a boolean, got {centered!r}")
+        return scatter_summary(scatter, n_raw, centered)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"scatter object needs 'scatter', 'n_raw', 'centered': {exc}") from exc
+
+
+def load_scatter_json(path) -> DataSummary:
+    with open(path, "r", encoding="utf-8") as fh:
+        return _scatter_from_json(json.load(fh))
 
 
 def exam_marks_summary() -> DataSummary:
     """The built-in examination-marks scatter (88 students, 5 subjects)."""
     text = resources.files("homcone").joinpath("data/exam_marks.json").read_text()
-    data = json.loads(text)
-    return scatter_summary(data["scatter"], int(data["n_raw"]), bool(data["centered"]))
+    return _scatter_from_json(json.loads(text))
 
 
 def build_butterfly_models() -> list[Model]:

@@ -42,6 +42,15 @@ def test_aut_explicit_graph(capsys, tmp_path):
     assert "order 2" in out
 
 
+@pytest.mark.parametrize("edge", [[2.9, 3], [True, 3], [1, 2, 3]])
+def test_aut_refuses_edge_that_is_not_an_integer_pair(capsys, tmp_path, edge):
+    path = write_graph(tmp_path, ["a", "b", "c"], [[1, 2], edge])
+    code, out, err = run(capsys, ["aut", "--graph", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "integer" in err
+
+
 def test_aut_missing_file(capsys):
     code, _, err = run(capsys, ["aut", "--graph", "/nonexistent.json"])
     assert code == 2
@@ -150,12 +159,13 @@ def test_select_scatter_indefinite_posterior_scale(capsys, tmp_path):
     assert "positive definite" in err
 
 
-def _scatter_file(tmp_path, edit=lambda s: s, n_raw=88):
+def _scatter_file(tmp_path, edit=lambda s: s, n_raw=88, centered=True):
     """The exam-marks scatter, passed through edit, as a JSON scatter file."""
     scatter = edit(hc.exam_marks_summary().scatter)
     path = tmp_path / "scatter.json"
     # json writes NaN as the bare token NaN, which json.load accepts
-    path.write_text(json.dumps({"scatter": scatter.tolist(), "n_raw": n_raw, "centered": True}))
+    path.write_text(json.dumps(
+        {"scatter": scatter.tolist(), "n_raw": n_raw, "centered": centered}))
     return ["--scatter", str(path)]
 
 
@@ -192,6 +202,11 @@ BAD_DATA = {
     "negated-scatter": lambda t: _scatter_file(t, edit=np.negative),
     "nan-scatter-entry": lambda t: _scatter_file(t, edit=_with_nan),
     "nan-csv-cell": _csv_with_nan_cell,
+    # values that int() and bool() would coerce to n_raw 10, n_raw 1 and
+    # centered True
+    "fractional-n-raw": lambda t: _scatter_file(t, n_raw=10.9),
+    "boolean-n-raw": lambda t: _scatter_file(t, n_raw=True, centered=False),
+    "string-centered": lambda t: _scatter_file(t, centered="false"),
 }
 BAD_PRIOR = {
     "infinite-shape": (["--delta", "inf"], 2),

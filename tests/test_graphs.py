@@ -4,6 +4,7 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 
 import homcone as hc
@@ -178,6 +179,18 @@ def test_graph_build_rejects_bad_edges():
         Graph.build(["a", "b"], [(1, 1)])
     with pytest.raises(ValueError):
         Graph.build(["a", "b"], [(1, 3)])
+
+
+@pytest.mark.parametrize("edge", [(1.7, 2.2), (True, 3), (1, 2, 3), (1,), "12", 3, (None, 2)])
+def test_graph_build_refuses_edge_that_is_not_an_integer_pair(edge):
+    with pytest.raises(ValueError, match=r"edge .* is not a pair of integer vertex indices"):
+        Graph.build("abc", [(1, 2), edge])
+
+
+def test_graph_build_accepts_numpy_integer_indices():
+    g = Graph.build("abc", [(np.int64(3), np.int32(1)), np.array([1, 2])])
+    assert g.edge_list() == [(1, 2), (1, 3)]
+    assert all(type(v) is int for e in g.edges for v in e)
 
 
 def test_graph_edge_normalization():
@@ -644,3 +657,40 @@ def test_homogeneity_matches_brute_force_all_small_graphs():
             edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
             g = Graph.build(labels_by_p[p], edges)
             assert is_homogeneous_graph(g) == brute_force_homogeneous(g), edges
+
+
+def test_homogeneity_matches_brute_force_random_graphs():
+    rng = random.Random(20221016)
+    verdicts = []
+    for _ in range(1500):
+        p = rng.randint(7, 9)
+        density = rng.random()
+        edges = [e for e in itertools.combinations(range(1, p + 1), 2) if rng.random() < density]
+        g = Graph.build([str(i) for i in range(1, p + 1)], edges)
+        verdict = is_homogeneous_graph(g)
+        assert verdict == brute_force_homogeneous(g), edges
+        verdicts.append(verdict)
+    # both answers well represented, so neither side is checked only vacuously
+    assert 200 < sum(verdicts) < 1300
+
+
+def disjoint_union(*graphs):
+    labels, edges, offset = [], [], 0
+    for g in graphs:
+        labels += [f"{offset + i}" for i in range(1, g.vertex_count + 1)]
+        edges += [(i + offset, j + offset) for i, j in g.edges]
+        offset += g.vertex_count
+    return Graph.build(labels, edges)
+
+
+@pytest.mark.parametrize("graph, expected", [
+    (Graph.build(["a"], []), True),
+    (Graph.build("abcde", []), True),
+    (disjoint_union(complete_graph(3), complete_graph(2)), True),
+    (disjoint_union(complete_graph(3), path_graph(3), Graph.build(["a"], [])), True),
+    (disjoint_union(complete_graph(3), path_graph(4)), False),
+    (disjoint_union(path_graph(2), Graph.build("abcd", [(1, 2), (2, 3), (3, 4), (4, 1)])), False),
+    (Graph.build("abcde", [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]), False),
+])
+def test_homogeneity_edge_cases(graph, expected):
+    assert is_homogeneous_graph(graph) == brute_force_homogeneous(graph) == expected

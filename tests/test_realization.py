@@ -71,6 +71,21 @@ def test_rank_one_product_violates_first_axiom():
     assert v.residual > 0.5
 
 
+@pytest.mark.parametrize("missing, axiom, where, detail", [
+    ((3, 2), "V2", (3, 2, 1, 0, 0), "V[3,1]#0 times V[2,1]#0^T leaves V[3,2]"),
+    ((3, 1), "V3", (3, 1, 2, 0, 0), "V[3,2]#0 times V[2,1]#0 leaves V[3,1]"),
+])
+def test_missing_subspace_violates_one_product_axiom(missing, axiom, where, detail):
+    # with V[l,k] = {0} the product of two unit 1x1 blocks lands outside it
+    full = full_sym_structure(3)
+    subs = {key: arr for key, arr in full.subspaces.items() if key != missing}
+    report = validate_vstructure(VStructure([1, 1, 1], subs))
+    assert {a: len(v) for a, v in report.violations.items()} == {
+        "V1": 0, "V2": 0, "V3": 0, axiom: 1}
+    v = report.violations[axiom][0]
+    assert (v.axiom, v.where, v.residual, v.detail) == (axiom, where, 1.0, detail)
+
+
 def test_registry_structures_valid():
     for entry in butterfly_registry():
         report = validate_vstructure(entry.structure)
