@@ -54,7 +54,17 @@ class Graph:
 
     @classmethod
     def build(cls, labels, edges) -> "Graph":
-        labels = tuple(str(s) for s in labels)
+        """Labels are strings (numpy strings accepted; a str is read as its
+        characters), all distinct; edges are pairs of 1-based indices."""
+        distinct = {}  # an ordered set
+        for label in labels:
+            if not isinstance(label, str):
+                raise ValueError(f"vertex label {label!r} is not a string")
+            label = str(label)
+            if label in distinct:
+                raise ValueError(f"vertex label {label!r} is repeated")
+            distinct[label] = None
+        labels = tuple(distinct)
         p = len(labels)
         if p == 0:
             raise ValueError("graph needs at least one vertex")
@@ -84,7 +94,10 @@ class Graph:
 
 def graph_from_dict(data: dict) -> Graph:
     try:
-        return Graph.build(data["labels"], data["edges"])
+        labels = data["labels"]
+        if isinstance(labels, str):
+            raise ValueError(f"graph 'labels' must be a list of strings, got {labels!r}")
+        return Graph.build(labels, data["edges"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"graph object needs 'labels' and 'edges': {exc}") from exc
 

@@ -1,17 +1,19 @@
 """Independent verification engine: Monte Carlo cone integrals and stencils.
 
 The importance sampler estimates integrals of exp(-tr(xy)) det(x)^alpha over
-the primal cone of an invariant space.  For alpha > 0 the proposal is a
-multivariate Student-t in basis coordinates centered at the integrand's
-interior mode with the Laplace-matched scale matrix; the polynomial tails
-dominate the exponentially decaying integrand, which keeps the importance
-weights bounded (a Gaussian proposal is biased low in finite samples here
-because rare huge weights in its thin tails go unsampled).  For alpha = 0
-there is no interior mode, so the component along the identity ray is drawn
-from its exact exponential marginal and the cross-section from a Student-t
-whose width scales with the ray coordinate, matching the linear growth of
-the cone's slices.  Proposals landing outside the cone get weight zero,
-which keeps the estimator unbiased.
+the primal cone of an invariant space.  For every alpha >= 0 the proposal
+is one multivariate Student-t in basis coordinates whose centre and
+covariance are the first two moments of the normalized integrand, read off
+the Newton solution at y: the mean alpha psi(y) - grad log phi(y) and the
+covariance alpha H(y) + hess log phi(y), with H the Hessian of -log delta.
+Matching the moments, not the mode, keeps the proposal on the bulk of the
+integrand when alpha is small, where the density piles up against the
+cone's boundary and has no interior mode at alpha = 0.  The polynomial
+tails dominate the exponentially decaying integrand, which keeps the
+importance weights bounded (a Gaussian proposal is biased low in finite
+samples here because rare huge weights in its thin tails go unsampled).
+Proposals landing outside the cone get weight zero, which keeps the
+estimator unbiased.
 
 Cone membership and the log-determinant come from one symmetric elimination
 (LDL^T without pivoting) run across the sample axis: each of the
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cone
-from .errors import DomainError, ScopeError, StencilError
+from .errors import DomainError, DualMembershipError, ScopeError, StencilError
 from .invariant import InvariantSpace
 
 MC_DIM_LIMIT = 7
@@ -122,13 +124,65 @@ def _log_f_batch(space, coords, y_coords, alpha):
     return np.where(pd, log_f, -np.inf)
 
 
-def _student_t_log_norm(df: float, dim: int, chol: np.ndarray) -> float:
+def _student_t_log_norm(df: float, dim: int, log_det_root: float) -> float:
     return float(
         math.lgamma((df + dim) / 2.0)
         - math.lgamma(df / 2.0)
         - 0.5 * dim * np.log(df * np.pi)
-        - np.sum(np.log(np.diag(chol)))
+        - log_det_root
     )
+
+
+def _proposal_moments(
+    space: InvariantSpace, alpha: float, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and a square root of the covariance, in basis coordinates, of the
+    density proportional to exp(-tr(xy)) det(x)^alpha on the primal cone.
+
+    With log I = const - alpha log delta(y) + log phi(y), the mean is
+    -grad log I = alpha psi(y) - grad log phi(y) and the covariance is
+    hess log I = alpha H(y) + hess log phi(y), H the inverse of the metric.
+    The derivatives of log phi = -1/2 log det M(x) are taken analytically at
+    the Newton solution x = psi(y) = L L^T.  They are formed in the basis
+    D_k that orthonormalizes the congruent images C_a = L^{-1} B_a L^{-T}
+    (C = R^T D by a QR factorization, so M = R^T R), where the metric is the
+    identity and every term is of order one whatever the conditioning of y:
+    with T_ijk = tr(D_i D_j D_k) and Q_ijkl = tr(D_i D_j D_k D_l), log phi
+    has gradient g_k = T_iik in x, x-Hessian 2 T_cab T_dab - (Q_adac +
+    Q_aadc + Q_aacd), and the inverse map x(y) has Jacobian -H and second
+    derivative 2 H T[H., H.].  Then mean = alpha psi(y) + R^{-1} g and
+    covariance = R^{-1} K R^{-T}, with K = alpha I + (x-Hessian) + 2 T g.
+    Returns (mean, R^{-1} chol(K)); raises DualMembershipError when K is not
+    numerically positive definite.
+    """
+    res = cone.psi(space, y)
+    chol_inv = np.linalg.inv(np.linalg.cholesky(res.x_star))
+    congruent = chol_inv @ space.basis @ chol_inv.T
+    q, r = np.linalg.qr(congruent.reshape(space.dim, -1).T)
+    d = q.T.reshape(congruent.shape)
+    pair = d[:, None] @ d[None, :]  # D_i D_j
+    t3 = np.einsum("abij,cji->abc", pair, d)
+    t4 = np.einsum("abij,cdji->abcd", pair, pair)
+    g = np.einsum("aac->c", t3)
+    k = (
+        alpha * np.eye(space.dim)
+        + 2.0 * np.einsum("abc,abd->cd", t3, t3)
+        - np.einsum("adac->cd", t4)
+        - np.einsum("aadc->cd", t4)
+        - np.einsum("aacd->cd", t4)
+        + 2.0 * np.einsum("a,abc->bc", g, t3)
+    )
+    try:
+        chol_k = np.linalg.cholesky(0.5 * (k + k.T))
+    except np.linalg.LinAlgError:
+        chol_k = None
+    if chol_k is None or not np.isfinite(chol_k).all():
+        raise DualMembershipError(
+            "the integrand's moment covariance is not positive definite; "
+            "the point is too close to the boundary of the dual cone"
+        )
+    mean = alpha * res.coords + np.linalg.solve(r, g)
+    return mean, np.linalg.solve(r, chol_k)
 
 
 def mc_cone_integral(
@@ -138,7 +192,16 @@ def mc_cone_integral(
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> McEstimate:
-    """Importance-sampling estimate of the cone integral at a dual point."""
+    """Importance-sampling estimate of the cone integral at a dual point.
+
+    The proposal is one multivariate Student-t with PROPOSAL_DF degrees of
+    freedom whose centre and covariance are the integrand's own mean and
+    covariance (``_proposal_moments``); its scale matrix is that covariance
+    times (df - 2) / df, drawn through a square root that need not be
+    triangular.  Raises what ``cone.psi`` raises at y, and
+    DualMembershipError when the covariance is not numerically positive
+    definite.
+    """
     try:
         samples = operator.index(samples)
     except TypeError:
@@ -163,60 +226,9 @@ def mc_cone_integral(
     y = np.asarray(y, dtype=float)
     y_coords = space.coords(y)
     df = PROPOSAL_DF
-
-    if alpha > 0:
-        res = cone.psi(space, y / alpha)
-        mu = res.coords
-        scale = np.linalg.inv(alpha * res.metric)
-        chol = np.linalg.cholesky(0.5 * (scale + scale.T))
-        log_norm = _student_t_log_norm(df, n_dim, chol)
-
-        def draw_and_weigh(rng, m):
-            z = rng.standard_normal((m, n_dim))
-            u = 2.0 * rng.standard_gamma(df / 2.0, m)
-            factor = np.sqrt(df / u)
-            coords = mu + (z @ chol.T) * factor[:, None]
-            mahal = np.sum(z * z, axis=1) * df / u
-            log_q = log_norm - 0.5 * (df + n_dim) * np.log1p(mahal / df)
-            log_f = _log_f_batch(space, coords, y_coords, alpha)
-            return np.exp(log_f - log_q)
-
-    else:
-        ray = np.eye(space.p) / np.sqrt(space.p)
-        e_hat = space.coords(ray)
-        rate = float(e_hat @ y_coords)
-        if rate <= 0:
-            raise DomainError("dual pairing with the identity ray must be positive")
-        ref = cone.psi(space, 2.0 * y)
-        scale_full = np.linalg.inv(0.5 * ref.metric)
-        s_ref = float(e_hat @ ref.coords)
-        full = np.linalg.qr(np.concatenate([e_hat[:, None], np.eye(n_dim)], axis=1))[0]
-        q_perp = full[:, 1:n_dim]
-        n_perp = n_dim - 1
-        if n_perp:
-            scale_perp = q_perp.T @ scale_full @ q_perp
-            chol_perp = np.linalg.cholesky(0.5 * (scale_perp + scale_perp.T))
-            log_norm_perp = _student_t_log_norm(df, n_perp, chol_perp)
-
-        def draw_and_weigh(rng, m):
-            s = np.maximum(-np.log1p(-rng.random(m)) / rate, 1e-300)
-            coords = s[:, None] * e_hat[None, :]
-            log_q = np.log(rate) - rate * s
-            if n_perp:
-                z = rng.standard_normal((m, n_perp))
-                u = 2.0 * rng.standard_gamma(df / 2.0, m)
-                factor = np.sqrt(df / u)
-                ray_scale = s / s_ref
-                perp = (z @ chol_perp.T) * (factor * ray_scale)[:, None]
-                coords = coords + perp @ q_perp.T
-                mahal = np.sum(z * z, axis=1) * df / u
-                log_q = log_q + (
-                    log_norm_perp
-                    - 0.5 * (df + n_perp) * np.log1p(mahal / df)
-                    - n_perp * np.log(ray_scale)
-                )
-            log_f = _log_f_batch(space, coords, y_coords, 0.0)
-            return np.exp(log_f - log_q)
+    mu, cov_root = _proposal_moments(space, alpha, y)
+    root = cov_root * math.sqrt((df - 2.0) / df)  # a square root of the t scale
+    log_norm = _student_t_log_norm(df, n_dim, np.linalg.slogdet(root)[1])
 
     master = np.random.SeedSequence(seed)
     n_chunks = (samples + CHUNK - 1) // CHUNK
@@ -227,7 +239,12 @@ def mc_cone_integral(
     for child in children:
         m = min(CHUNK, samples - done)
         rng = np.random.Generator(np.random.PCG64(child))
-        w = draw_and_weigh(rng, m)
+        z = rng.standard_normal((m, n_dim))
+        u = 2.0 * rng.standard_gamma(df / 2.0, m)
+        coords = mu + (z @ root.T) * np.sqrt(df / u)[:, None]
+        mahal = np.sum(z * z, axis=1) * df / u
+        log_q = log_norm - 0.5 * (df + n_dim) * np.log1p(mahal / df)
+        w = np.exp(_log_f_batch(space, coords, y_coords, alpha) - log_q)
         sum_w += float(np.sum(w))
         sum_w2 += float(np.sum(w * w))
         done += m

@@ -175,7 +175,8 @@ def check_mc(samples: int = MC_SAMPLES, seed: int = DEFAULT_SEED) -> list[CheckR
         z = abs(est.value - claim) / est.std_error if est.std_error > 0 else math.inf
         detail = (
             f"claim {claim:.6g} vs estimate {est.value:.6g} "
-            f"+- {est.std_error:.2g} (z = {z:.2f})"
+            f"+- {est.std_error:.2g} (z = {z:.2f}), "
+            f"ESS {100.0 * est.effective_samples / est.samples:.1f} %"
         )
         if est.warning:
             detail += f"; {est.warning}"

@@ -51,6 +51,17 @@ def test_aut_refuses_edge_that_is_not_an_integer_pair(capsys, tmp_path, edge):
     assert err.startswith("error: ") and "integer" in err
 
 
+@pytest.mark.parametrize("labels, shown", [
+    ("abcde", "'abcde'"), ([["x"], "b"], "['x']"), (["a", "a", "b"], "'a'"),
+])
+def test_aut_refuses_bad_labels(capsys, tmp_path, labels, shown):
+    path = write_graph(tmp_path, labels, [])
+    code, out, err = run(capsys, ["aut", "--graph", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and shown in err
+
+
 def test_aut_missing_file(capsys):
     code, _, err = run(capsys, ["aut", "--graph", "/nonexistent.json"])
     assert code == 2

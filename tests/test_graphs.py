@@ -23,6 +23,7 @@ from homcone.graphs import (
     _minimal_generators,
     automorphism_group,
     enumerate_subgroups,
+    graph_from_dict,
     is_homogeneous_graph,
     load_graph,
 )
@@ -191,6 +192,35 @@ def test_graph_build_accepts_numpy_integer_indices():
     g = Graph.build("abc", [(np.int64(3), np.int32(1)), np.array([1, 2])])
     assert g.edge_list() == [(1, 2), (1, 3)]
     assert all(type(v) is int for e in g.edges for v in e)
+
+
+@pytest.mark.parametrize("labels, shown", [
+    ([["x"], "b"], r"\['x'\]"), ([1, 2], "1"), (["a", None], "None"), ([b"a", "b"], "b'a'"),
+])
+def test_graph_build_refuses_label_that_is_not_a_string(labels, shown):
+    with pytest.raises(ValueError, match=rf"vertex label {shown} is not a string"):
+        Graph.build(labels, [])
+
+
+@pytest.mark.parametrize("labels", [["a", "b", "a"], ["a", np.str_("a")], "aba"])
+def test_graph_build_refuses_repeated_label(labels):
+    with pytest.raises(ValueError, match="vertex label 'a' is repeated"):
+        Graph.build(labels, [])
+
+
+def test_graph_build_accepts_numpy_string_labels():
+    g = Graph.build(np.array(["x", "y"]), [(1, 2)])
+    assert g.labels == ("x", "y")
+    assert all(type(s) is str for s in g.labels)
+
+
+def test_graph_build_reads_a_str_as_its_characters():
+    assert Graph.build("abcd", [(1, 2)]).labels == ("a", "b", "c", "d")
+
+
+def test_graph_from_dict_refuses_string_labels():
+    with pytest.raises(ValueError, match="'labels' must be a list of strings, got 'abcde'"):
+        graph_from_dict({"labels": "abcde", "edges": []})
 
 
 def test_graph_edge_normalization():

@@ -10,7 +10,9 @@ from scipy.special import gammaln
 
 import homcone as hc
 from homcone import cone, oracle, verify
-from homcone.errors import DomainError, ScopeError, StencilError
+from homcone.errors import (
+    DomainError, DualMembershipError, HomconeError, ScopeError, StencilError,
+)
 from homcone.graphs import Graph, Permutation, PermutationGroup
 from homcone.invariant import build_invariant_space
 from homcone.oracle import (
@@ -19,6 +21,7 @@ from homcone.oracle import (
     mc_cone_integral,
     _estimate_from_sums,
     _pivot_logdet,
+    _proposal_moments,
 )
 from homcone.realization import full_sym_structure, log_gamma_v, ray_structure
 
@@ -138,6 +141,121 @@ def test_low_ess_warning_record():
 def test_healthy_ess_no_warning():
     est = _estimate_from_sums(sum_w=1000.0, sum_w2=1100.0, n=1000, seed=0)
     assert est.warning is None
+
+
+# ---------------------------------------------------------------------------
+# the proposal: the integrand's own mean and covariance
+
+
+def _moments(space, alpha, y):
+    mean, root = _proposal_moments(space, alpha, y)
+    return mean, root @ root.T
+
+
+def _assert_wishart_moments(space, alpha, y):
+    # on the full cone the normalized integrand is a Wishart density: its
+    # mean is k y^{-1} and its covariance k H(y), k = alpha + (p + 1) / 2
+    k = alpha + (space.p + 1) / 2.0
+    mean, cov = _moments(space, alpha, y)
+    want_mean = k * space.coords(np.linalg.inv(y))
+    want_cov = k * cone.hessian_matrix(space, y)
+    assert np.max(np.abs(mean - want_mean)) <= 1e-4 * np.max(np.abs(want_mean))
+    assert np.max(np.abs(cov - want_cov)) <= 1e-4 * np.max(np.abs(want_cov))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_proposal_moments_are_wishart_moments_on_full_cone(p, alpha):
+    rng = np.random.default_rng(1700 + p)
+    space = full_sym_space(p)
+    for _ in range(3):
+        a = rng.standard_normal((p, p))
+        _assert_wishart_moments(space, alpha, a @ a.T + 0.2 * np.eye(p))
+
+
+def test_proposal_moments_ill_conditioned_full_cone_point():
+    # condition 1e3: the moments stay exact and the estimator accepts the point
+    space = full_sym_space(3)
+    y = _rotated(np.random.default_rng(1710), np.array([[1.0, 10 ** 1.5, 1e3]]))[0]
+    assert np.linalg.cond(y) == pytest.approx(1e3)
+    for alpha in (0.0, 0.5, 3.0):
+        _assert_wishart_moments(space, alpha, y)
+    alpha = 0.5
+    claim = math.exp(log_gamma_v(full_sym_structure(3), alpha)
+                     - (alpha + 2.0) * np.linalg.slogdet(y)[1])
+    est = mc_cone_integral(space, alpha, y, samples=50_000, seed=1711)
+    assert abs(est.value - claim) <= 4.0 * est.std_error
+    # congruence maps the identity to y and the proposal along with the
+    # integrand, so the ESS is the identity's, about 12-15 % here
+    assert est.effective_samples >= 0.1 * est.samples
+
+
+def test_proposal_moments_match_finite_differences_of_log_phi():
+    # mean alpha psi - grad log phi and covariance alpha H + hess log phi,
+    # with the log phi derivatives by central differences of cone.log_phi
+    for _, space, _, y, alpha in verify.mc_reference_cases():
+        res = cone.psi(space, y)
+
+        def f(point):
+            return cone.log_phi(space, point)
+
+        mean, cov = _moments(space, alpha, y)
+        want_mean = alpha * res.coords - finite_diff_gradient(f, space, y, step=1e-5)
+        want_cov = (alpha * cone.hessian_matrix(space, y)
+                    + finite_diff_hessian(f, space, y, step=1e-3))
+        assert np.max(np.abs(mean - want_mean)) <= 1e-6 * np.max(np.abs(want_mean))
+        assert np.max(np.abs(cov - want_cov)) <= 1e-4 * np.max(np.abs(want_cov))
+
+
+def test_proposal_moments_refuse_no_point_the_newton_solve_accepts(models_by_id):
+    # rotated spectra up to condition 1e6 on spaces within the Monte Carlo limit
+    spaces = [full_sym_space(2), full_sym_space(3), models_by_id["G7"].space]
+    rng = np.random.default_rng(1720)
+    accepted = 0
+    for space in spaces:
+        for k in range(7):
+            for _ in range(6):
+                eigs = 10.0 ** rng.uniform(0.0, k, space.p)
+                eigs[:2] = 1.0, 10.0 ** k
+                y = space.project(_rotated(rng, eigs[None])[0])
+                try:
+                    cone.psi(space, y)
+                except HomconeError:
+                    continue
+                _proposal_moments(space, 0.0, y)
+                accepted += 1
+    assert accepted >= 100
+
+
+def test_proposal_moments_raise_on_covariance_not_positive_definite():
+    # alpha below -(p + 1) / 2 makes the full-cone "covariance" k H negative
+    with pytest.raises(DualMembershipError, match="not positive definite"):
+        _proposal_moments(full_sym_space(2), -5.0, np.eye(2))
+
+
+CASE_ESS_FLOORS = {"full sym p=2": 0.30, "ray p=3": 0.60, "hub-symmetric space": 0.15}
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_ess_floor_at_each_case_exponent(case):
+    name, space, _, y, alpha = verify.mc_reference_cases()[case]
+    est = mc_cone_integral(space, alpha, y, samples=200_000, seed=oracle.DEFAULT_SEED)
+    assert est.effective_samples >= CASE_ESS_FLOORS[name] * est.samples
+
+
+def test_mc_calibration_over_seeds():
+    # z-scores against the factorization identity over 40 seeds per case,
+    # at each case's exponent and at 0: centred, with unit spread
+    for name, space, realization, y, case_alpha in verify.mc_reference_cases():
+        for alpha in (case_alpha, 0.0):
+            ld, lp = realization.log_delta_phi(y)
+            claim = math.exp(realization.log_gamma(alpha) + lp - alpha * ld)
+            z = []
+            for seed in range(1730, 1770):
+                est = mc_cone_integral(space, alpha, y, samples=50_000, seed=seed)
+                z.append((est.value - claim) / est.std_error)
+            assert abs(np.mean(z)) <= 0.5, (name, alpha, np.mean(z))
+            assert 0.7 <= np.std(z, ddof=1) <= 1.4, (name, alpha, np.std(z, ddof=1))
 
 
 # ---------------------------------------------------------------------------
