@@ -51,6 +51,7 @@ from .realization import (
     full_sym_structure,
     log_gamma_v,
     ray_structure,
+    realize,
     validate_vstructure,
 )
 from .butterfly import (
@@ -64,6 +65,7 @@ from .selection import (
     Model,
     SelectionReport,
     build_butterfly_models,
+    build_models,
     exam_marks_summary,
     fit_concentration,
     fit_concentration_mle,

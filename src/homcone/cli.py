@@ -6,8 +6,8 @@ symmetry models, print fitted concentration tables, evaluate the cone
 functionals at a point, and run the built-in verification suites.
 
 Exit codes: 0 success, 2 input error, 3 model-precondition error,
-4 capability error (no realization data for the graph), 5 verification
-failure.
+4 capability error (no block realization could be derived for a model),
+5 verification failure.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .graphs import (
 from .selection import (
     Hyperparams,
     build_butterfly_models,
+    build_models,
     exam_marks_summary,
     fit_concentration,
     fit_concentration_mle,
@@ -108,20 +109,28 @@ def _resolve_scale(args, p):
     return np.diag(np.full(p, args.d_scale))  # not d * eye: inf * 0 is NaN
 
 
+def _automorphism_group(graph):
+    """Aut(graph), refused past the subgroup enumeration limit before its
+    |Aut|^2 multiplication table is built."""
+    elements = automorphisms(graph)
+    check_subgroup_order(len(elements))
+    return group_of_elements(graph.vertex_count, elements)
+
+
 def _resolve_models(args):
+    """The built-in G1..G7 models, or with --graph one model per distinct
+    space of the subgroups of Aut(graph), labelled H1..Hn in
+    enumerate_subgroups order."""
     graph = _resolve_graph(args)
     if not is_homogeneous_graph(graph):
         raise HomogeneityError(
             "model selection needs a homogeneous graph "
             "(chordal with no induced 4-vertex path)"
         )
-    builtin = butterfly_graph()
-    if graph.edges != builtin.edges or graph.vertex_count != builtin.vertex_count:
-        raise CapabilityError(
-            "no block-realization registry for this graph; "
-            "the gamma factor of the normalizing constant is unavailable"
-        )
-    return graph, build_butterfly_models()
+    if not args.graph:
+        return graph, build_butterfly_models()
+    subgroups = enumerate_subgroups(_automorphism_group(graph))
+    return graph, build_models(graph, {f"H{i}": h for i, h in enumerate(subgroups, start=1)})
 
 
 def _dump_json(obj) -> str:
@@ -137,12 +146,7 @@ def cmd_aut(args) -> int:
 
 
 def cmd_subgroups(args) -> int:
-    graph = _resolve_graph(args)
-    # refuse a group past the enumeration limit before its |Aut|^2
-    # multiplication table is built
-    elements = automorphisms(graph)
-    check_subgroup_order(len(elements))
-    group = group_of_elements(graph.vertex_count, elements)
+    group = _automorphism_group(_resolve_graph(args))
     subs = enumerate_subgroups(group)
     print(f"{len(subs)} subgroups of the automorphism group (order {group.order})")
     for i, h in enumerate(subs, start=1):
@@ -164,7 +168,7 @@ def cmd_select(args) -> int:
 
 
 def _format_fit_table(k, labels) -> str:
-    width = max(len(s) for s in labels) + 2
+    width = max(8, *(len(s) + 2 for s in labels))  # room for -123.45 under short labels
     header = " " * width + "".join(f"{s:>{width}}" for s in labels)
     lines = [header]
     for i, row_label in enumerate(labels):

@@ -56,7 +56,7 @@ class ConjugationError(HomconeError):
 
 
 class CapabilityError(HomconeError):
-    """A computation needs block-realization data that is not available."""
+    """No block realization could be derived for an invariant space."""
 
 
 class HomogeneityError(HomconeError):

@@ -19,7 +19,10 @@ act simply transitively on the realized cone by congruence, which gives:
 An invariant space is hooked up to a realization by an orthogonal
 conjugation (conjugate_space), which is an isometry for the trace inner
 product, so all functionals computed in realized coordinates agree with
-their definitions on the original space.  Projection, conjugation,
+their definitions on the original space.  ``realize`` derives the
+conjugation and the block structure of any invariant space of a
+homogeneous graph from the eigenspaces of one generic element, and
+returns them only once both checks pass.  Projection, conjugation,
 coordinates and the block-form membership residual are then all linear in
 the point, so the resulting Realization composes them into fixed matrices,
 built on first use: ``point_map`` takes vec(y) of a point of the space to
@@ -31,6 +34,7 @@ Scoring a model is one matrix-vector product and the float factorization.
 from __future__ import annotations
 
 import math
+import random
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,6 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    CapabilityError,
     ConjugationError,
     DomainError,
     DualMembershipError,
@@ -52,6 +57,12 @@ BASIS_GRAM_TOL = 1e-10
 # a pivot at or below this multiple of its block's diagonal coefficient is
 # rounding noise left by cancellation: the point is on or past the boundary
 PIVOT_RTOL = 16.0 * sys.float_info.epsilon
+# realize: the seed of the generic element's coordinates, the relative gap
+# below which two of its eigenvalues on an orbit are one, and the singular
+# value at or below which a V[l,k] spanning direction is rounding
+REALIZE_SEED = 20240601
+EIGEN_GAP_RTOL = 1e-8
+RANK_TOL = 1e-10
 
 
 class FactorPlan(NamedTuple):
@@ -221,16 +232,6 @@ class VStructure(OrthonormalSpan):
             for k in range(1, self.r + 1)
         )
 
-    # -- serialization -----------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VStructure":
-        subs = {}
-        for key, mats in data.get("subspaces", {}).items():
-            l, k = (int(tok) for tok in key.split(","))
-            subs[(l, k)] = np.asarray(mats, dtype=float)
-        return cls(data["block_sizes"], subs)
-
 
 def full_sym_structure(p: int) -> VStructure:
     """Canonical realization of the full symmetric cone: p scalar blocks."""
@@ -333,12 +334,6 @@ class TriangularElement:
         for (l, k), b in self.blocks:
             t[v.block_slice(l), v.block_slice(k)] = b
         return t
-
-
-def rho_star_identity(t_elem: TriangularElement) -> np.ndarray:
-    """Image of the identity under the adjoint action: projection of T^T T."""
-    t = t_elem.matrix()
-    return t_elem.structure.project(t.T @ t)
 
 
 def _factor_coords(
@@ -520,3 +515,65 @@ def conjugate_space(
             f"dimension mismatch: space has {space.dim}, block form has {structure.dim}"
         )
     return Realization(u=u, structure=structure, space_flat=space.flat)
+
+
+# ---------------------------------------------------------------------------
+# deriving a realization from the space
+
+
+def realize(space: InvariantSpace) -> Realization:
+    """A checked block realization of the space, derived from one generic element.
+
+    The element's coordinates come from ``random.Random(REALIZE_SEED)``.
+    Each vertex orbit O contributes the eigenspaces of x[O,O] as blocks,
+    eigenvalues closer than EIGEN_GAP_RTOL times the largest magnitude on
+    O being one.  Blocks are ordered by their orbit's closed neighbourhood
+    size |N[v]|, ascending, so the largest neighbourhood comes last; on a
+    homogeneous graph the neighbourhoods along every edge are nested, which
+    puts each vertex's later neighbours in one clique.  V[l,k] is the row
+    space of the (l,k) blocks of u^T B_a u over the space's basis, by SVD,
+    dropping singular values at or below RANK_TOL (the B_a have unit norm).
+    The structure must pass validate_vstructure and conjugate_space, else
+    CapabilityError naming the group's generators.
+    """
+    rng = random.Random(REALIZE_SEED)
+    return _realize_at(space, [rng.gauss(0.0, 1.0) for _ in range(space.dim)])
+
+
+def _realize_at(space: InvariantSpace, coords) -> Realization:
+    """``realize`` with the generic element given by its coordinates."""
+    x = space.from_coords(coords)
+    nbhd = [len(space.graph.neighbors(v)) + 1 for v in range(1, space.p + 1)]
+    orbits = sorted(([i - 1 for i, _ in orb] for orb in space.orbits if orb[0][0] == orb[0][1]),
+                    key=lambda orbit: nbhd[orbit[0]])
+    columns = []
+    for orbit in orbits:
+        values, vectors = np.linalg.eigh(x[np.ix_(orbit, orbit)])
+        gap = EIGEN_GAP_RTOL * np.max(np.abs(values))
+        cuts = [0, *(i for i in range(1, len(values)) if values[i] - values[i - 1] > gap),
+                len(values)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            col = np.zeros((space.p, hi - lo))
+            col[orbit] = vectors[:, lo:hi]
+            columns.append(col)
+    u = np.hstack(columns)
+    sizes = [c.shape[1] for c in columns]
+    start = np.cumsum([0, *sizes])
+    conj = u.T @ space.basis @ u
+    subspaces = {}
+    for k, l in combinations(range(1, len(sizes) + 1), 2):
+        blocks = conj[:, start[l - 1]:start[l], start[k - 1]:start[k]]
+        _, s, vt = np.linalg.svd(blocks.reshape(space.dim, -1), full_matrices=False)
+        rank = int(np.sum(s > RANK_TOL))
+        if rank:
+            subspaces[(l, k)] = vt[:rank].reshape(rank, *blocks.shape[1:])
+    structure = VStructure(sizes, subspaces)
+    gens = ", ".join(g.cycle_string() for g in space.group.generators) or "e"
+    if not validate_vstructure(structure).passed:
+        raise CapabilityError(f"no block realization for the group generated by {gens}: "
+                              f"the derived blocks {sizes} break the axioms")
+    try:
+        return conjugate_space(space, u, structure)
+    except ConjugationError as exc:
+        raise CapabilityError(f"no block realization for the group generated by "
+                              f"{gens}: {exc}") from None

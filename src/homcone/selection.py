@@ -7,6 +7,10 @@ square-root-Hessian functional at the projected point D/2 times a power of
 the determinant functional there.  Posterior probabilities over a family of
 models on the same graph are ratios of such constants with the data scatter
 folded into the scale and the effective sample size added to the shape.
+A model is an invariant space with its labels; the block realization that
+scoring needs is derived from the space on first use (``realize``) and kept
+with the model, so models that are only built and deduplicated cost no
+realization.
 
 Everything is carried in log space and normalized by log-sum-exp; at the
 sample sizes of interest the plain values overflow doubles.
@@ -17,22 +21,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
 
 from . import cone
-from .butterfly import registry_spaces
-from .errors import (
-    CapabilityError,
-    DomainError,
-    IntegrabilityError,
-    ShapeError,
-    UsageError,
-)
-from .invariant import InvariantSpace, same_space
-from .realization import Realization, conjugate_space
+from .butterfly import butterfly_graph, butterfly_subgroups
+from .errors import DomainError, IntegrabilityError, ShapeError, UsageError
+from .graphs import Graph
+from .invariant import InvariantSpace, build_invariant_space, same_space
+from .realization import Realization, realize
 
 SYMMETRY_RTOL = 1e-9
 PSD_RTOL = 1e-9
@@ -92,15 +92,19 @@ class DataSummary:
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """A candidate symmetry model: invariant space plus optional realization."""
+    """A candidate symmetry model: an invariant space and its labels."""
 
     label: str
     space: InvariantSpace
-    realization: Realization | None = None
     merged_labels: tuple[str, ...] = ()
 
     def all_labels(self) -> tuple[str, ...]:
         return self.merged_labels if self.merged_labels else (self.label,)
+
+    @cached_property
+    def realization(self) -> Realization:
+        """The space's block realization, derived on first use."""
+        return realize(self.space)
 
 
 @dataclass
@@ -197,19 +201,25 @@ def exam_marks_summary() -> DataSummary:
     return _scatter_from_json(json.loads(text))
 
 
-def build_butterfly_models() -> list[Model]:
-    """The seven distinct models of the built-in benchmark, one per class of
-    named subgroups sharing an invariant space, each with the realization of
-    its registry entry."""
-    return [
-        Model(
-            label=entry.model_id,
-            space=space,
-            realization=conjugate_space(space, entry.u, entry.structure),
-            merged_labels=merged,
-        )
-        for entry, space, merged in registry_spaces()
-    ]
+def build_models(graph: Graph, groups) -> list[Model]:
+    """One model per distinct invariant space of the named subgroups.
+
+    ``groups`` maps names to subgroups of the graph's automorphisms, in
+    order.  Subgroups whose spaces have equal orbit partitions share a
+    model, labelled by the first of their names and merging all of them.
+    """
+    classes: dict[tuple, tuple[InvariantSpace, list[str]]] = {}
+    for name, group in groups.items():
+        space = build_invariant_space(graph, group)
+        classes.setdefault(space.orbits, (space, []))[1].append(name)
+    return [Model(names[0], space, tuple(names)) for space, names in classes.values()]
+
+
+@lru_cache(maxsize=1)
+def build_butterfly_models() -> tuple[Model, ...]:
+    """The seven distinct models of the built-in benchmark, G1..G7, built
+    once per process; each derives its realization on first use."""
+    return tuple(build_models(butterfly_graph(), butterfly_subgroups()))
 
 
 class LogITerms(NamedTuple):
@@ -237,11 +247,6 @@ def log_I_terms(model: Model, hyper: Hyperparams) -> LogITerms:
     ``hyper`` is taken as already validated; a scale of the wrong size
     raises ShapeError.
     """
-    if model.realization is None:
-        raise CapabilityError(
-            f"model {model.label} has no block realization; "
-            "the gamma factor cannot be computed"
-        )
     alpha = (hyper.delta - 2.0) / 2.0
     ld, lp = model.realization.log_delta_phi_at_scale(hyper.scale)
     return LogITerms(alpha, model.realization.log_gamma(alpha), ld, lp)
@@ -264,13 +269,7 @@ def dedupe_models(models) -> list[Model]:
                 labels = existing.all_labels() + tuple(
                     l for l in m.all_labels() if l not in existing.all_labels()
                 )
-                merged = Model(
-                    label=existing.label,
-                    space=existing.space,
-                    realization=existing.realization or m.realization,
-                    merged_labels=labels,
-                )
-                kept[i] = merged
+                kept[i] = Model(existing.label, existing.space, labels)
                 break
         else:
             kept.append(m)

@@ -1,11 +1,11 @@
 """Self-check suites wired to the command line: cross-path consistency checks.
 
-The fast level re-derives everything that has two independent computation
-routes: registry conjugations and axioms, the triangular-factorization
-functionals against the generic Newton-based ones, and the gamma integral
-against the classical full-cone value.  The mc level checks the
-factorization identity for the normalizing integral against Monte Carlo on
-the low-dimensional cones.
+The fast level re-checks everything that has two independent computation
+routes: the axioms and conjugation of each benchmark model's derived
+realization, the triangular-factorization functionals against the generic
+Newton-based ones, and the gamma integral against the classical full-cone
+value.  The mc level checks the factorization identity for the normalizing
+integral against Monte Carlo on the low-dimensional cones.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cone
-from .butterfly import registry_spaces
 from .errors import HomconeError
 from .graphs import Graph, Permutation, PermutationGroup
 from .invariant import build_invariant_space
@@ -28,6 +27,7 @@ from .realization import (
     ray_structure,
     validate_vstructure,
 )
+from .selection import build_butterfly_models
 
 CROSS_PATH_RTOL = 1e-8
 SIEGEL_TOL = 1e-10
@@ -47,33 +47,30 @@ def random_dual_point(space, rng, scale=1.0):
     return scale * space.project(d)
 
 
-def check_registry(triples):
-    """Axioms and conjugation validity of every (entry, space, merged labels)
-    triple of ``registry_spaces``.
+def check_registry(models):
+    """Axioms and conjugation validity of each model's realization, checked
+    again on every call.
 
-    Returns the results and, per entry, (model id, space, outcome): the
+    Returns the results and, per model, (label, space, outcome): the
     realization its conjugation returned, or the error it raised.
     """
     results = []
     conjugated = []
-    for entry, space, _ in triples:
-        report = validate_vstructure(entry.structure)
+    for m in models:
+        real = m.realization
+        report = validate_vstructure(real.structure)
         if not report.passed:
             bad = [v.detail for vs in report.violations.values() for v in vs]
-            results.append(
-                CheckResult(f"axioms {entry.model_id}", False, "; ".join(bad))
-            )
+            results.append(CheckResult(f"axioms {m.label}", False, "; ".join(bad)))
         else:
-            results.append(CheckResult(f"axioms {entry.model_id}", True, "V1 V2 V3 hold"))
+            results.append(CheckResult(f"axioms {m.label}", True, "V1 V2 V3 hold"))
         try:
-            outcome = conjugate_space(space, entry.u, entry.structure)
-            results.append(
-                CheckResult(f"conjugation {entry.model_id}", True, "block form matched")
-            )
+            outcome = conjugate_space(m.space, real.u, real.structure)
+            results.append(CheckResult(f"conjugation {m.label}", True, "block form matched"))
         except HomconeError as exc:
             outcome = exc
-            results.append(CheckResult(f"conjugation {entry.model_id}", False, str(exc)))
-        conjugated.append((entry.model_id, space, outcome))
+            results.append(CheckResult(f"conjugation {m.label}", False, str(exc)))
+        conjugated.append((m.label, m.space, outcome))
     return results, conjugated
 
 
@@ -158,9 +155,8 @@ def mc_reference_cases():
     real_ray = conjugate_space(z_ray, np.eye(3), ray_structure(3))
     cases.append(("ray p=3", z_ray, real_ray, 1.3 * np.eye(3), 1.0))
 
-    entry7, space7, _ = next(t for t in registry_spaces() if t[0].model_id == "G7")
-    real7 = conjugate_space(space7, entry7.u, entry7.structure)
-    cases.append(("hub-symmetric space", space7, real7, 0.5 * np.eye(5), 0.5))
+    m7 = next(m for m in build_butterfly_models() if m.label == "G7")
+    cases.append(("hub-symmetric space", m7.space, m7.realization, 0.5 * np.eye(5), 0.5))
 
     return cases
 
@@ -192,10 +188,12 @@ def run_verification(level: str, samples: int | None = None,
         if samples is not None or seed is not None:
             raise ValueError("samples and seed apply to the mc level only")
         try:
-            triples = registry_spaces()
+            models = build_butterfly_models()
+            for m in models:
+                m.realization  # derived once per process; a failure fails the load
         except (HomconeError, ValueError, OSError, KeyError) as exc:
             return [CheckResult("registry load", False, str(exc))] + check_siegel()
-        results, conjugated = check_registry(triples)
+        results, conjugated = check_registry(models)
         return results + check_cross_path(conjugated) + check_siegel()
     if level == "mc":
         return check_mc(samples=MC_SAMPLES if samples is None else samples,

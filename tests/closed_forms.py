@@ -2,11 +2,24 @@
 
 The gamma forms are functions of the integrand exponent; the phi and delta
 forms read the free entries of a dual point in its original coordinates.
-They are used as golden oracles against both computation paths.
+They are used as golden oracles against both computation paths.  So are
+the seven hand-written block realizations in data/butterfly_realizations.json
+(an orthogonal u and a block structure per benchmark class, with exact
+symbolic entries), which the package derives instead, and
+``rho_star_identity``, the adjoint action of a triangular element on the
+identity by plain matrix products.
 """
+
+import json
+import math
+from functools import lru_cache
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
+
+from homcone.realization import VStructure
 
 LOG_2PI = np.log(2.0 * np.pi)
 LOG_2 = np.log(2.0)
@@ -114,3 +127,50 @@ PHI_LOG = {
     "G6": log_phi_g6,
     "G7": log_phi_g7,
 }
+
+
+# ---------------------------------------------------------------------------
+# the hand-written realizations of the seven benchmark classes
+
+SYMBOLS = {
+    "0": 0.0,
+    "1": 1.0,
+    "-1": -1.0,
+    "1/sqrt2": 1.0 / math.sqrt(2.0),
+    "-1/sqrt2": -1.0 / math.sqrt(2.0),
+}
+
+
+class GoldenRealization(NamedTuple):
+    model_id: str
+    u: np.ndarray
+    structure: VStructure
+
+
+def _matrix(rows) -> np.ndarray:
+    return np.array([[SYMBOLS[tok] for tok in row] for row in rows])
+
+
+@lru_cache(maxsize=1)
+def golden_realizations() -> tuple[GoldenRealization, ...]:
+    """The stored realizations of G1..G7, in class order."""
+    path = Path(__file__).parent / "data" / "butterfly_realizations.json"
+    out = []
+    for raw in json.loads(path.read_text())["entries"]:
+        subs = {
+            tuple(int(tok) for tok in key.split(",")): np.array([_matrix(m) for m in mats])
+            for key, mats in raw["subspaces"].items()
+        }
+        out.append(GoldenRealization(raw["id"], _matrix(raw["u"]),
+                                     VStructure(raw["block_sizes"], subs)))
+    return tuple(out)
+
+
+def golden_by_id() -> dict[str, GoldenRealization]:
+    return {g.model_id: g for g in golden_realizations()}
+
+
+def rho_star_identity(t_elem) -> np.ndarray:
+    """Image of the identity under the adjoint action: projection of T^T T."""
+    t = t_elem.matrix()
+    return t_elem.structure.project(t.T @ t)

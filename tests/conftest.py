@@ -7,6 +7,7 @@ import pytest
 
 import homcone as hc
 from homcone import butterfly as butterfly_module
+from homcone import selection as selection_module
 
 
 @pytest.fixture(scope="session")
@@ -50,22 +51,27 @@ def dual_point():
     return make
 
 
+def _clear_registry_caches():
+    butterfly_module.butterfly_registry.cache_clear()
+    selection_module.build_butterfly_models.cache_clear()
+
+
 @pytest.fixture
 def serve_registry(monkeypatch, tmp_path):
-    """Serve the registry package data from a copy under tmp_path.
+    """Serve the benchmark package data from a copy under tmp_path.
 
-    Yields (shipped, serve): the shipped registry, parsed, and a function
-    that replaces the served JSON text and clears the parse cache.
+    Yields (shipped, serve): the shipped data, parsed, and a function that
+    replaces the served JSON text and clears the parse and model caches.
     """
-    shipped = butterfly_module._default_data()
+    shipped = butterfly_module.butterfly_registry()
     (tmp_path / "data").mkdir()
     path = tmp_path / "data" / "butterfly_registry.json"
 
     def serve(text):
         path.write_text(text)
-        butterfly_module._default_data.cache_clear()
+        _clear_registry_caches()
 
     monkeypatch.setattr(butterfly_module, "resources", SimpleNamespace(files=lambda _: tmp_path))
     serve(json.dumps(shipped))
     yield copy.deepcopy(shipped), serve
-    butterfly_module._default_data.cache_clear()
+    _clear_registry_caches()

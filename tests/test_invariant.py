@@ -16,6 +16,8 @@ from homcone.graphs import (
 from homcone.invariant import build_invariant_space, project, same_space
 from homcone.realization import full_sym_structure
 
+from closed_forms import golden_by_id
+
 
 def element_orbits_and_basis(g, group):
     """Cell orbits from every group element, and the orthonormal basis built
@@ -84,9 +86,10 @@ def orbit_average_projection(space, y):
 @pytest.fixture(scope="module")
 def spans(spaces):
     """Every kind of orthonormal span: the ten butterfly invariant spaces, the
-    full symmetric block form on 3 vertices and two registry block forms."""
-    registry = {e.model_id: e.structure for e in hc.butterfly_registry()}
-    return [*spaces.values(), full_sym_structure(3), registry["G3"], registry["G7"]]
+    full symmetric block form on 3 vertices and two golden block forms."""
+    golden = golden_by_id()
+    return [*spaces.values(), full_sym_structure(3), golden["G3"].structure,
+            golden["G7"].structure]
 
 
 EXPECTED_DIMS = {

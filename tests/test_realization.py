@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from closed_forms import PHI_LOG, log_delta_g1
+from closed_forms import (
+    PHI_LOG,
+    golden_by_id,
+    golden_realizations,
+    log_delta_g1,
+    rho_star_identity,
+)
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 
 from homcone import cone
-from homcone.butterfly import butterfly_registry
 from homcone.errors import (
     ConjugationError,
     ConvergenceError,
@@ -26,15 +31,10 @@ from homcone.realization import (
     full_sym_structure,
     log_gamma_v,
     ray_structure,
-    rho_star_identity,
     validate_vstructure,
 )
 from homcone.selection import Hyperparams, log_I_terms
 from homcone.verify import CROSS_PATH_RTOL
-
-
-def registry_by_id():
-    return {e.model_id: e for e in butterfly_registry()}
 
 
 def rho_matrix(structure, t_mat):
@@ -87,7 +87,7 @@ def test_missing_subspace_violates_one_product_axiom(missing, axiom, where, deta
 
 
 def test_registry_structures_valid():
-    for entry in butterfly_registry():
+    for entry in golden_realizations():
         report = validate_vstructure(entry.structure)
         assert report.passed, entry.model_id
 
@@ -129,7 +129,7 @@ def test_gamma_rejects_negative_exponent():
 # triangular factorization
 
 def test_factor_identity():
-    s = registry_by_id()["G7"].structure
+    s = golden_by_id()["G7"].structure
     t = factor_T(s, np.eye(5))
     assert np.allclose(t.matrix(), np.eye(5), atol=1e-14)
 
@@ -146,7 +146,7 @@ def test_factor_full_sym2_by_hand():
 
 def test_factor_reproduces_dual_point(dual_point):
     rng = np.random.default_rng(21)
-    for entry in butterfly_registry():
+    for entry in golden_realizations():
         s = entry.structure
         for _ in range(5):
             a = rng.standard_normal((5, 5))
@@ -183,7 +183,7 @@ def test_factor_rejects_points_on_the_boundary():
 
 
 def test_factor_rejects_point_outside_block_form():
-    s = registry_by_id()["G7"].structure  # blocks (2,2,1), slot (2,1) is zero
+    s = golden_by_id()["G7"].structure  # blocks (2,2,1), slot (2,1) is zero
     y = np.eye(5)
     y[0, 2] = y[2, 0] = 0.5  # lands in the zero slot
     with pytest.raises(DomainError):
@@ -196,7 +196,7 @@ def test_factor_rejects_point_outside_block_form():
 def test_action_is_multiplicative():
     rng = np.random.default_rng(22)
     for key in ("G1", "G3", "G7"):
-        s = registry_by_id()[key].structure
+        s = golden_by_id()[key].structure
         t1 = random_triangular(s, rng).matrix()
         t2 = random_triangular(s, rng).matrix()
         lhs = rho_matrix(s, t1 @ t2)
@@ -207,7 +207,7 @@ def test_action_is_multiplicative():
 def test_triangular_group_closed_under_product():
     rng = np.random.default_rng(23)
     for key in ("G1", "G3", "G5", "G7"):
-        s = registry_by_id()[key].structure
+        s = golden_by_id()[key].structure
         prod = random_triangular(s, rng).matrix() @ random_triangular(s, rng).matrix()
         for l in range(1, s.r + 1):
             for k in range(1, s.r + 1):
@@ -230,7 +230,7 @@ def test_triangular_group_closed_under_product():
 def test_adjoint_identity():
     rng = np.random.default_rng(24)
     for key in ("G2", "G7"):
-        s = registry_by_id()[key].structure
+        s = golden_by_id()[key].structure
         for _ in range(5):
             t = random_triangular(s, rng).matrix()
             x = s.from_coords(rng.standard_normal(s.dim))
@@ -257,7 +257,7 @@ EXPECTED_MULTIDEGREE = {
 over_structures = pytest.mark.parametrize(
     "s",
     [
-        *(pytest.param(e.structure, id=e.model_id) for e in butterfly_registry()),
+        *(pytest.param(e.structure, id=e.model_id) for e in golden_realizations()),
         *(pytest.param(full_sym_structure(p), id=f"full_sym{p}") for p in range(2, 6)),
         *(pytest.param(ray_structure(p), id=f"ray{p}") for p in range(2, 5)),
     ],
@@ -265,7 +265,7 @@ over_structures = pytest.mark.parametrize(
 
 
 def test_multidegree_regression_values():
-    for entry in butterfly_registry():
+    for entry in golden_realizations():
         assert entry.structure.multidegree == EXPECTED_MULTIDEGREE[entry.model_id]
 
 
@@ -345,7 +345,7 @@ def test_conjugation_rejects_non_orthogonal(models_by_id):
 
 def test_conjugation_rejects_wrong_u(models_by_id):
     m3 = models_by_id["G3"]
-    u_wrong = registry_by_id()["G1"].u
+    u_wrong = golden_by_id()["G1"].u
     with pytest.raises(ConjugationError) as info:
         conjugate_space(m3.space, u_wrong, m3.realization.structure)
     assert info.value.basis_index is not None
@@ -358,10 +358,10 @@ def test_conjugation_shape_mismatch(models_by_id):
 
 
 def test_trivial_group_u_is_vertex_reordering(models_by_id):
-    # the first registry conjugation is a pure permutation of vertices
+    # the first golden conjugation is a pure permutation of vertices
     rng = np.random.default_rng(28)
     m1 = models_by_id["G1"]
-    u = registry_by_id()["G1"].u
+    u = golden_by_id()["G1"].u
     y = m1.space.project(rng.standard_normal((5, 5)) + np.eye(5) * 2)
     y = 0.5 * (y + y.T)
     order = [0, 1, 3, 4, 2]
@@ -388,7 +388,7 @@ def test_vertex_swap_conjugation_layout(models_by_id):
             [0, r2 * c, e, f, d],
         ]
     )
-    u = registry_by_id()["G2"].u
+    u = golden_by_id()["G2"].u
     assert np.allclose(u.T @ y @ u, expected, atol=1e-12)
 
 
@@ -409,7 +409,7 @@ def test_hub_symmetric_conjugation_layout(models_by_id):
             [0, 0, r2 * d, r2 * d, b],
         ]
     )
-    u = registry_by_id()["G7"].u
+    u = golden_by_id()["G7"].u
     assert np.allclose(u.T @ y @ u, expected, atol=1e-12)
 
 

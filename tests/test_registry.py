@@ -1,21 +1,18 @@
-import json
 import math
 
 import numpy as np
-import pytest
 
-import homcone as hc
 from homcone.butterfly import (
     butterfly_graph,
     butterfly_registry,
     butterfly_subgroups,
 )
 from homcone.graphs import Permutation, PermutationGroup, automorphism_group, enumerate_subgroups
-from homcone.errors import CapabilityError
 from homcone.invariant import same_space
 from homcone.realization import conjugate_space
+from homcone.selection import Hyperparams, log_I_terms
 
-from closed_forms import GAMMA_LOG
+from closed_forms import GAMMA_LOG, golden_realizations
 
 
 def test_graph_shape():
@@ -59,40 +56,58 @@ def test_models_merge_named_subgroups_of_equal_space(models, spaces):
     assert not any(same_space(a, b) for i, a in enumerate(reps) for b in reps[:i])
 
 
-@pytest.mark.parametrize("edit", [
-    lambda entries: entries[5].update(id="G8"),  # G8 shares G6's space, labelled G6
-    lambda entries: entries.append(dict(entries[0])),  # G1 twice
-    lambda entries: entries.pop(),  # G7 missing
-], ids=["member-not-label", "duplicate", "missing"])
-def test_models_reject_entries_that_are_not_class_labels(serve_registry, edit):
-    shipped, serve = serve_registry
-    edit(shipped["entries"])
-    serve(json.dumps(shipped))
-    with pytest.raises(CapabilityError, match="not one per distinct-space class"):
-        hc.build_butterfly_models()
+def test_package_data_holds_no_matrices():
+    assert set(butterfly_registry()) == {"graph", "subgroup_generators"}
 
 
-def test_registry_entries_cover_distinct_spaces():
-    entries = butterfly_registry()
-    assert [e.model_id for e in entries] == ["G1", "G2", "G3", "G4", "G5", "G6", "G7"]
+def test_registry_entries_cover_distinct_spaces(models):
+    # the golden realizations, one per class, in class order
+    assert [e.model_id for e in golden_realizations()] == [m.label for m in models]
 
 
 def test_u_entries_are_signed_roots():
     allowed = {0.0, 1.0, -1.0, 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)}
-    for entry in butterfly_registry():
+    for entry in golden_realizations():
         for value in entry.u.ravel():
             assert value in allowed
 
 
 def test_every_entry_conjugates_its_space(spaces):
-    for entry in butterfly_registry():
+    for entry in golden_realizations():
         real = conjugate_space(spaces[entry.model_id], entry.u, entry.structure)
         assert real.structure.dim == spaces[entry.model_id].dim
 
 
-def test_structure_dims():
-    dims = {e.model_id: e.structure.dim for e in butterfly_registry()}
+def test_structure_dims(models_by_id):
+    dims = {e.model_id: e.structure.dim for e in golden_realizations()}
     assert dims == {"G1": 11, "G2": 9, "G3": 6, "G4": 9, "G5": 6, "G6": 7, "G7": 4}
+    assert {k: m.realization.structure.dim for k, m in models_by_id.items()} == dims
+
+
+GOLDEN_RTOL = 1e-10
+
+
+def test_derived_realizations_match_golden(models_by_id, exam_data):
+    # block sizes up to order within a tier, the gamma factor, and log I at
+    # the exam-marks prior and posterior points
+    for entry in golden_realizations():
+        m = models_by_id[entry.model_id]
+        golden = conjugate_space(m.space, entry.u, entry.structure)
+        derived = m.realization
+        assert sorted(derived.structure.block_sizes) == sorted(entry.structure.block_sizes)
+        for alpha in (0.0, 0.25, 1.0, 10.0):
+            want = golden.log_gamma(alpha)
+            assert abs(derived.log_gamma(alpha) - want) <= GOLDEN_RTOL * abs(want)
+        for d in (1.0, 100.0, 10000.0):
+            prior = Hyperparams(delta=3.0, scale=d * np.eye(5))
+            post = Hyperparams(delta=3.0 + exam_data.n_effective,
+                               scale=prior.scale + exam_data.scatter)
+            for hyper in (prior, post):
+                alpha = (hyper.delta - 2.0) / 2.0
+                ld, lp = golden.log_delta_phi_at_scale(hyper.scale)
+                want = golden.log_gamma(alpha) + lp - alpha * ld
+                got = log_I_terms(m, hyper).log_I
+                assert abs(got - want) <= GOLDEN_RTOL * abs(want), (entry.model_id, d)
 
 
 def test_gamma_matches_closed_forms(models_by_id):
@@ -100,11 +115,3 @@ def test_gamma_matches_closed_forms(models_by_id):
         real = models_by_id[key].realization
         for alpha in (0.0, 0.25, 1.0, 10.0):
             assert abs(real.log_gamma(alpha) - form(alpha)) < 1e-10
-
-
-def test_registry_rejects_unknown_symbol(serve_registry):
-    shipped, serve = serve_registry
-    shipped["entries"][0]["u"][0][0] = "2"
-    serve(json.dumps(shipped))
-    with pytest.raises(ValueError, match="unknown registry symbol"):
-        butterfly_registry()

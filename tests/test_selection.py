@@ -8,7 +8,6 @@ import pytest
 import homcone as hc
 from homcone import cone
 from homcone.errors import (
-    CapabilityError,
     DomainError,
     IntegrabilityError,
     ShapeError,
@@ -17,12 +16,12 @@ from homcone.errors import (
 from homcone.graphs import Graph, PermutationGroup
 from homcone.invariant import build_invariant_space
 from homcone.oracle import mc_cone_integral
-from homcone.realization import conjugate_space, full_sym_structure
 from homcone.selection import (
     DataSummary,
     Hyperparams,
     Model,
     build_butterfly_models,
+    build_models,
     dedupe_models,
     exam_marks_summary,
     fit_concentration,
@@ -50,9 +49,7 @@ def full_sym_model(p=2):
         [str(i) for i in range(1, p + 1)],
         list(itertools.combinations(range(1, p + 1), 2)),
     )
-    space = build_invariant_space(g, PermutationGroup.trivial(p))
-    real = conjugate_space(space, np.eye(p), full_sym_structure(p))
-    return Model(label="full", space=space, realization=real)
+    return Model(label="full", space=build_invariant_space(g, PermutationGroup.trivial(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +163,6 @@ def test_log_I_requires_pd_scale(models_by_id):
         log_I(models_by_id["G1"], 3.0, -np.eye(5))
 
 
-def test_log_I_requires_realization(models_by_id):
-    bare = Model(label="bare", space=models_by_id["G1"].space, realization=None)
-    with pytest.raises(CapabilityError):
-        log_I(bare, 3.0, np.eye(5))
-
-
 def test_hyperparams_validation():
     with pytest.raises(IntegrabilityError):
         Hyperparams(delta=2.0, scale=np.eye(5))
@@ -239,7 +230,7 @@ def test_posterior_permutation_stable(models, exam_data):
 
 def test_posterior_duplicate_model_invariance(models, exam_data, butterfly, subgroups):
     dup_space = build_invariant_space(butterfly, subgroups["G9"])
-    duplicate = Model(label="G9x", space=dup_space, realization=None)
+    duplicate = Model(label="G9x", space=dup_space)
     hyper = Hyperparams(delta=3.0, scale=np.eye(5))
     base = posterior(models, exam_data, hyper)
     extended = posterior(list(models) + [duplicate], exam_data, hyper)
@@ -253,11 +244,15 @@ def test_posterior_duplicate_model_invariance(models, exam_data, butterfly, subg
 
 
 def test_dedupe_keeps_realization(models, butterfly, subgroups):
+    # a merged model derives the realization of its space like any other
     dup_space = build_invariant_space(butterfly, subgroups["G10"])
-    bare_first = [Model(label="X", space=dup_space, realization=None)] + list(models)
+    bare_first = [Model(label="X", space=dup_space)] + list(models)
     deduped = dedupe_models(bare_first)
     merged = next(m for m in deduped if m.label == "X")
-    assert merged.realization is not None
+    g7 = next(m for m in models if m.label == "G7")
+    assert merged.merged_labels == ("X", "G7", "G9", "G10")
+    for alpha in (0.0, 1.0):
+        assert merged.realization.log_gamma(alpha) == g7.realization.log_gamma(alpha)
 
 
 def test_posterior_usage_errors(models, exam_data):
@@ -339,3 +334,13 @@ def test_build_butterfly_models():
     assert [m.label for m in models] == ["G1", "G2", "G3", "G4", "G5", "G6", "G7"]
     assert models[6].merged_labels == ("G7", "G9", "G10")
     assert all(m.realization is not None for m in models)
+    assert build_butterfly_models() is models  # built once per process
+
+
+def test_build_models_labels_each_class_by_its_first_name(butterfly, subgroups):
+    named = {f"H{i}": subgroups[f"G{i}"] for i in (10, 9, 1, 8, 6)}
+    models = build_models(butterfly, named)
+    assert [m.all_labels() for m in models] == [("H10", "H9"), ("H1",), ("H8", "H6")]
+    # building and deduping bare models realizes nothing
+    dedupe_models(models + [Model("X", models[0].space)])
+    assert not any("realization" in vars(m) for m in models)
