@@ -16,17 +16,27 @@ Proposals landing outside the cone get weight zero, which keeps the
 estimator unbiased.
 
 Cone membership and the log-determinant come from one symmetric elimination
-(LDL^T without pivoting) run across the sample axis: each of the
-p(p+1)/2 upper-triangle entries is a contiguous row over the samples, and
-every update is one array operation on such a row.  By Sylvester's
+(LDL^T without pivoting) run across the sample axis: by Sylvester's
 criterion a symmetric matrix is positive definite exactly when every pivot
-is positive, and then log det is the sum of the pivots' logs.  The test
-works on matrix entries alone; it calls neither the Newton solve nor any
-realization.
+is positive, and then log det is the sum of the pivots' logs.  The
+elimination is planned once per integral from the support pattern of the
+space's basis, the cells where some basis matrix is nonzero, so it works on
+matrix entries alone and calls neither the Newton solve nor any
+realization.  The vertices are eliminated by ascending closed-neighbourhood
+size in that pattern, ties by index.  On a homogeneous graph the closed
+neighbourhoods of adjacent vertices are nested, so this is a perfect
+elimination order: no structurally zero entry fills in.  A symbolic pass
+lists the entries that can be nonzero (with their fill, on a pattern that
+is not chordal) and, for each pivot, the updates whose multiplier can be
+nonzero; every skipped update would subtract an exact zero.  Each planned
+entry is a contiguous row over the samples and every update is one array
+operation on such a row.
 
 Sampling is chunked with seeds spawned per chunk from the master seed and
 chunk sums merged in a fixed order, so estimates are reproducible for a
-given (seed, samples) pair.
+given (seed, samples) pair.  Everything after the draws runs on column
+blocks of a chunk small enough for the elimination's rows to stay in cache;
+the weights of the whole chunk are summed at once.
 """
 
 from __future__ import annotations
@@ -47,6 +57,8 @@ DEFAULT_SEED = 0xC0FFEE
 CHUNK = 250_000
 PROPOSAL_DF = 6.0
 ESS_WARN_FRACTION = 0.01
+# draws per column block of a chunk: 16 k doubles (128 KiB) per planned entry
+_BLOCK = 16_384
 
 
 @dataclass
@@ -80,46 +92,95 @@ def _estimate_from_sums(sum_w: float, sum_w2: float, n: int, seed: int) -> McEst
     )
 
 
-def _pivot_logdet(upper: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positive-definiteness and log det of a batch of symmetric p x p matrices.
+@dataclass(frozen=True)
+class _EliminationPlan:
+    """Symbolic LDL^T of a symmetric support pattern, in elimination order.
 
-    ``upper`` holds the upper-triangle entries, one row per entry in
-    ``np.triu_indices(p)`` order and one column per matrix; it is overwritten.
-    Returns (pd, logdet) with logdet = 0 where pd is False.  A matrix leaves
-    pd at its first pivot that is not positive; from there on its pivots are
-    taken as +inf, so its multipliers are 0 and its entries stop changing,
-    which keeps the elimination free of overflow and division by zero.
+    ``cols`` holds the flat cell i * p + j of each entry the elimination
+    reads or writes, one row each: the pattern's upper triangle plus its
+    fill, sorted by the elimination positions of (i, j).  ``steps`` holds
+    one (diagonal row, eliminations) pair per pivot, where each elimination
+    is (row of the multiplier's entry, its (target row, source row)
+    updates): target -= multiplier * source.
     """
-    rows = {ij: upper[r] for r, ij in enumerate(zip(*np.triu_indices(p)))}
-    m = upper.shape[1]
+
+    cols: np.ndarray
+    steps: tuple
+
+
+def _support(space: InvariantSpace) -> np.ndarray:
+    """The p x p cells where some basis matrix of the space is nonzero."""
+    return np.any(space.flat != 0.0, axis=0).reshape(space.p, space.p)
+
+
+def _elimination_plan(pattern: np.ndarray) -> _EliminationPlan:
+    """The entries and updates of a symmetric elimination on a p x p pattern.
+
+    The vertices are taken by ascending closed-neighbourhood size, ties by
+    index; the diagonal is always planned.  Pivot k eliminates into each
+    pair (i, j) of its later neighbours, which fills (i, j) in if the
+    pattern lacks it, so the plan is exact for every pattern.
+    """
+    pattern = np.asarray(pattern, dtype=bool) | np.eye(len(pattern), dtype=bool)
+    p = len(pattern)
+    order = np.argsort(pattern.sum(axis=1), kind="stable")
+    nz = pattern[np.ix_(order, order)]
+    later = []
+    for k in range(p):
+        nbrs = [i for i in range(k + 1, p) if nz[k, i]]
+        for i in nbrs:
+            nz[i, nbrs] = True
+        later.append(nbrs)
+    entries = [(a, b) for a in range(p) for b in range(a, p) if nz[a, b]]
+    row = {e: r for r, e in enumerate(entries)}
+    steps = tuple(
+        (row[k, k], tuple(
+            (row[k, i], tuple((row[i, j], row[k, j]) for j in nbrs if j >= i))
+            for i in nbrs
+        ))
+        for k, nbrs in enumerate(later)
+    )
+    cols = np.array([order[a] * p + order[b] for a, b in entries], dtype=np.intp)
+    return _EliminationPlan(cols, steps)
+
+
+def _pivot_logdet(rows: np.ndarray, plan: _EliminationPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Positive-definiteness and log det of a batch of symmetric matrices.
+
+    ``rows`` holds the planned entries, one row per entry of ``plan.cols``
+    and one column per matrix; it is overwritten.  Returns (pd, logdet) with
+    logdet = 0 where pd is False.  A matrix leaves pd at its first pivot
+    that is not positive; from there on its pivots are taken as +inf, so its
+    multipliers are 0 and its entries stop changing, which keeps the
+    elimination free of overflow and division by zero.
+    """
+    m = rows.shape[1]
     pd = np.ones(m, dtype=bool)
     logdet = np.zeros(m)
     f = np.empty(m)
     tmp = np.empty(m)
-    for k in range(p):
-        d = rows[k, k]
+    for diag, eliminations in plan.steps:
+        d = rows[diag]
         pd &= d > 0.0
         d = np.where(pd, d, np.inf)
         logdet += np.log(d)
-        for i in range(k + 1, p):
-            np.divide(rows[k, i], d, out=f)
-            for j in range(i, p):
-                np.multiply(f, rows[k, j], out=tmp)
-                rows[i, j] -= tmp
+        for ki, updates in eliminations:
+            np.divide(rows[ki], d, out=f)
+            for ij, kj in updates:
+                np.multiply(f, rows[kj], out=tmp)
+                rows[ij] -= tmp
     return pd, np.where(pd, logdet, 0.0)
 
 
-def _log_f_batch(space, coords, y_coords, alpha):
+def _log_f_batch(space, plan, coords, y_coords, alpha):
     """Log integrand per sample; -inf outside the open primal cone.
 
-    Only the upper triangle of each sample's matrix is formed, as an
-    (p(p+1)/2, m) array of contiguous rows, and ``_pivot_logdet`` tests
-    membership by the signs of its elimination pivots.
+    Only the planned entries of each sample's matrix are formed, as a
+    (len(plan.cols), m) array of contiguous rows, and ``_pivot_logdet``
+    tests membership by the signs of its elimination pivots.
     """
-    p = space.p
-    iu, ju = np.triu_indices(p)
-    upper = space.flat[:, iu * p + ju].T @ coords.T
-    pd, logdet = _pivot_logdet(upper, p)
+    rows = space.flat[:, plan.cols].T @ coords.T
+    pd, logdet = _pivot_logdet(rows, plan)
     log_f = alpha * logdet - coords @ y_coords
     return np.where(pd, log_f, -np.inf)
 
@@ -229,6 +290,7 @@ def mc_cone_integral(
     mu, cov_root = _proposal_moments(space, alpha, y)
     root = cov_root * math.sqrt((df - 2.0) / df)  # a square root of the t scale
     log_norm = _student_t_log_norm(df, n_dim, np.linalg.slogdet(root)[1])
+    plan = _elimination_plan(_support(space))
 
     master = np.random.SeedSequence(seed)
     n_chunks = (samples + CHUNK - 1) // CHUNK
@@ -241,10 +303,14 @@ def mc_cone_integral(
         rng = np.random.Generator(np.random.PCG64(child))
         z = rng.standard_normal((m, n_dim))
         u = 2.0 * rng.standard_gamma(df / 2.0, m)
-        coords = mu + (z @ root.T) * np.sqrt(df / u)[:, None]
-        mahal = np.sum(z * z, axis=1) * df / u
-        log_q = log_norm - 0.5 * (df + n_dim) * np.log1p(mahal / df)
-        w = np.exp(_log_f_batch(space, coords, y_coords, alpha) - log_q)
+        w = np.empty(m)
+        for lo in range(0, m, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            zb, ub = z[block], u[block]
+            coords = mu + (zb @ root.T) * np.sqrt(df / ub)[:, None]
+            mahal = np.sum(zb * zb, axis=1) * df / ub
+            log_q = log_norm - 0.5 * (df + n_dim) * np.log1p(mahal / df)
+            w[block] = np.exp(_log_f_batch(space, plan, coords, y_coords, alpha) - log_q)
         sum_w += float(np.sum(w))
         sum_w2 += float(np.sum(w * w))
         done += m

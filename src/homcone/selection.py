@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
 from typing import NamedTuple
@@ -92,18 +92,26 @@ class DataSummary:
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """A candidate symmetry model: an invariant space and its labels."""
+    """A candidate symmetry model: an invariant space and its labels.
+
+    ``_origin`` is the model a merged model was made from
+    (``dedupe_models``); the merged model shares its realization.
+    """
 
     label: str
     space: InvariantSpace
     merged_labels: tuple[str, ...] = ()
+    _origin: Model | None = field(default=None, repr=False)
 
     def all_labels(self) -> tuple[str, ...]:
         return self.merged_labels if self.merged_labels else (self.label,)
 
     @cached_property
     def realization(self) -> Realization:
-        """The space's block realization, derived on first use."""
+        """The space's block realization, derived on first use and shared
+        with the model this one was merged from."""
+        if self._origin is not None:
+            return self._origin.realization
         return realize(self.space)
 
 
@@ -127,13 +135,15 @@ class SelectionReport:
         return {"winner": self.winner_id, "models": [asdict(r) for r in self.records]}
 
     def render_table(self) -> str:
+        merged = ["+".join(r.merged_labels) for r in self.records]
+        width = max([16] + [len(m) for m in merged])
         lines = [
-            f"{'model':<8}{'merged':<16}{'dim':>4}  "
+            f"{'model':<8}{'merged':<{width}}{'dim':>4}  "
             f"{'log_I_prior':>14}{'log_I_post':>16}{'log_score':>14}{'prob':>7}"
         ]
-        for r in self.records:
+        for r, labels in zip(self.records, merged):
             lines.append(
-                f"{r.model_id:<8}{'+'.join(r.merged_labels):<16}{r.dim:>4}  "
+                f"{r.model_id:<8}{labels:<{width}}{r.dim:>4}  "
                 f"{r.log_I_prior:>14.4f}{r.log_I_posterior:>16.4f}"
                 f"{r.log_score:>14.4f}{r.probability:>7.2f}"
             )
@@ -261,7 +271,11 @@ def log_I(model: Model, delta: float, scale) -> float:
 
 
 def dedupe_models(models) -> list[Model]:
-    """Merge models whose invariant spaces coincide, combining their labels."""
+    """Merge models whose invariant spaces coincide, combining their labels.
+
+    A merged model takes its realization from the first model of its class,
+    so scoring the merged list again realizes no space a second time.
+    """
     kept: list[Model] = []
     for m in models:
         for i, existing in enumerate(kept):
@@ -269,7 +283,8 @@ def dedupe_models(models) -> list[Model]:
                 labels = existing.all_labels() + tuple(
                     l for l in m.all_labels() if l not in existing.all_labels()
                 )
-                kept[i] = Model(existing.label, existing.space, labels)
+                kept[i] = Model(existing.label, existing.space, labels,
+                                existing._origin or existing)
                 break
         else:
             kept.append(m)

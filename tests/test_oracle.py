@@ -13,15 +13,19 @@ from homcone import cone, oracle, verify
 from homcone.errors import (
     DomainError, DualMembershipError, HomconeError, ScopeError, StencilError,
 )
-from homcone.graphs import Graph, Permutation, PermutationGroup
+from homcone.graphs import (
+    Graph, Permutation, PermutationGroup, automorphism_group, enumerate_subgroups,
+)
 from homcone.invariant import build_invariant_space
 from homcone.oracle import (
     finite_diff_gradient,
     finite_diff_hessian,
     mc_cone_integral,
+    _elimination_plan,
     _estimate_from_sums,
     _pivot_logdet,
     _proposal_moments,
+    _support,
 )
 from homcone.realization import full_sym_structure, log_gamma_v, ray_structure
 
@@ -262,13 +266,15 @@ def test_mc_calibration_over_seeds():
 # the pivot membership test, against eigendecomposition references
 
 
-def _pivots(mats):
-    """Run the elimination on an (m, p, p) stack; RuntimeWarnings are errors."""
+def _pivots(mats, pattern=None):
+    """Run the elimination planned for a pattern (dense by default) on an
+    (m, p, p) stack; RuntimeWarnings are errors."""
     p = mats.shape[-1]
-    iu, ju = np.triu_indices(p)
+    plan = _elimination_plan(np.ones((p, p), dtype=bool) if pattern is None else pattern)
+    rows = np.ascontiguousarray(mats.reshape(len(mats), -1)[:, plan.cols].T)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        return _pivot_logdet(np.ascontiguousarray(mats[:, iu, ju].T), p)
+        return _pivot_logdet(rows, plan)
 
 
 def _rotated(rng, eigs):
@@ -335,8 +341,9 @@ def test_pivots_reject_singular_psd(p, scale):
         assert not pd.any()
 
 
-def _log_f_batch_eigvalsh(space, coords, y_coords, alpha):
-    """The batched-eigendecomposition membership test the pivots replaced."""
+def _log_f_batch_eigvalsh(space, plan, coords, y_coords, alpha):
+    """The batched-eigendecomposition membership test the pivots replaced;
+    it ignores the elimination plan."""
     mats = np.einsum("sa,aij->sij", coords, space.basis)
     eigs = np.linalg.eigvalsh(mats)
     pd = eigs[:, 0] > 0.0
@@ -344,6 +351,179 @@ def _log_f_batch_eigvalsh(space, coords, y_coords, alpha):
     logdet = np.sum(np.log(safe), axis=1)
     log_f = -coords @ y_coords + alpha * logdet
     return np.where(pd, log_f, -np.inf)
+
+
+# ---------------------------------------------------------------------------
+# the elimination plan on sparse patterns
+
+
+def _graph(p, edges):
+    return Graph.build([f"v{i}" for i in range(1, p + 1)], edges)
+
+
+def _pattern(p, edges):
+    pattern = np.eye(p, dtype=bool)
+    for i, j in edges:
+        pattern[i - 1, j - 1] = pattern[j - 1, i - 1] = True
+    return pattern
+
+
+# vertex 1 is the hub where there is one, so eliminating in label order fills
+HOMOGENEOUS = {
+    "K4": (4, list(itertools.combinations(range(1, 5), 2))),
+    "star": (5, [(1, v) for v in range(2, 6)]),
+    "windmill": (7, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5), (1, 6), (1, 7), (6, 7)]),
+    "butterfly": (5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)]),
+}
+NOT_HOMOGENEOUS = {
+    "C4": (4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+    "P4": (4, [(1, 2), (2, 3), (3, 4)]),
+}
+
+
+def _planned_cells(plan, p):
+    """The plan's entries as vertex pairs (i, j), i <= j."""
+    return {tuple(sorted(divmod(int(c), p))) for c in plan.cols}
+
+
+def _plan_order(plan, p):
+    return [int(plan.cols[diag]) // p for diag, _ in plan.steps]
+
+
+def _on_pattern(rng, pattern, m):
+    """m random symmetric matrices supported on the pattern."""
+    a = rng.standard_normal((m,) + pattern.shape) * pattern
+    return a + a.transpose(0, 2, 1)
+
+
+def _dense_fill(pattern, order, rng):
+    """Cells (i, j), i <= j, off the pattern that a dense elimination in the
+    given vertex order leaves nonzero in a generic positive definite matrix
+    supported on the pattern."""
+    p = len(pattern)
+    a = _on_pattern(rng, pattern, 1)[0]
+    mat = a + (np.max(np.abs(np.linalg.eigvalsh(a))) + 1.0) * np.eye(p)
+    dense = _elimination_plan(np.ones((p, p), dtype=bool))
+    rows = mat[np.ix_(order, order)].reshape(1, -1)[:, dense.cols].T.copy()
+    pd, _ = _pivot_logdet(rows, dense)
+    assert pd.all()
+    cells = set()
+    for r, c in enumerate(dense.cols):
+        i, j = sorted(order[k] for k in divmod(int(c), p))
+        if rows[r, 0] != 0.0 and not pattern[i, j]:
+            cells.add((i, j))
+    return cells
+
+
+@pytest.mark.parametrize("name", HOMOGENEOUS)
+def test_plan_has_no_fill_on_homogeneous_lattices(name):
+    p, edges = HOMOGENEOUS[name]
+    rng = np.random.default_rng(1900)
+    perms = [np.arange(1, p + 1)] + [rng.permutation(p) + 1 for _ in range(2)]
+    planned = 0
+    for perm in perms:
+        g = _graph(p, [(int(perm[i - 1]), int(perm[j - 1])) for i, j in edges])
+        for h in enumerate_subgroups(automorphism_group(g)):
+            space = build_invariant_space(g, h)
+            support = _support(space)
+            plan = _elimination_plan(support)
+            want = {(i, j) for i in range(p) for j in range(i, p) if support[i, j]}
+            assert _planned_cells(plan, p) == want
+            planned += 1
+    assert planned >= 3 * 10
+
+
+def test_hub_plan_counts():
+    # the hub-symmetric reference cone: 6 divisions and 8 row updates per
+    # sweep, against 10 and 20 for the dense upper triangle
+    _, space, _, _, _ = verify.mc_reference_cases()[2]
+    plan = _elimination_plan(_support(space))
+    assert len(plan.cols) == 11
+    assert sum(len(e) for _, e in plan.steps) == 6
+    assert sum(len(u) for _, e in plan.steps for _, u in e) == 8
+
+
+@pytest.mark.parametrize("name", ["star", "windmill"])
+def test_label_order_would_fill_where_the_plan_does_not(name):
+    p, edges = HOMOGENEOUS[name]
+    pattern = _pattern(p, edges)
+    rng = np.random.default_rng(1901)
+    plan = _elimination_plan(pattern)
+    assert _dense_fill(pattern, _plan_order(plan, p), rng) == set()
+    assert len(_dense_fill(pattern, list(range(p)), rng)) == {"star": 6, "windmill": 12}[name]
+
+
+@pytest.mark.parametrize("name", NOT_HOMOGENEOUS)
+def test_plan_fill_matches_dense_elimination(name):
+    p, edges = NOT_HOMOGENEOUS[name]
+    rng = np.random.default_rng(1902)
+    for _ in range(4):
+        perm = rng.permutation(p) + 1
+        pattern = _pattern(p, [(int(perm[i - 1]), int(perm[j - 1])) for i, j in edges])
+        plan = _elimination_plan(pattern)
+        fill = _dense_fill(pattern, _plan_order(plan, p), rng)
+        assert len(fill) == {"C4": 1, "P4": 0}[name]
+        base = {(i, j) for i in range(p) for j in range(i, p) if pattern[i, j]}
+        assert _planned_cells(plan, p) == base | fill
+
+
+def test_dense_plan_is_the_upper_triangle_in_label_order():
+    for p in range(1, 8):
+        plan = _elimination_plan(np.ones((p, p), dtype=bool))
+        iu, ju = np.triu_indices(p)
+        assert np.array_equal(plan.cols, iu * p + ju)
+
+
+SPARSE_PATTERNS = {**HOMOGENEOUS, **NOT_HOMOGENEOUS}
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("name", SPARSE_PATTERNS)
+def test_sparse_pivots_match_slogdet_and_eigvalsh(name, scale):
+    p, edges = SPARSE_PATTERNS[name]
+    pattern = _pattern(p, edges)
+    rng = np.random.default_rng(1910)
+    # positive definite: a random matrix on the pattern shifted past its
+    # smallest eigenvalue
+    a = _on_pattern(rng, pattern, 300)
+    shift = -np.linalg.eigvalsh(a)[:, :1, None] + rng.uniform(0.05, 2.0, (300, 1, 1))
+    mats = scale * (a + shift * np.eye(p))
+    assert np.all(np.linalg.eigvalsh(mats)[:, 0] > 0)
+    pd, logdet = _pivots(mats, pattern)
+    assert pd.all()
+    sign, ref = np.linalg.slogdet(mats)
+    assert np.all(sign > 0)
+    assert np.all(np.abs(logdet - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    # diagonally dominant with two negative diagonal cells: det > 0, not
+    # positive definite
+    off = 0.1 / p * _on_pattern(rng, pattern & ~np.eye(p, dtype=bool), 300)
+    diag = rng.uniform(1.0, 2.0, (300, p))
+    for row in diag:
+        row[rng.choice(p, 2, replace=False)] *= -1.0
+    mats = scale * (off + diag[:, :, None] * np.eye(p))
+    assert np.all(np.linalg.eigvalsh(mats)[:, 0] < 0)
+    assert np.all(np.linalg.slogdet(mats)[0] > 0)
+    pd, logdet = _pivots(mats, pattern)
+    assert not pd.any()
+    assert np.all(logdet == 0.0)
+    # a zero row and column: singular
+    mats = scale * (off + np.abs(diag)[:, :, None] * np.eye(p))
+    for mat, z in zip(mats, rng.integers(0, p, len(mats))):
+        mat[z, :] = 0.0
+        mat[:, z] = 0.0
+    pd, _ = _pivots(mats, pattern)
+    assert not pd.any()
+
+
+def test_estimates_do_not_depend_on_the_block_width(monkeypatch):
+    # a sample count that is no multiple of either width: every draw counted once
+    _, space, _, y, alpha = verify.mc_reference_cases()[2]
+    wide = mc_cone_integral(space, alpha, y, samples=60_001, seed=1920)
+    monkeypatch.setattr(oracle, "_BLOCK", 999)
+    narrow = mc_cone_integral(space, alpha, y, samples=60_001, seed=1920)
+    for field in ("value", "std_error", "effective_samples"):
+        assert math.isclose(getattr(wide, field), getattr(narrow, field),
+                            rel_tol=1e-12, abs_tol=0.0), field
 
 
 @pytest.mark.parametrize("case", range(3))

@@ -7,6 +7,7 @@ import pytest
 
 import homcone as hc
 from homcone import cone
+from homcone import selection as selection_module
 from homcone.errors import (
     DomainError,
     IntegrabilityError,
@@ -16,10 +17,13 @@ from homcone.errors import (
 from homcone.graphs import Graph, PermutationGroup
 from homcone.invariant import build_invariant_space
 from homcone.oracle import mc_cone_integral
+from homcone.realization import realize
 from homcone.selection import (
     DataSummary,
     Hyperparams,
     Model,
+    ModelRecord,
+    SelectionReport,
     build_butterfly_models,
     build_models,
     dedupe_models,
@@ -253,6 +257,48 @@ def test_dedupe_keeps_realization(models, butterfly, subgroups):
     assert merged.merged_labels == ("X", "G7", "G9", "G10")
     for alpha in (0.0, 1.0):
         assert merged.realization.log_gamma(alpha) == g7.realization.log_gamma(alpha)
+
+
+def test_repeated_posterior_realizes_each_space_once(monkeypatch, exam_data,
+                                                    butterfly, subgroups):
+    # a duplicate subgroup merges into G7's class on every call; the merged
+    # model shares the first model's realization instead of deriving its own
+    calls = []
+
+    def counting(space):
+        calls.append(space)
+        return realize(space)
+
+    monkeypatch.setattr(selection_module, "realize", counting)
+    fresh = build_models(butterfly, {f"G{k}": subgroups[f"G{k}"] for k in range(1, 8)})
+    duplicate = Model(label="G9x", space=build_invariant_space(butterfly, subgroups["G9"]))
+    hyper = Hyperparams(delta=3.0, scale=np.eye(5))
+    reports = [posterior(fresh + [duplicate], exam_data, hyper) for _ in range(4)]
+    assert len(calls) == len(fresh) == 7
+    assert all(r.winner_id == reports[0].winner_id for r in reports)
+    merged = dedupe_models(dedupe_models(fresh + [duplicate]) + [duplicate])
+    assert merged[6].merged_labels == ("G7", "G9x")
+    assert merged[6].realization is fresh[6].realization
+    assert len(calls) == 7
+
+
+def test_render_table_pads_to_the_widest_merged_label():
+    def record(model_id, labels):
+        return ModelRecord(model_id, labels, 3, 1.0, 2.0, 1.0, 0.5)
+
+    narrow = SelectionReport([record("G1", ("G1",)), record("G7", ("G7", "G9", "G10"))], "G7")
+    lines = narrow.render_table().splitlines()
+    assert lines[0].index("dim") == 8 + 16 + 1
+    wide_labels = tuple(f"H{i}" for i in range(18, 31))
+    wide = SelectionReport([record("H1", ("H1",)), record("H18", wide_labels)], "H18")
+    lines = wide.render_table().splitlines()
+    width = len("+".join(wide_labels))
+    assert width > 16
+    # every line's dim column ends where the header's does
+    end = lines[0].index("dim") + 3
+    assert lines[0].index("dim") == 8 + width + 1
+    assert all(line[end - 1] == "3" and line[end] == " " for line in lines[1:-1])
+    assert lines[-1] == "winner: H18"
 
 
 def test_posterior_usage_errors(models, exam_data):
