@@ -18,7 +18,6 @@ from .errors import (
     InvarianceError,
     ScopeError,
     ShapeError,
-    StencilError,
     UsageError,
 )
 from .graphs import (
@@ -73,11 +72,6 @@ from .selection import (
     posterior,
     summarize_data,
 )
-from .oracle import (
-    McEstimate,
-    finite_diff_gradient,
-    finite_diff_hessian,
-    mc_cone_integral,
-)
+from .oracle import McEstimate, mc_cone_integral
 
 __version__ = "0.1.0"

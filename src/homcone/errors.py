@@ -61,7 +61,3 @@ class CapabilityError(HomconeError):
 
 class HomogeneityError(HomconeError):
     """The graph is not homogeneous (chordal and free of induced 4-paths)."""
-
-
-class StencilError(HomconeError):
-    """A finite-difference stencil point could not be evaluated."""

@@ -203,26 +203,43 @@ def _cayley_table(elements) -> tuple[tuple[Permutation, ...], list[list[int]]]:
     """Sorted elements and their multiplication table: table[i][j] is the
     index of elements[i].compose(elements[j]).  Index 0 is the identity,
     which sorts first and which a closed list contains.  Raises ValueError
-    if the list is not closed under composition."""
+    if the list is not closed under composition.
+
+    An element that no row reaches yet becomes a generator, and its row is
+    looked up product by product, which checks closure; the row of s after
+    y, for a generator s, is row s read at the entries of row y, with no
+    lookup."""
     elems = tuple(sorted(elements))
-    if elems and elems[0].degree > 1:
-        # a.compose(b) picks a's images at the positions b's images name
-        pickers = [operator.itemgetter(*(w - 1 for w in b.images)) for b in elems]
-    else:
-        # below degree 2 the identity is the only permutation (and an
-        # itemgetter of one index would return an item, not a tuple)
-        pickers = [tuple] * len(elems)
+    n = len(elems)
+    if not n or not elems[0].is_identity():
+        raise ValueError("elements are not a group: the identity is missing")
     index = {e.images: i for i, e in enumerate(elems)}
-    table = []
-    for a in elems:
-        row = [index.get(pick(a.images)) for pick in pickers]
+    # a.compose(b) picks a's images at the positions b's images name
+    pickers = [operator.itemgetter(*(w - 1 for w in b.images)) for b in elems]
+    table: list[list[int] | None] = [None] * n
+    table[0] = list(range(n))
+    reached, gens = [0], []
+    for a in range(1, n):
+        if table[a] is not None:
+            continue
+        images = elems[a].images
+        row = [index.get(pick(images)) for pick in pickers]
         if None in row:
-            b = elems[row.index(None)]
             raise ValueError(
-                f"elements are not a group: {a.cycle_string()} after "
-                f"{b.cycle_string()} is missing"
+                f"elements are not a group: {elems[a].cycle_string()} after "
+                f"{elems[row.index(None)].cycle_string()} is missing"
             )
-        table.append(row)
+        table[a] = row
+        gens.append(a)
+        reached.append(a)
+        for y in reached:
+            row_y = table[y]
+            for s in gens:
+                row_s = table[s]
+                z = row_s[y]
+                if table[z] is None:
+                    table[z] = [row_s[x] for x in row_y]
+                    reached.append(z)
     return elems, table
 
 
@@ -260,8 +277,13 @@ def _cyclic_masks(table) -> list[int]:
 
 
 def _members(mask: int) -> list[int]:
-    # the binary digits low bit first, without the "0b" prefix
-    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    # the set bits, ascending, one step per member rather than per bit
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _minimal_generators(table, cyclic, mask: int) -> tuple[int, ...]:
@@ -359,12 +381,19 @@ def automorphisms(g: Graph) -> list[Permutation]:
             f"automorphism search is brute force, limited to "
             f"{AUTOMORPHISM_VERTEX_LIMIT} vertices (got {p})"
         )
-    nbrs = {v: g.neighbors(v) for v in range(1, p + 1)}
+    # adjacency as bitmasks over 1..p, and each vertex's earlier neighbours
+    adj = [0] * (p + 1)
+    for i, j in g.edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    earlier = [[u for u in range(1, v) if adj[v] >> u & 1] for v in range(p + 1)]
+    degree = [a.bit_count() for a in adj]
     images = [0] * p
-    used = [False] * (p + 1)
     found: list[Permutation] = []
 
-    def extend(v: int) -> None:
+    def extend(v: int, used: int) -> None:
+        # used: bitmask of the images of 1..v-1; vertex v may go to w when
+        # w's neighbours among them are the images of v's earlier neighbours
         if v > p:
             if len(found) == AUTOMORPHISM_ORDER_LIMIT:
                 raise ScopeError(
@@ -373,16 +402,15 @@ def automorphisms(g: Graph) -> list[Permutation]:
                 )
             found.append(Permutation(tuple(images)))
             return
+        want = 0
+        for u in earlier[v]:
+            want |= 1 << images[u - 1]
         for w in range(1, p + 1):
-            if used[w]:
-                continue
-            if all((u in nbrs[v]) == (images[u - 1] in nbrs[w]) for u in range(1, v)):
+            if not used >> w & 1 and degree[w] == degree[v] and adj[w] & used == want:
                 images[v - 1] = w
-                used[w] = True
-                extend(v + 1)
-                used[w] = False
+                extend(v + 1, used | 1 << w)
 
-    extend(1)
+    extend(1, 0)
     return found
 
 
@@ -492,8 +520,8 @@ def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
     return [
         PermutationGroup(
             degree=group.degree,
-            generators=tuple(elems[i] for i in _minimal_generators(table, cyclic, h)),
-            elements=tuple(elems[i] for i in indices),
+            generators=tuple(map(elems.__getitem__, _minimal_generators(table, cyclic, h))),
+            elements=tuple(map(elems.__getitem__, indices)),
         )
         for _, indices, h in keyed
     ]

@@ -3,10 +3,11 @@
 For a graph and a subgroup of its automorphisms, the space collects the
 symmetric matrices that are invariant under simultaneous row/column
 permutation by every group element and vanish on non-adjacent off-diagonal
-cells.  An orthonormal basis under the trace inner product tr(xy) is built
-from the group orbits of diagonal cells and edge cells, which makes
-projections and coordinates cheap and exactly reproducible.  Coordinates
-and projections live in ``OrthonormalSpan``, which the realized block
+cells.  It is fixed by the group orbits of the diagonal and edge cells, so
+``InvariantSpace`` stores that orbit partition and compares spaces by it.
+Its orthonormal basis under the trace inner product tr(xy), one normalized
+orbit indicator per orbit, is built on first use.  Coordinates and
+projections live in ``OrthonormalSpan``, which the realized block
 structures share: it flattens the basis once into an (N, p^2) matrix B,
 so coordinates are B vec(x), a point is B^T c, and the projection is
 B^T B vec(x), each one or two matrix products.
@@ -63,20 +64,35 @@ class OrthonormalSpan:
 
 @dataclass(frozen=True, eq=False)
 class InvariantSpace(OrthonormalSpan):
-    """Invariant subspace with an orthonormal basis under the trace inner product."""
+    """Invariant subspace, defined by its cell orbits: ``orbits`` holds the
+    1-based (i, j) cells, i <= j, of each orbit, sorted, ordered by first
+    cell.  The orthonormal ``basis`` under the trace inner product and its
+    flattening ``flat`` are built from the orbits on first use."""
 
     graph: Graph
     group: PermutationGroup
-    basis: np.ndarray  # (N, p, p)
-    orbits: tuple[tuple[tuple[int, int], ...], ...]  # 1-based cells per basis element
+    orbits: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return len(self.orbits)
 
     @property
     def p(self) -> int:
-        return self.basis.shape[1]
+        return self.graph.vertex_count
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Read-only (N, p, p) stack: basis element a is the indicator of
+        orbit a, symmetrized and scaled to unit trace norm."""
+        basis = np.zeros((self.dim, self.p, self.p))
+        for b, orbit in zip(basis, self.orbits):
+            diagonal = orbit[0][0] == orbit[0][1]
+            w = 1.0 / math.sqrt(len(orbit) if diagonal else 2.0 * len(orbit))
+            for i, j in orbit:
+                b[i - 1, j - 1] = b[j - 1, i - 1] = w
+        basis.setflags(write=False)
+        return basis
 
 
 def _cell_orbits(g: Graph, group: PermutationGroup):
@@ -85,8 +101,10 @@ def _cell_orbits(g: Graph, group: PermutationGroup):
     that applies the group's generators, which generate every element.
     Every generator meets every edge cell once, so the search also raises
     InvarianceError if one maps an edge to a non-edge."""
-    cells = [(i, i) for i in range(1, g.vertex_count + 1)]
-    cells += g.edge_list()
+    edges = g.edges
+    # each generator's images, padded so that 1-based vertices index them
+    images = [(0, *sigma.images) for sigma in group.generators]
+    cells = [(i, i) for i in range(1, g.vertex_count + 1)] + sorted(edges)
     seen: set[tuple[int, int]] = set()
     orbits = []
     for cell in cells:
@@ -95,12 +113,13 @@ def _cell_orbits(g: Graph, group: PermutationGroup):
         seen.add(cell)
         orbit = [cell]
         for i, j in orbit:
-            for sigma in group.generators:
-                a, b = sigma.images[i - 1], sigma.images[j - 1]
+            for im in images:
+                a, b = im[i], im[j]
                 image = (a, b) if a <= b else (b, a)
                 if image in seen:
                     continue
-                if a != b and image not in g.edges:
+                if a != b and image not in edges:
+                    sigma = group.generators[images.index(im)]
                     raise InvarianceError(
                         f"permutation {sigma.cycle_string()} maps edge ({i},{j}) to "
                         f"non-edge ({a},{b}); not an automorphism",
@@ -110,8 +129,7 @@ def _cell_orbits(g: Graph, group: PermutationGroup):
                 seen.add(image)
                 orbit.append(image)
         orbits.append(tuple(sorted(orbit)))
-    orbits.sort(key=lambda orb: orb[0])
-    return orbits
+    return tuple(sorted(orbits))
 
 
 def build_invariant_space(g: Graph, group: PermutationGroup) -> InvariantSpace:
@@ -122,15 +140,7 @@ def build_invariant_space(g: Graph, group: PermutationGroup) -> InvariantSpace:
     p = g.vertex_count
     if group.degree != p:
         raise ShapeError(f"group degree {group.degree} != vertex count {p}")
-    orbits = _cell_orbits(g, group)
-    basis = np.zeros((len(orbits), p, p))
-    for b, orbit in zip(basis, orbits):
-        diagonal = orbit[0][0] == orbit[0][1]
-        w = 1.0 / math.sqrt(len(orbit) if diagonal else 2.0 * len(orbit))
-        for i, j in orbit:
-            b[i - 1, j - 1] = b[j - 1, i - 1] = w
-    basis.setflags(write=False)
-    return InvariantSpace(graph=g, group=group, basis=basis, orbits=tuple(orbits))
+    return InvariantSpace(graph=g, group=group, orbits=_cell_orbits(g, group))
 
 
 def project(space: InvariantSpace, y: np.ndarray) -> np.ndarray:
@@ -143,8 +153,10 @@ def same_space(z1: InvariantSpace, z2: InvariantSpace) -> bool:
 
     Each basis element is the normalized indicator of one cell orbit, so two
     spaces on one graph span the same matrices exactly when their canonical
-    orbit partitions are equal.
+    orbit partitions are equal.  The graphs are compared by identity first,
+    and by value only when they are different objects; spaces on different
+    graphs raise UsageError.
     """
-    if z1.graph != z2.graph:
+    if z1.graph is not z2.graph and z1.graph != z2.graph:
         raise UsageError("spaces live on different graphs")
     return z1.orbits == z2.orbits

@@ -1,4 +1,4 @@
-"""Independent verification engine: Monte Carlo cone integrals and stencils.
+"""Independent verification engine: Monte Carlo cone integrals.
 
 The importance sampler estimates integrals of exp(-tr(xy)) det(x)^alpha over
 the primal cone of an invariant space.  For every alpha >= 0 the proposal
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cone
-from .errors import DomainError, DualMembershipError, ScopeError, StencilError
+from .errors import DomainError, DualMembershipError, ScopeError
 from .invariant import InvariantSpace
 
 MC_DIM_LIMIT = 7
@@ -308,44 +308,10 @@ def mc_cone_integral(
             block = slice(lo, lo + _BLOCK)
             zb, ub = z[block], u[block]
             coords = mu + (zb @ root.T) * np.sqrt(df / ub)[:, None]
-            mahal = np.sum(zb * zb, axis=1) * df / ub
+            mahal = np.einsum("ij,ij->i", zb, zb) * df / ub
             log_q = log_norm - 0.5 * (df + n_dim) * np.log1p(mahal / df)
             w[block] = np.exp(_log_f_batch(space, plan, coords, y_coords, alpha) - log_q)
         sum_w += float(np.sum(w))
         sum_w2 += float(np.sum(w * w))
         done += m
     return _estimate_from_sums(sum_w, sum_w2, samples, seed)
-
-
-def finite_diff_gradient(f, space: InvariantSpace, y: np.ndarray, step: float = 1e-5):
-    """Central-difference gradient of a scalar field in basis coordinates."""
-    grad = np.zeros(space.dim)
-    for a in range(space.dim):
-        h = step * space.basis[a]
-        try:
-            grad[a] = (f(y + h) - f(y - h)) / (2.0 * step)
-        except Exception as exc:
-            raise StencilError(f"evaluation failed at gradient stencil {a}: {exc}") from exc
-    return grad
-
-
-def finite_diff_hessian(f, space: InvariantSpace, y: np.ndarray, step: float = 1e-4):
-    """Central-difference Hessian of a scalar field, symmetrized."""
-    n_dim = space.dim
-    hess = np.zeros((n_dim, n_dim))
-    try:
-        f0 = f(y)
-        for a in range(n_dim):
-            ha = step * space.basis[a]
-            hess[a, a] = (f(y + ha) - 2.0 * f0 + f(y - ha)) / (step * step)
-            for b in range(a + 1, n_dim):
-                hb = step * space.basis[b]
-                val = (
-                    f(y + ha + hb) - f(y + ha - hb) - f(y - ha + hb) + f(y - ha - hb)
-                ) / (4.0 * step * step)
-                hess[a, b] = hess[b, a] = val
-    except StencilError:
-        raise
-    except Exception as exc:
-        raise StencilError(f"evaluation failed at a Hessian stencil point: {exc}") from exc
-    return 0.5 * (hess + hess.T)

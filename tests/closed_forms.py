@@ -7,7 +7,9 @@ the seven hand-written block realizations in data/butterfly_realizations.json
 (an orthogonal u and a block structure per benchmark class, with exact
 symbolic entries), which the package derives instead, and
 ``rho_star_identity``, the adjoint action of a triangular element on the
-identity by plain matrix products.
+identity by plain matrix products.  The central-difference stencils
+``finite_diff_gradient`` and ``finite_diff_hessian`` check derivative
+identities in the orthonormal coordinates of a space.
 """
 
 import json
@@ -19,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln
 
+from homcone.errors import HomconeError
 from homcone.realization import VStructure
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -174,3 +177,44 @@ def rho_star_identity(t_elem) -> np.ndarray:
     """Image of the identity under the adjoint action: projection of T^T T."""
     t = t_elem.matrix()
     return t_elem.structure.project(t.T @ t)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference stencils in the orthonormal coordinates of a space
+
+class StencilError(HomconeError):
+    """A finite-difference stencil point could not be evaluated."""
+
+
+def finite_diff_gradient(f, space, y, step=1e-5):
+    """Central-difference gradient of a scalar field in basis coordinates."""
+    grad = np.zeros(space.dim)
+    for a in range(space.dim):
+        h = step * space.basis[a]
+        try:
+            grad[a] = (f(y + h) - f(y - h)) / (2.0 * step)
+        except Exception as exc:
+            raise StencilError(f"evaluation failed at gradient stencil {a}: {exc}") from exc
+    return grad
+
+
+def finite_diff_hessian(f, space, y, step=1e-4):
+    """Central-difference Hessian of a scalar field, symmetrized."""
+    n_dim = space.dim
+    hess = np.zeros((n_dim, n_dim))
+    try:
+        f0 = f(y)
+        for a in range(n_dim):
+            ha = step * space.basis[a]
+            hess[a, a] = (f(y + ha) - 2.0 * f0 + f(y - ha)) / (step * step)
+            for b in range(a + 1, n_dim):
+                hb = step * space.basis[b]
+                val = (
+                    f(y + ha + hb) - f(y + ha - hb) - f(y - ha + hb) + f(y - ha - hb)
+                ) / (4.0 * step * step)
+                hess[a, b] = hess[b, a] = val
+    except StencilError:
+        raise
+    except Exception as exc:
+        raise StencilError(f"evaluation failed at a Hessian stencil point: {exc}") from exc
+    return 0.5 * (hess + hess.T)

@@ -28,12 +28,12 @@ import homcone as hc
 from homcone import cone
 from homcone.graphs import Permutation, PermutationGroup, automorphism_group, enumerate_subgroups
 from homcone.invariant import build_invariant_space, same_space
-from homcone.oracle import finite_diff_gradient, finite_diff_hessian, mc_cone_integral
+from homcone.oracle import mc_cone_integral
 from homcone.realization import factor_T, full_sym_structure, log_gamma_v
 from homcone.selection import Hyperparams, fit_concentration, posterior
 from homcone.verify import log_gamma_full_sym_classical, mc_reference_cases
 
-from closed_forms import GAMMA_LOG, PHI_LOG
+from closed_forms import GAMMA_LOG, PHI_LOG, finite_diff_gradient, finite_diff_hessian
 
 D_VALUES = (1.0, 100.0, 10000.0)
 EXPECTED_WINNERS = ("G7", "G3", "G1")

@@ -601,6 +601,12 @@ def test_subgroups_reject_non_closed_elements():
     fake = PermutationGroup(degree=3, generators=(), elements=(e, rot))
     with pytest.raises(ValueError):
         enumerate_subgroups(fake)
+    # two subgroups of order 2, whose product is missing; and no identity
+    swaps = [Permutation.from_cycle_string(c, 3) for c in ("(1 2)", "(2 3)")]
+    with pytest.raises(ValueError, match="is missing"):
+        _cayley_table([e, *swaps])
+    with pytest.raises(ValueError, match="the identity is missing"):
+        _cayley_table([rot, rot.compose(rot)])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from homcone.graphs import (
 )
 from homcone.invariant import build_invariant_space, project, same_space
 from homcone.realization import full_sym_structure
+from homcone.selection import Model, dedupe_models
 
 from closed_forms import golden_by_id
 
@@ -245,13 +246,34 @@ LATTICE_GRAPHS = {
 
 @pytest.mark.parametrize("name", list(LATTICE_GRAPHS))
 def test_generator_orbits_match_element_orbits(name):
+    """Every space of the lattice, and of a relabelled copy, matches the
+    element-by-element construction; building and deduplicating the spaces
+    builds no basis, which is made on first read."""
     base = LATTICE_GRAPHS[name]
     for g in (base, relabeled(base, random.Random(name))):
-        for h in enumerate_subgroups(automorphism_group(g)):
-            space = build_invariant_space(g, h)
+        subgroups = enumerate_subgroups(automorphism_group(g))
+        spaces = [build_invariant_space(g, h) for h in subgroups]
+        dedupe_models([Model(f"H{i}", z) for i, z in enumerate(spaces, start=1)])
+        for z in spaces:
+            assert "basis" not in vars(z) and "flat" not in vars(z)
+        for h, space in zip(subgroups, spaces):
             orbits, basis = element_orbits_and_basis(g, h)
             assert space.orbits == orbits
+            assert space.dim == len(orbits) and space.p == g.vertex_count
             assert np.array_equal(space.basis, basis)
+            assert not space.basis.flags.writeable
+
+
+def test_same_space_compares_graphs_by_value():
+    edges = [(1, 2), (2, 3), (1, 3), (3, 4)]
+    g1 = Graph.build(list("abcd"), edges)
+    g2 = Graph.build(list("abcd"), list(reversed(edges)))
+    assert g1 is not g2 and g1 == g2
+    swap = PermutationGroup.generate(4, [Permutation.from_cycle_string("(1 2)", 4)])
+    trivial = PermutationGroup.trivial(4)
+    assert same_space(build_invariant_space(g1, swap), build_invariant_space(g2, swap))
+    assert same_space(build_invariant_space(g1, trivial), build_invariant_space(g2, trivial))
+    assert not same_space(build_invariant_space(g1, swap), build_invariant_space(g2, trivial))
 
 
 def test_same_space_usage_error(spaces):
@@ -265,8 +287,9 @@ def test_non_subgroup_raises_invariance_error(butterfly):
     bad = PermutationGroup.generate(5, [Permutation.from_cycle_string("(1 4)", 5)])
     with pytest.raises(InvarianceError) as info:
         build_invariant_space(butterfly, bad)
-    assert info.value.permutation is not None
-    assert info.value.edge is not None
+    sigma, (i, j) = info.value.permutation, info.value.edge
+    assert sigma == bad.generators[0]
+    assert butterfly.has_edge(i, j) and not butterfly.has_edge(sigma(i), sigma(j))
 
 
 def test_project_shape_error(spaces):

@@ -10,16 +10,12 @@ from scipy.special import gammaln
 
 import homcone as hc
 from homcone import cone, oracle, verify
-from homcone.errors import (
-    DomainError, DualMembershipError, HomconeError, ScopeError, StencilError,
-)
+from homcone.errors import DomainError, DualMembershipError, HomconeError, ScopeError
 from homcone.graphs import (
     Graph, Permutation, PermutationGroup, automorphism_group, enumerate_subgroups,
 )
 from homcone.invariant import build_invariant_space
 from homcone.oracle import (
-    finite_diff_gradient,
-    finite_diff_hessian,
     mc_cone_integral,
     _elimination_plan,
     _estimate_from_sums,
@@ -28,6 +24,8 @@ from homcone.oracle import (
     _support,
 )
 from homcone.realization import full_sym_structure, log_gamma_v, ray_structure
+
+from closed_forms import StencilError, finite_diff_gradient, finite_diff_hessian
 
 
 def full_sym_space(p):
