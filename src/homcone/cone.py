@@ -16,6 +16,18 @@ C_a; a trial point becomes a matrix only for its Cholesky factor.
 ``metric_matrix`` keeps the Kronecker form of that metric as the
 reference.
 
+The iteration starts at the inverse of the max-determinant positive
+definite completion of the point, built along the perfect elimination order
+of the space's support.  On an invariant space of a homogeneous graph, a
+pattern space whose support is chordal, that start is the solution, and
+the first iteration only certifies its gradient; a pivot of the completion
+that is not positive certifies instead that the point is outside the open
+dual cone.  Newton starts instead from a multiple of the identity when the
+support has no perfect elimination order, or when, on a span that is not
+an invariant space, a pivot fails or the projected completion is not
+positive definite.  The start reads the point's entries alone and never
+calls a realization.
+
 All determinant work is done in log space.
 """
 
@@ -104,6 +116,49 @@ def metric_matrix(space: InvariantSpace, w: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def _completion_start(space, yn: np.ndarray) -> np.ndarray | None:
+    """Coordinates of the inverse of the max-determinant completion of yn,
+    or None when the space's support has no perfect elimination order or,
+    off an invariant space, a pivot fails.
+
+    Along the order, vertex v with later neighbours L gives
+    b_v = yn_LL^{-1} yn_Lv, the pivot d_v = yn_vv - yn_vL b_v and
+    u_v = e_v - b_v, and the inverse completion is
+    K = sum_v u_v u_v^T / d_v (Grone, Johnson, Sa and Wolkowicz 1984).  The
+    vertices with equally many later neighbours are solved as one stack.
+    On an invariant space, a pattern space, K lies in the space and solves
+    projection(K^{-1}) = yn; every pivot is positive exactly when every
+    clique block of yn is positive definite, which is membership in the open
+    dual cone, so a failed pivot raises DualMembershipError.
+    """
+    groups = space.perfect_elimination
+    if groups is None:
+        return None
+    flat_y = yn.reshape(-1)
+    u = np.eye(space.p)
+    flat_u = u.reshape(-1)
+    d = yn.diagonal().copy()
+    for group in groups:
+        if not group.column.shape[1]:
+            continue  # no later neighbour: the pivot is the diagonal entry
+        y_col = flat_y[group.column]
+        try:
+            b = np.linalg.solve(flat_y[group.block], y_col[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # a singular block: no positive pivot
+            d[group.vertices] = np.nan
+            continue
+        d[group.vertices] -= (y_col * b).sum(axis=1)
+        flat_u[group.column] = -b
+    if not (d > 0.0).all():
+        if isinstance(space, InvariantSpace):
+            raise DualMembershipError(
+                "a clique block is not positive definite; "
+                "point is not in the open dual cone"
+            )
+        return None
+    return space.coords((u / d) @ u.T)
+
+
 def psi(space: InvariantSpace, y: np.ndarray) -> PsiResult:
     """Solve projection(x^{-1}) = y for positive definite x in the space.
 
@@ -112,6 +167,16 @@ def psi(space: InvariantSpace, y: np.ndarray) -> PsiResult:
     backtracking line search that enforces positive definiteness plus Armijo
     decrease.  A collapsed line search or stalled iteration certifies that y
     is outside the open dual cone.
+
+    The iteration starts at the inverse max-determinant completion of the
+    normalized point (``_completion_start``), which solves the equation on
+    an invariant space with a chordal support, so one iteration checks its
+    gradient against GRAD_TOL and stops.  On an invariant space a failed
+    pivot of that completion raises DualMembershipError before any Newton
+    step.  The start falls back to a multiple of the identity when the
+    support has no perfect elimination order (a 4-cycle, say), when a pivot
+    fails on a span that is not an invariant space, or when the completion,
+    projected onto such a span, is not positive definite.
 
     The iterate and the normalized point are carried as coordinates, so
     tr(xy) is their dot product and the gradient's Frobenius norm is its
@@ -133,8 +198,11 @@ def psi(space: InvariantSpace, y: np.ndarray) -> PsiResult:
     basis, flat = space.basis, space.flat
     yn = y / scale
     yc = coords_y / scale
-    xc = (p / float(np.trace(yn))) * space.coords(np.eye(p))
-    chol = np.linalg.cholesky(space.from_coords(xc))  # a multiple of the identity
+    xc = _completion_start(space, yn)
+    chol = None if xc is None else _cholesky_or_none(space.from_coords(xc))
+    if chol is None:
+        xc = (p / float(np.trace(yn))) * space.coords(np.eye(p))
+        chol = np.linalg.cholesky(space.from_coords(xc))  # a multiple of the identity
     f = float(xc @ yc) - _logdet_from_chol(chol)
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):

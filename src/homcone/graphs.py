@@ -358,8 +358,12 @@ class PermutationGroup:
         (``_cayley_table``), built once per group."""
         return _cayley_table(self.elements)
 
+    @cached_property
+    def _element_set(self) -> frozenset[Permutation]:
+        return frozenset(self.elements)
+
     def __contains__(self, perm: Permutation) -> bool:
-        return perm in set(self.elements)
+        return perm in self._element_set
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PermutationGroup):

@@ -10,7 +10,13 @@ orbit indicator per orbit, is built on first use.  Coordinates and
 projections live in ``OrthonormalSpan``, which the realized block
 structures share: it flattens the basis once into an (N, p^2) matrix B,
 so coordinates are B vec(x), a point is B^T c, and the projection is
-B^T B vec(x), each one or two matrix products.
+B^T B vec(x), each one or two matrix products.  It also reads the space's
+support, the cells where some basis matrix is nonzero, and plans an
+elimination along it (``perfect_elimination``): the vertices by ascending
+closed-neighbourhood size, ties by index.  On a homogeneous graph the closed
+neighbourhoods of adjacent vertices are nested, so the later neighbours of
+every vertex are pairwise adjacent and the order is a perfect elimination
+order.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +40,18 @@ def project_onto(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("a,aij->ij", np.einsum("aij,ij->a", stack, x), stack)
 
 
+class EliminationGroup(NamedTuple):
+    """The m ``vertices`` of a perfect elimination order that have k later
+    neighbours, with those neighbours as row-major flat cells of a p x p
+    matrix: ``column`` (m, k) holds the cells (l, v) over the later
+    neighbours l of v, and ``block`` (m, k, k) the cells (l, l') among
+    them."""
+
+    vertices: np.ndarray
+    column: np.ndarray
+    block: np.ndarray
+
+
 class OrthonormalSpan:
     """Coordinates and projections for a subclass's orthonormal ``basis``
     stack (N, p, p) under the trace inner product, taken through its
@@ -43,6 +62,39 @@ class OrthonormalSpan:
         """The basis as a C-contiguous (N, p^2) matrix: row a is vec(B_a)."""
         basis = self.basis
         return np.ascontiguousarray(basis.reshape(basis.shape[0], -1))
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """The p x p cells where some basis matrix is nonzero."""
+        return np.any(self.flat != 0.0, axis=0).reshape(self.p, self.p)
+
+    @cached_property
+    def perfect_elimination(self) -> tuple[EliminationGroup, ...] | None:
+        """The support's elimination plan, grouped by the number of later
+        neighbours, or None if the order is not a perfect elimination order
+        (the support is then not chordal along it, as on a 4-cycle).
+
+        The vertices are taken by ascending closed-neighbourhood size in the
+        support, ties by index; the diagonal counts as supported."""
+        p = self.p
+        adjacent = self.support | np.eye(p, dtype=bool)
+        order = np.argsort(adjacent.sum(axis=1), kind="stable")
+        by_count: dict[int, list[tuple[int, list[int]]]] = {}
+        for pos, v in enumerate(order):
+            later = [int(w) for w in order[pos + 1:] if adjacent[v, w]]
+            if not adjacent[np.ix_(later, later)].all():
+                return None
+            by_count.setdefault(len(later), []).append((int(v), later))
+        groups = []
+        for k, members in sorted(by_count.items()):
+            vertices = np.array([v for v, _ in members], dtype=np.intp)
+            later = np.array([l for _, l in members], dtype=np.intp).reshape(len(members), k)
+            groups.append(EliminationGroup(
+                vertices=vertices,
+                column=later * p + vertices[:, None],
+                block=later[:, :, None] * p + later[:, None, :],
+            ))
+        return tuple(groups)
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of the projection of the p x p matrix x onto the space."""

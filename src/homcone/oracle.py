@@ -108,11 +108,6 @@ class _EliminationPlan:
     steps: tuple
 
 
-def _support(space: InvariantSpace) -> np.ndarray:
-    """The p x p cells where some basis matrix of the space is nonzero."""
-    return np.any(space.flat != 0.0, axis=0).reshape(space.p, space.p)
-
-
 def _elimination_plan(pattern: np.ndarray) -> _EliminationPlan:
     """The entries and updates of a symmetric elimination on a p x p pattern.
 
@@ -290,7 +285,7 @@ def mc_cone_integral(
     mu, cov_root = _proposal_moments(space, alpha, y)
     root = cov_root * math.sqrt((df - 2.0) / df)  # a square root of the t scale
     log_norm = _student_t_log_norm(df, n_dim, np.linalg.slogdet(root)[1])
-    plan = _elimination_plan(_support(space))
+    plan = _elimination_plan(space.support)
 
     master = np.random.SeedSequence(seed)
     n_chunks = (samples + CHUNK - 1) // CHUNK

@@ -7,11 +7,16 @@ import pytest
 import homcone as hc
 from homcone import cone
 from homcone.errors import DomainError, DualMembershipError, ShapeError
-from homcone.graphs import Graph, PermutationGroup
+from homcone.graphs import Graph, PermutationGroup, automorphism_group
 from homcone.invariant import build_invariant_space
+from homcone.realization import VStructure, ray_structure
 from homcone.verify import random_dual_point
 
 from closed_forms import PHI_LOG, log_delta_g1
+from lattices import LATTICES, lattice_models, random_graphs
+
+# the start psi takes, kept before any test replaces it
+completion_start = cone._completion_start
 
 
 def full_sym_space(p):
@@ -36,17 +41,33 @@ def random_primal(space, rng, spread=0.3):
 # ---------------------------------------------------------------------------
 # the inverse-projection solve
 
-def test_psi_iteration_counts_pinned():
-    # the Newton solves of verify's cross-path check, in its order and seed;
-    # the counts are those of the matrix-form iteration, whose steps the
-    # coordinate form must reproduce
+def cross_path_iterations():
+    # the Newton solves of verify's cross-path check, in its order and seed
     rng = np.random.default_rng(20240601)
-    counts = [
+    return [
         cone.psi(space, random_dual_point(space, rng)).iterations
         for space in model_spaces()
         for _ in range(3)
     ]
-    assert counts == [8, 9, 9, 8, 7, 9, 7, 7, 9, 9, 8, 9, 8, 7, 7, 9, 8, 8, 7, 6, 7]
+
+
+@pytest.fixture
+def identity_start(monkeypatch):
+    """Newton started from a multiple of the identity on every space."""
+    monkeypatch.setattr(cone, "_completion_start", lambda space, yn: None)
+
+
+def test_psi_iteration_counts_pinned_from_identity(identity_start):
+    # the counts of the matrix-form iteration, whose steps the coordinate
+    # form must reproduce
+    assert cross_path_iterations() == [
+        8, 9, 9, 8, 7, 9, 7, 7, 9, 9, 8, 9, 8, 7, 7, 9, 8, 8, 7, 6, 7
+    ]
+
+
+def test_psi_iteration_counts_pinned_from_completion():
+    # the start is the solution: one iteration certifies its gradient
+    assert cross_path_iterations() == [1] * 21
 
 
 def test_newton_trace_emits_one_record_per_iteration():
@@ -117,9 +138,12 @@ def test_psi_rejects_nonpositive_trace(spaces):
         cone.psi(spaces["G1"], -np.eye(5))
 
 
-def test_psi_convergence_error_carries_residual(spaces, dual_point, monkeypatch):
+def test_psi_convergence_error_carries_residual(
+    spaces, dual_point, monkeypatch, identity_start
+):
     from homcone.errors import ConvergenceError
 
+    # from the identity start two iterations are too few
     rng = np.random.default_rng(55)
     y = dual_point(spaces["G1"], rng)
     monkeypatch.setattr(cone, "MAX_ITER", 2)
@@ -129,11 +153,126 @@ def test_psi_convergence_error_carries_residual(spaces, dual_point, monkeypatch)
     assert info.value.iterations == 2
 
 
-def test_psi_line_search_collapse_outside_dual():
+def test_psi_line_search_collapse_outside_dual(identity_start):
+    # Newton's own exterior certificate, from the identity start: from the
+    # completion start a failed pivot rejects this point first
     space = full_sym_space(2)
     y = np.array([[1.0, 0.0], [0.0, -0.5]])  # positive trace, outside the dual
     with pytest.raises(DualMembershipError):
         cone.psi(space, y)
+
+
+# ---------------------------------------------------------------------------
+# the completion start and its fallback
+
+def check_start_is_solution(space, rng):
+    # the start at a normalized point against the Newton solution there
+    # from the identity start.  Newton's gradient stop leaves its solution
+    # off by up to GRAD_TOL / (least eigenvalue of the metric), to first
+    # order, which exceeds 1e-10 relative where the solution is large
+    y = random_dual_point(space, rng)
+    yn = y / np.linalg.norm(y)
+    start = completion_start(space, yn)
+    newton = cone.psi(space, yn)
+    stop = cone.GRAD_TOL / np.linalg.eigvalsh(newton.metric)[0]
+    tol = 1e-10 * np.linalg.norm(newton.coords) + stop
+    assert np.linalg.norm(start - newton.coords) <= tol
+    # and the start solves the equation itself
+    inverse = space.project(np.linalg.inv(space.from_coords(start)))
+    assert np.linalg.norm(inverse - yn) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["K4", "star", "windmill", "K5"])
+def test_completion_start_solves_every_lattice_space(name, identity_start):
+    rng = np.random.default_rng(41)
+    for m in lattice_models(LATTICES[name][0]):
+        check_start_is_solution(m.space, rng)
+
+
+def test_completion_start_solves_random_homogeneous_graphs(identity_start):
+    rng = np.random.default_rng(42)
+    for g in random_graphs(count=12, seed=43):
+        assert g.vertex_count <= 7
+        for m in lattice_models(g):
+            check_start_is_solution(m.space, rng)
+
+
+def check_solves(space, y):
+    res = cone.psi(space, y)
+    assert res.residual <= 1e-10 * np.linalg.norm(y)
+    # independent residual check: plain inversion plus projection
+    assert np.linalg.norm(space.project(np.linalg.inv(res.x_star)) - y) <= 1e-10
+    return res
+
+
+@pytest.mark.parametrize("group", ["trivial", "dihedral"])
+def test_psi_falls_back_on_a_non_chordal_support(group):
+    c4 = Graph.build(list("abcd"), [(1, 2), (2, 3), (3, 4), (1, 4)])
+    aut = PermutationGroup.trivial(4) if group == "trivial" else automorphism_group(c4)
+    space = build_invariant_space(c4, aut)
+    assert space.perfect_elimination is None
+    rng = np.random.default_rng(44)
+    for _ in range(5):
+        assert check_solves(space, random_dual_point(space, rng)).iterations > 1
+
+
+def test_psi_on_ray_spaces():
+    empty3 = Graph.build(["a", "b", "c"], [])
+    s3 = automorphism_group(empty3)
+    spaces = [build_invariant_space(empty3, s3)] + [ray_structure(p) for p in (2, 3, 4)]
+    for space in spaces:
+        res = check_solves(space, 1.3 * np.eye(space.p))
+        assert np.allclose(res.x_star, np.eye(space.p) / 1.3, rtol=1e-14, atol=0)
+
+
+def test_psi_falls_back_on_a_start_outside_the_cone():
+    # a span outside the pattern spaces: the diagonal block of the last two
+    # coordinates is a multiple of the identity, but only one of them meets
+    # the first, so the inverse completion projects to an indefinite matrix
+    span = VStructure([1, 2], {(2, 1): np.array([[1.0], [0.0]])})
+    y = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    start = span.from_coords(completion_start(span, y / np.linalg.norm(y)))
+    assert np.linalg.eigvalsh(start)[0] < 0.0
+    assert check_solves(span, y).iterations > 1
+
+
+def test_failed_pivot_off_a_pattern_space_leaves_newton_to_decide():
+    # only an invariant space takes a failed pivot as its certificate
+    span = VStructure([1, 1], {(2, 1): np.ones((1, 1, 1))})
+    y = np.diag([1.0, -0.5])
+    assert completion_start(span, y / np.linalg.norm(y)) is None
+    with pytest.raises(DualMembershipError, match="line search|diverged"):
+        cone.psi(span, y)
+
+
+@pytest.mark.parametrize(
+    "y",
+    [np.diag([1.0, 0.0]), np.diag([1.0, -1e-12]), np.diag([1.0, -0.5])],
+    ids=["diag(1,0)", "diag(1,-eps)", "diag(1,-0.5)"],
+)
+def test_boundary_and_exterior_points_fail_their_pivot(y):
+    # a point on the boundary "converged" in 37 iterations from the identity
+    space = full_sym_space(2)
+    with pytest.raises(DualMembershipError, match="clique block"):
+        cone.psi(space, y)
+    assert not cone.in_dual_cone(space, y)
+
+
+def test_collapsed_clique_block_fails_its_pivot(spaces):
+    # the butterfly's triangle {1, 2, 3} holds a singular block
+    y = np.eye(5)
+    y[0, 1] = y[1, 0] = 1.0
+    with pytest.raises(DualMembershipError, match="clique block"):
+        cone.psi(spaces["G1"], y)
+
+
+def test_aligned_ill_conditioned_points_are_exact():
+    space = full_sym_space(2)
+    for k in range(2, 15, 2):
+        y = np.diag([1.0, 10.0 ** -k])
+        res = cone.psi(space, y)
+        assert res.iterations == 1
+        assert abs(res.log_delta - math.log(10.0 ** -k)) <= 1e-14 * k * math.log(10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +341,11 @@ def test_hessian_identity_full_cone():
 
 def test_newton_closed_forms_full_cone():
     # log delta = log det y and log phi = -(p+1)/2 log det y on the full
-    # cone, at rotated spectra spread log-uniformly over [1, 1e2].  The
-    # absolute gradient stop loses digits on a tiny eigenvalue of the
-    # normalized point (a 2x2 point of condition 35 with one eigenvalue at
-    # 0.03 is off by 3e-10), see the strict xfail in test_realization.py
+    # cone, at rotated spectra spread log-uniformly over [1, 1e2].  From the
+    # identity start the absolute gradient stop loses digits on a tiny
+    # eigenvalue of the normalized point (a 2x2 point of condition 35 with
+    # one eigenvalue at 0.03 is off by 3e-10); the completion start is the
+    # solution here.  See the strict xfail in test_realization.py
     rng = np.random.default_rng(1313)
     for p in (2, 3, 4, 5):
         space = full_sym_space(p)

@@ -275,6 +275,15 @@ def test_group_generate_closure():
         assert a.inverse() in grp
 
 
+def test_group_membership_reads_one_set():
+    group = automorphism_group(complete_graph(4))
+    assert all(sigma in group for sigma in group.elements)
+    tau = Permutation.from_cycle_string("(1 2)", 4)
+    assert tau not in PermutationGroup.generate(4, [Permutation.from_cycle_string("(1 2 3 4)", 4)])
+    # the set is built on the first test and read by every later one
+    assert group._element_set is group._element_set
+
+
 def test_group_generate_degree_mismatch():
     with pytest.raises(ShapeError):
         PermutationGroup.generate(4, [Permutation((2, 1, 3))])

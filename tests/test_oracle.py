@@ -21,7 +21,6 @@ from homcone.oracle import (
     _estimate_from_sums,
     _pivot_logdet,
     _proposal_moments,
-    _support,
 )
 from homcone.realization import full_sym_structure, log_gamma_v, ray_structure
 
@@ -423,7 +422,7 @@ def test_plan_has_no_fill_on_homogeneous_lattices(name):
         g = _graph(p, [(int(perm[i - 1]), int(perm[j - 1])) for i, j in edges])
         for h in enumerate_subgroups(automorphism_group(g)):
             space = build_invariant_space(g, h)
-            support = _support(space)
+            support = space.support
             plan = _elimination_plan(support)
             want = {(i, j) for i in range(p) for j in range(i, p) if support[i, j]}
             assert _planned_cells(plan, p) == want
@@ -435,7 +434,7 @@ def test_hub_plan_counts():
     # the hub-symmetric reference cone: 6 divisions and 8 row updates per
     # sweep, against 10 and 20 for the dense upper triangle
     _, space, _, _, _ = verify.mc_reference_cases()[2]
-    plan = _elimination_plan(_support(space))
+    plan = _elimination_plan(space.support)
     assert len(plan.cols) == 11
     assert sum(len(e) for _, e in plan.steps) == 6
     assert sum(len(u) for _, e in plan.steps for _, u in e) == 8
