@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, DualMembershipError, ShapeError
-from .invariant import SPAN_TOL, InvariantSpace
+from .invariant import SPAN_TOL, InvariantSpace, finite_norm
 
 GRAD_TOL = 1e-11
 MAX_ITER = 100
@@ -86,13 +86,14 @@ def _check_matrix(
     space: InvariantSpace, m: np.ndarray, what: str
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """m as a float array with its coordinates and its Frobenius norm,
-    after checking its shape and that it lies in the space."""
+    after checking its shape, that it is finite and that it lies in the
+    space; both norms are taken by ``math.hypot``, so none overflows."""
     m = np.asarray(m, dtype=float)
     if m.shape != (space.p, space.p):
         raise ShapeError(f"{what} must be {space.p}x{space.p}, got {m.shape}")
+    norm = finite_norm(m, what)
     coords = space.coords(m)
-    norm = float(np.linalg.norm(m))
-    residual = float(np.linalg.norm(m - space.from_coords(coords)))
+    residual = math.hypot(*(m - space.from_coords(coords)).reshape(-1).tolist())
     if residual > SPAN_TOL * max(1.0, norm):
         raise DomainError(
             f"{what} is not in the invariant space "

@@ -28,10 +28,26 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvarianceError, ShapeError, UsageError
+from .errors import DomainError, InvarianceError, ShapeError, UsageError
 from .graphs import Graph, PermutationGroup
 
 SPAN_TOL = 1e-10
+
+
+def finite_norm(m: np.ndarray, what: str) -> float:
+    """Frobenius norm of the float array m, by ``math.hypot``, which scales
+    instead of overflowing and raises no floating-point warning.
+
+    DomainError names the first non-finite entry of m, or says that the
+    norm itself overflows."""
+    norm = math.hypot(*m.reshape(-1).tolist())
+    if math.isfinite(norm):
+        return norm
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        cell = tuple(int(i) for i in bad[0])
+        raise DomainError(f"{what} has a non-finite entry {m[cell]} at {list(cell)}")
+    raise DomainError(f"{what} is too large: its norm overflows")
 
 
 def project_onto(stack: np.ndarray, x: np.ndarray) -> np.ndarray:

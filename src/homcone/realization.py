@@ -7,13 +7,15 @@ with scalar diagonal blocks and off-diagonal blocks in the subspaces.  The
 lower triangular matrices of the same shape with positive diagonal scalars
 act simply transitively on the realized cone by congruence, which gives:
 
-* a generalized Cholesky factorization of dual points (factor_T), run on
-  the point's orthonormal coordinates through a per-structure plan of slot
-  offsets and structure constants, in plain floats,
+* a generalized Cholesky factorization of dual points (factor_T),
+  compiled once per structure into a flat program over the point's
+  orthonormal coordinates (``VStructure.plan``) and run in place, in plain
+  floats,
 * closed forms for the determinant functional and its Hessian determinant
   (delta_phi_fast): twice the log determinant of the factor, and a power
   of its diagonal scalars whose exponents (the multidegree) are counted
-  from the dimensions of the off-diagonal subspaces, and
+  from the dimensions of the off-diagonal subspaces, both summed inside
+  the factorization's one pass, and
 * the gamma-type integral of the cone in closed form (log_gamma_v).
 
 An invariant space is hooked up to a realization by an orthogonal
@@ -50,7 +52,13 @@ from .errors import (
     DualMembershipError,
     ShapeError,
 )
-from .invariant import SPAN_TOL, InvariantSpace, OrthonormalSpan, project_onto
+from .invariant import (
+    SPAN_TOL,
+    InvariantSpace,
+    OrthonormalSpan,
+    finite_norm,
+    project_onto,
+)
 
 AXIOM_TOL = 1e-12
 BASIS_GRAM_TOL = 1e-10
@@ -63,18 +71,23 @@ PIVOT_RTOL = 16.0 * sys.float_info.epsilon
 REALIZE_SEED = 20240601
 EIGEN_GAP_RTOL = 1e-8
 RANK_TOL = 1e-10
+_SQRT2 = math.sqrt(2.0)
 
 
 class FactorPlan(NamedTuple):
     """What the factorization and the gamma integral read of a structure,
     built once.
 
-    ``slots`` holds the (start, stop) range of each off-diagonal slot's
-    coordinates, in ``offdiag_slots`` order.  ``steps`` runs over the block
-    rows k = r..1; each is (k, row, bilinear) with ``row`` the (slot of
-    V[k,i], i) pairs of row k and ``bilinear`` the (slot of V[i,j], slot of
-    V[k,i], slot of V[k,j], C) updates, where C[e][a][b] =
-    (A^{ij}_e | (A^{ki}_a)^T A^{kj}_b) as nested lists.  The gamma integral
+    The factorization is a flat program over one list of realized
+    coordinates c, diagonal coordinates c_1..c_r first, then each
+    off-diagonal slot's coordinates in ``offdiag_slots`` order; ``slots``
+    holds the (start, stop) range of each slot.  ``steps`` runs over the
+    block rows k = r..1; each is (k - 1, 1 / sqrt(n_k), 2 n_k, s_k, row,
+    bilinear), with s_k the multidegree.  ``row`` holds one
+    (coordinate of V[k,i], i - 1, 1 / sqrt(n_i)) triple per coordinate of
+    row k, and ``bilinear`` one (coordinate of V[i,j], coordinate of V[k,i],
+    coordinate of V[k,j], sqrt(2) C) quadruple per nonzero structure
+    constant C = (A^{ij}_e | (A^{ki}_a)^T A^{kj}_b).  The gamma integral
     at exponent alpha is ``gamma_const - alpha * n_log_n`` plus
     lgamma(n_k alpha + offset_k) over the (n_k, offset_k) pairs of
     ``lgamma_args``, with offset_k = q(k) / 2 + 1.
@@ -169,35 +182,38 @@ class VStructure(OrthonormalSpan):
 
     @cached_property
     def plan(self) -> FactorPlan:
-        """Coordinate offsets, update lists and structure constants of factor_T."""
+        """The flat factorization program and the gamma integral's constants."""
         order = self.offdiag_slots()
-        index = {lk: s for s, lk in enumerate(order)}
-        slots, start = [], self.r
+        slots, start = {}, self.r
         for lk in order:
-            slots.append((start, start + self.dim_of(*lk)))
-            start = slots[-1][1]
-        subs = self.subspaces
+            slots[lk] = range(start, start + self.dim_of(*lk))
+            start = slots[lk].stop
+        sizes, subs = self.block_sizes, self.subspaces
         steps = []
         for k in range(self.r, 0, -1):
-            row = [(index[(k, j)], j) for j in range(1, k) if (k, j) in index]
-            bilinear = [
-                (
-                    index[(i, j)],
-                    s_ki,
-                    s_kj,
-                    np.einsum(
-                        "euv,awu,bwv->eab", subs[(i, j)], subs[(k, i)], subs[(k, j)]
-                    ).tolist(),
+            row_slots = [(k, i) for i in range(1, k) if (k, i) in slots]
+            row = tuple(
+                (s, i - 1, 1.0 / math.sqrt(sizes[i - 1]))
+                for _, i in row_slots
+                for s in slots[(k, i)]
+            )
+            bilinear = []
+            for (_, j), (_, i) in combinations(row_slots, 2):
+                if (i, j) not in slots:
+                    continue
+                const = np.einsum(
+                    "euv,awu,bwv->eab", subs[(i, j)], subs[(k, i)], subs[(k, j)]
                 )
-                for s_ki, i in row
-                for s_kj, j in row
-                if j < i and (i, j) in index
-            ]
-            steps.append((k, row, bilinear))
-        sizes = self.block_sizes
+                bilinear.extend(
+                    (slots[(i, j)][e], slots[(k, i)][a], slots[(k, j)][b],
+                     _SQRT2 * float(const[e, a, b]))
+                    for e, a, b in zip(*np.nonzero(const))
+                )
+            steps.append((k - 1, 1.0 / math.sqrt(sizes[k - 1]), 2.0 * sizes[k - 1],
+                          float(self.multidegree[k - 1]), row, tuple(bilinear)))
         qs = [self.q(k) for k in range(1, self.r + 1)]
         return FactorPlan(
-            slots=tuple(slots),
+            slots=tuple((sl.start, sl.stop) for sl in (slots[lk] for lk in order)),
             steps=tuple(steps),
             gamma_const=0.5 * (self.dim - self.r) * math.log(2.0 * math.pi)
             - sum((qk + 1) / 2.0 * math.log(nk) for nk, qk in zip(sizes, qs)),
@@ -337,58 +353,60 @@ class TriangularElement:
 
 
 def _factor_coords(
-    structure: VStructure, point_map: np.ndarray, y: np.ndarray
-) -> tuple[list[float], list[list[float]]]:
-    """Diagonal scalars and slot coefficients of the triangular factor.
+    structure: VStructure, linear_map: np.ndarray, y: np.ndarray
+) -> tuple[list[float], float, float]:
+    """The triangular factor's coordinates, log delta and log phi.
 
-    ``point_map`` carries vec(y) to the realized coordinates stacked over
+    ``linear_map`` carries vec(y) to the realized coordinates stacked over
     the residual from the realized space: the structure's own point_map
     for a realized point, or a Realization's map for a point of the
-    original space.  The coefficients are those of each T[k,j] in the
-    orthonormal basis of V[k,j], listed in ``offdiag_slots`` order.
+    original space.  y must be finite and its residual, taken by
+    ``math.hypot`` so that no norm overflows, within SPAN_TOL of the
+    realized space, else DomainError.
+
+    The plan's flat program then runs on the coordinate list c in place.
+    Step k reads the pivot d_k = c_k / sqrt(n_k), raises
+    DualMembershipError unless it is above PIVOT_RTOL times its starting
+    value, and stores t_k = sqrt(d_k) in c_k.  Each coordinate x of row k
+    becomes t = x / (sqrt(2) t_k), which takes |t|^2 / sqrt(n_i) off c_i,
+    and each bilinear quadruple takes sqrt(2) C t_ki t_kj off a coordinate
+    of V[i,j]: that is block back-substitution on d_k and on the V[l,k]
+    coefficients c / sqrt(2), with the scales folded into the constants.
+    log delta = sum 2 n_k log t_k and log phi = -sum s_k log t_k add up
+    along the way.  The returned list holds the diagonal scalars t_k, then
+    the coefficient of each T[k,j] in the orthonormal basis of V[k,j].
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (structure.p, structure.p):
         raise ShapeError(f"expected {structure.p}x{structure.p}, got {y.shape}")
-    v = point_map @ y.reshape(-1)
-    resid = v[structure.dim:]
-    if math.sqrt(resid @ resid) > SPAN_TOL * max(1.0, math.sqrt(v @ v)):
+    finite_norm(y, "point")
+    v = (linear_map @ y.reshape(-1)).tolist()
+    dim = structure.dim
+    if math.hypot(*v[dim:]) > SPAN_TOL * max(1.0, math.hypot(*v)):
         raise DomainError("point is not in the realized space")
-    plan = structure.plan
-    c = v[: structure.dim].tolist()
-    sizes = structure.block_sizes
-    d = [c[k] / math.sqrt(n) for k, n in enumerate(sizes)]
-    floor = [PIVOT_RTOL * max(dk, 0.0) for dk in d]
-    b = [[x / math.sqrt(2.0) for x in c[lo:hi]] for lo, hi in plan.slots]
-    diag = [0.0] * structure.r
-    t: list[list[float]] = [[] for _ in plan.slots]
-    for k, row, bilinear in plan.steps:
-        dk = d[k - 1]
-        if not dk > floor[k - 1]:
+    c = v[:dim]
+    log_delta = log_phi = 0.0
+    for k, inv_sqrt_n, w_delta, w_phi, row, bilinear in structure.plan.steps:
+        ck = c[k]
+        if not ck > PIVOT_RTOL * v[k]:
+            floor = PIVOT_RTOL * max(v[k], 0.0) * inv_sqrt_n
             raise DualMembershipError(
-                f"factorization breakdown at block {k}: pivot {dk:.6g} "
-                f"<= {floor[k - 1]:.3g}"
+                f"factorization breakdown at block {k + 1}: pivot "
+                f"{ck * inv_sqrt_n:.6g} <= {floor:.3g}"
             )
-        tk = math.sqrt(dk)
-        diag[k - 1] = tk
-        for s, i in row:
-            t[s] = [x / tk for x in b[s]]
-            d[i - 1] -= sum(x * x for x in t[s]) / sizes[i - 1]
-        for s_ij, s_ki, s_kj, const in bilinear:
-            tki, tkj, bij = t[s_ki], t[s_kj], b[s_ij]
-            for e, ce in enumerate(const):
-                bij[e] -= sum(
-                    x * sum(cv * z for cv, z in zip(cea, tkj))
-                    for x, cea in zip(tki, ce)
-                )
-    return diag, t
-
-
-def _log_delta_phi(structure: VStructure, diag: list[float]) -> tuple[float, float]:
-    log_diag = [math.log(t) for t in diag]
-    log_delta_value = 2.0 * sum(n * lt for n, lt in zip(structure.block_sizes, log_diag))
-    log_det_rho = sum(s * lt for s, lt in zip(structure.multidegree, log_diag))
-    return log_delta_value, -log_det_rho
+        tk = math.sqrt(ck * inv_sqrt_n)
+        c[k] = tk
+        log_tk = math.log(tk)
+        log_delta += w_delta * log_tk
+        log_phi -= w_phi * log_tk
+        scale = _SQRT2 * tk
+        for s, i, w in row:
+            x = c[s] / scale
+            c[s] = x
+            c[i] -= w * x * x
+        for e, a, b, w in bilinear:
+            c[e] -= w * c[a] * c[b]
+    return c, log_delta, log_phi
 
 
 def factor_T(structure: VStructure, y: np.ndarray) -> TriangularElement:
@@ -399,17 +417,18 @@ def factor_T(structure: VStructure, y: np.ndarray) -> TriangularElement:
     d_k = c_k / sqrt(n_k) and the V[l,k] coefficients are c / sqrt(2).  Peel
     t_k = sqrt(d_k), divide it out of row k, then subtract |t_ki|^2 / n_i
     from d_i and the projection of t_ki^T t_kj onto V[i,j] from b_ij, which
-    the structure's plan holds as structure constants.  A pivot that is not
-    above PIVOT_RTOL times its block's diagonal coefficient raises
-    DualMembershipError: y is past the boundary of the dual cone, or on it
-    up to rounding.
+    the structure's plan holds as structure constants (``_factor_coords``
+    runs it).  A pivot that is not above PIVOT_RTOL times its block's
+    diagonal coefficient raises DualMembershipError: y is past the boundary
+    of the dual cone, or on it up to rounding.
     """
-    diag, coeffs = _factor_coords(structure, structure.point_map, y)
+    coords, _, _ = _factor_coords(structure, structure.point_map, y)
     blocks = tuple(
-        (lk, np.einsum("a,aij->ij", np.asarray(tc), structure.subspaces[lk]))
-        for lk, tc in zip(structure.offdiag_slots(), coeffs)
+        (lk, np.einsum("a,aij->ij", np.asarray(coords[lo:hi]), structure.subspaces[lk]))
+        for lk, (lo, hi) in zip(structure.offdiag_slots(), structure.plan.slots)
     )
-    return TriangularElement(structure=structure, diag=tuple(diag), blocks=blocks)
+    return TriangularElement(structure=structure, diag=tuple(coords[: structure.r]),
+                             blocks=blocks)
 
 
 def delta_phi_fast(structure: VStructure, y: np.ndarray) -> tuple[float, float]:
@@ -418,10 +437,9 @@ def delta_phi_fast(structure: VStructure, y: np.ndarray) -> tuple[float, float]:
     log delta is twice the log determinant of the triangular factor; log phi
     is minus the log determinant of its congruence action, a pure power of
     the diagonal scalars with the structure's multidegree.  Both read only
-    the factor's diagonal scalars.
+    the factor's diagonal scalars, and accumulate as the factorization runs.
     """
-    diag, _ = _factor_coords(structure, structure.point_map, y)
-    return _log_delta_phi(structure, diag)
+    return _factor_coords(structure, structure.point_map, y)[1:]
 
 
 def log_gamma_v(structure: VStructure, alpha: float) -> float:
@@ -472,14 +490,12 @@ class Realization:
 
     def log_delta_phi(self, y: np.ndarray) -> tuple[float, float]:
         """(log delta, log phi) at a point y of the original space."""
-        diag, _ = _factor_coords(self.structure, self.point_map, y)
-        return _log_delta_phi(self.structure, diag)
+        return _factor_coords(self.structure, self.point_map, y)[1:]
 
     def log_delta_phi_at_scale(self, scale: np.ndarray) -> tuple[float, float]:
         """(log delta, log phi) at projection(scale) / 2, the point at which a
         prior with scale matrix ``scale`` is scored."""
-        diag, _ = _factor_coords(self.structure, self.scale_map, scale)
-        return _log_delta_phi(self.structure, diag)
+        return _factor_coords(self.structure, self.scale_map, scale)[1:]
 
 
 def conjugate_space(

@@ -133,6 +133,20 @@ def test_psi_rejects_point_outside_space(spaces):
         cone.psi(spaces["G1"], y)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cell", [(1, 1), (0, 2)])
+def test_psi_names_a_non_finite_entry(value, cell):
+    # a non-finite point is not a point outside the cone: no pivot or
+    # Newton step runs, and no floating-point warning comes first (the
+    # suite turns RuntimeWarning into an error)
+    y = np.eye(3)
+    y[cell] = y[cell[::-1]] = value
+    named = rf"non-finite entry {value} at \[{cell[0]}, {cell[1]}\]"
+    with pytest.raises(DomainError, match=named) as info:
+        cone.psi(full_sym_space(3), y)
+    assert not isinstance(info.value, DualMembershipError)
+
+
 def test_psi_rejects_nonpositive_trace(spaces):
     with pytest.raises(DualMembershipError):
         cone.psi(spaces["G1"], -np.eye(5))

@@ -52,6 +52,17 @@ def random_triangular(structure, rng, block_scale=0.7):
     return TriangularElement(structure=structure, diag=diag, blocks=tuple(blocks))
 
 
+def herm_structure(p):
+    """Hermitian p x p complex matrices as real 2p x 2p ones: p blocks of
+    size 2 and V[l,k] = span{I, J} / sqrt(2), J the 90-degree rotation.
+    Its slots are 2-dimensional, so each bilinear update has several terms."""
+    rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+    sub = np.stack([np.eye(2), rotation]) / math.sqrt(2.0)
+    return VStructure(
+        [2] * p, {(l, k): sub for k in range(1, p + 1) for l in range(k + 1, p + 1)}
+    )
+
+
 # ---------------------------------------------------------------------------
 # structure validation
 
@@ -90,6 +101,17 @@ def test_registry_structures_valid():
     for entry in golden_realizations():
         report = validate_vstructure(entry.structure)
         assert report.passed, entry.model_id
+
+
+@pytest.mark.parametrize("p", range(2, 5))
+def test_herm_structure_is_valid_with_multi_term_updates(p):
+    s = herm_structure(p)
+    assert validate_vstructure(s).passed
+    assert {hi - lo for lo, hi in s.plan.slots} == {2}
+    # the update of V[i,j] from row k: (I a + J b)^T (I c + J d) has four
+    # nonzero terms on the two basis elements of V[i,j]
+    bilinear = [len(b) for *_, b in s.plan.steps]
+    assert bilinear == [4 * math.comb(k - 1, 2) for k in range(p, 0, -1)]
 
 
 def test_structure_rejects_non_orthonormal_basis():
@@ -260,6 +282,7 @@ over_structures = pytest.mark.parametrize(
         *(pytest.param(e.structure, id=e.model_id) for e in golden_realizations()),
         *(pytest.param(full_sym_structure(p), id=f"full_sym{p}") for p in range(2, 6)),
         *(pytest.param(ray_structure(p), id=f"ray{p}") for p in range(2, 5)),
+        *(pytest.param(herm_structure(p), id=f"herm{p}") for p in range(2, 5)),
     ],
 )
 
@@ -459,6 +482,19 @@ def test_full_sym_fast_path_matches_log_det(p, data):
     assert rel_err(lp, -0.5 * (p + 1) * logdet) <= CROSS_PATH_RTOL
 
 
+@pytest.mark.parametrize("p", range(2, 5))
+@GENERATED
+@given(data=st.data())
+def test_herm_fast_path_matches_log_det(p, data):
+    # on Herm(p, C) in real form delta is det and phi is det^{-p/2}
+    s = herm_structure(p)
+    y = s.project(data.draw(gram_points(2 * p)))
+    logdet = np.linalg.slogdet(y)[1]
+    ld, lp = delta_phi_fast(s, y)
+    assert rel_err(ld, logdet) <= CROSS_PATH_RTOL
+    assert rel_err(lp, -0.5 * p * logdet) <= CROSS_PATH_RTOL
+
+
 @pytest.mark.parametrize("mid", [f"G{i}" for i in range(1, 8)])
 @GENERATED
 @given(y0=gram_points(5))
@@ -562,6 +598,50 @@ def test_point_map_rejects_points_off_the_space(models_by_id):
     for bad in (off_edge, uneven_orbit, asymmetric):
         with pytest.raises(DomainError):
             real.log_delta_phi(bad)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
+def test_span_check_does_not_overflow(scale):
+    # |resid|^2 and |v|^2 overflow past ~1e154; a point off the ray must
+    # still be rejected there, and a huge point on it still scored
+    s = ray_structure(3)
+    with pytest.raises(DomainError, match="not in the realized space"):
+        delta_phi_fast(s, np.diag([scale, 1.0, 1.0]))
+    ld, lp = delta_phi_fast(s, scale * np.eye(3))
+    assert ld == pytest.approx(3.0 * math.log(scale), rel=1e-14)
+    assert lp == pytest.approx(-math.log(scale), rel=1e-14)
+
+
+def test_point_whose_norm_overflows_is_refused():
+    with pytest.raises(DomainError, match="too large"):
+        delta_phi_fast(ray_structure(3), 1.5e308 * np.eye(3))
+
+
+def factorization_entry_points(models_by_id):
+    """Each public route into the factorization, as a function of a 5 x 5 point."""
+    g1 = models_by_id["G1"].realization
+    s = full_sym_structure(5)
+    return {
+        "factor_T": lambda y: factor_T(s, y),
+        "delta_phi_fast": lambda y: delta_phi_fast(s, y),
+        "log_delta_phi": g1.log_delta_phi,
+        "log_delta_phi_at_scale": g1.log_delta_phi_at_scale,
+    }
+
+
+@pytest.mark.parametrize("entry", ["factor_T", "delta_phi_fast", "log_delta_phi",
+                                   "log_delta_phi_at_scale"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cell", [(2, 2), (0, 1)])
+def test_factorization_names_a_non_finite_entry(models_by_id, entry, value, cell):
+    # raised before the linear map, so no RuntimeWarning comes first
+    y = np.eye(5)
+    y[cell] = y[cell[::-1]] = value
+    run = factorization_entry_points(models_by_id)[entry]
+    named = rf"non-finite entry {value} at \[{cell[0]}, {cell[1]}\]"
+    with pytest.raises(DomainError, match=named) as info:
+        run(y)
+    assert not isinstance(info.value, DualMembershipError)
 
 
 def test_realization_maps_reject_wrong_size(models_by_id):
