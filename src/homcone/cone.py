@@ -291,7 +291,9 @@ def in_primal_cone(space: InvariantSpace, x: np.ndarray) -> bool:
 
 
 def in_dual_cone(space: InvariantSpace, y: np.ndarray) -> bool:
-    """Membership in the open dual cone, certified by a converged interior solve."""
+    """Membership in the open dual cone, certified by a converged interior
+    solve; a point off the space or with a non-finite entry is not a
+    candidate and raises DomainError."""
     try:
         psi(space, y)
     except (DualMembershipError, ConvergenceError):

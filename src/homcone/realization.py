@@ -213,7 +213,7 @@ class VStructure(OrthonormalSpan):
                           float(self.multidegree[k - 1]), row, tuple(bilinear)))
         qs = [self.q(k) for k in range(1, self.r + 1)]
         return FactorPlan(
-            slots=tuple((sl.start, sl.stop) for sl in (slots[lk] for lk in order)),
+            slots=tuple((sl.start, sl.stop) for sl in slots.values()),
             steps=tuple(steps),
             gamma_const=0.5 * (self.dim - self.r) * math.log(2.0 * math.pi)
             - sum((qk + 1) / 2.0 * math.log(nk) for nk, qk in zip(sizes, qs)),
