@@ -30,7 +30,7 @@ from .graphs import (
     is_homogeneous_graph,
     load_graph,
 )
-from .invariant import InvariantSpace, build_invariant_space, project, same_space
+from .invariant import InvariantSpace, build_invariant_space, same_space
 from .cone import (
     PsiResult,
     hessian_matrix,

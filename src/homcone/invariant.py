@@ -211,11 +211,6 @@ def build_invariant_space(g: Graph, group: PermutationGroup) -> InvariantSpace:
     return InvariantSpace(graph=g, group=group, orbits=_cell_orbits(g, group))
 
 
-def project(space: InvariantSpace, y: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of y onto the space under the trace inner product."""
-    return space.project(y)
-
-
 def same_space(z1: InvariantSpace, z2: InvariantSpace) -> bool:
     """True iff the two spans coincide.
 

@@ -300,13 +300,10 @@ def posterior(models, data: DataSummary, hyper: Hyperparams) -> SelectionReport:
     The posterior Hyperparams is built once, so a scatter that makes the
     posterior scale indefinite raises DomainError before any scoring.
     """
-    models = list(models)
+    models = dedupe_models(models)  # UsageError unless all share one graph
     if not models:
         raise UsageError("no models supplied")
-    graph = models[0].space.graph
-    if any(m.space.graph != graph for m in models):
-        raise UsageError("all models must share one graph")
-    p = graph.vertex_count
+    p = models[0].space.p
     if data.scatter.shape != (p, p):
         raise ShapeError(f"scatter is {data.scatter.shape}, graph has {p} vertices")
     if hyper.scale.shape != (p, p):
@@ -314,9 +311,8 @@ def posterior(models, data: DataSummary, hyper: Hyperparams) -> SelectionReport:
     post = Hyperparams(
         delta=hyper.delta + data.n_effective, scale=hyper.scale + data.scatter
     )
-    deduped = dedupe_models(models)
-    priors = [log_I_terms(m, hyper).log_I for m in deduped]
-    posts = [log_I_terms(m, post).log_I for m in deduped]
+    priors = [log_I_terms(m, hyper).log_I for m in models]
+    posts = [log_I_terms(m, post).log_I for m in models]
     scores = [b - a for a, b in zip(priors, posts)]
     scores_arr = np.array(scores)
     shifted = scores_arr - scores_arr.max()
@@ -332,7 +328,7 @@ def posterior(models, data: DataSummary, hyper: Hyperparams) -> SelectionReport:
             log_score=scores[i],
             probability=float(probs[i]),
         )
-        for i, m in enumerate(deduped)
+        for i, m in enumerate(models)
     ]
     winner = max(records, key=lambda r: r.probability)
     return SelectionReport(records=records, winner_id=winner.model_id)

@@ -30,6 +30,8 @@ from .realization import (
 from .selection import build_butterfly_models
 
 CROSS_PATH_RTOL = 1e-8
+CROSS_PATH_POINTS = 3
+CROSS_PATH_SEED = 20240601
 SIEGEL_TOL = 1e-10
 MC_SAMPLES = 200_000
 
@@ -41,21 +43,15 @@ class CheckResult:
     detail: str
 
 
-def random_dual_point(space, rng, scale=1.0):
+def random_dual_point(space, rng):
     a = rng.standard_normal((space.p, space.p))
-    d = a @ a.T + 0.1 * np.eye(space.p)
-    return scale * space.project(d)
+    return space.project(a @ a.T + 0.1 * np.eye(space.p))
 
 
-def check_registry(models):
+def check_registry(models) -> list[CheckResult]:
     """Axioms and conjugation validity of each model's realization, checked
-    again on every call.
-
-    Returns the results and, per model, (label, space, outcome): the
-    realization its conjugation returned, or the error it raised.
-    """
+    again on every call."""
     results = []
-    conjugated = []
     for m in models:
         real = m.realization
         report = validate_vstructure(real.structure)
@@ -65,46 +61,35 @@ def check_registry(models):
         else:
             results.append(CheckResult(f"axioms {m.label}", True, "V1 V2 V3 hold"))
         try:
-            outcome = conjugate_space(m.space, real.u, real.structure)
+            conjugate_space(m.space, real.u, real.structure)
             results.append(CheckResult(f"conjugation {m.label}", True, "block form matched"))
         except HomconeError as exc:
-            outcome = exc
             results.append(CheckResult(f"conjugation {m.label}", False, str(exc)))
-        conjugated.append((m.label, m.space, outcome))
-    return results, conjugated
+    return results
 
 
-def check_cross_path(conjugated, points: int = 3,
-                     seed: int = 20240601) -> list[CheckResult]:
-    """Triangular-factorization functionals against the Newton-based route,
-    on every (model id, space, realization or conjugation error) triple of
-    check_registry."""
+def check_cross_path(models) -> list[CheckResult]:
+    """Triangular-factorization functionals of each model's realization
+    against the Newton-based route, at CROSS_PATH_POINTS seeded dual points
+    per model; an error from either route fails that model's check.  Each
+    model's points are drawn before either route runs, so a failure leaves
+    the points of later models unchanged."""
     results = []
-    rng = np.random.default_rng(seed)
-    for model_id, space, realization in conjugated:
-        if isinstance(realization, HomconeError):
-            results.append(CheckResult(f"cross-path {model_id}", False, str(realization)))
-            continue
-        worst = 0.0
-        ok = True
-        for _ in range(points):
-            y = random_dual_point(space, rng)
-            res = cone.psi(space, y)
-            ld_num, lp_num = res.log_delta, res.log_phi
-            ld_fast, lp_fast = realization.log_delta_phi(y)
-            err = max(
-                abs(ld_num - ld_fast) / max(1.0, abs(ld_num)),
-                abs(lp_num - lp_fast) / max(1.0, abs(lp_num)),
-            )
-            worst = max(worst, err)
-            ok = ok and err <= CROSS_PATH_RTOL
-        results.append(
-            CheckResult(
-                f"cross-path {model_id}",
-                ok,
-                f"worst relative disagreement {worst:.2e} over {points} points",
-            )
-        )
+    rng = np.random.default_rng(CROSS_PATH_SEED)
+    for m in models:
+        points = [random_dual_point(m.space, rng) for _ in range(CROSS_PATH_POINTS)]
+        try:
+            errs = []
+            for y in points:
+                res = cone.psi(m.space, y)
+                fast = m.realization.log_delta_phi(y)
+                errs.append(max(abs(num - f) / max(1.0, abs(num))
+                                for num, f in zip((res.log_delta, res.log_phi), fast)))
+            passed = all(err <= CROSS_PATH_RTOL for err in errs)
+            detail = f"worst relative disagreement {max(errs):.2e} over {CROSS_PATH_POINTS} points"
+        except HomconeError as exc:
+            passed, detail = False, str(exc)
+        results.append(CheckResult(f"cross-path {m.label}", passed, detail))
     return results
 
 
@@ -193,8 +178,7 @@ def run_verification(level: str, samples: int | None = None,
                 m.realization  # derived once per process; a failure fails the load
         except (HomconeError, ValueError, OSError, KeyError) as exc:
             return [CheckResult("registry load", False, str(exc))] + check_siegel()
-        results, conjugated = check_registry(models)
-        return results + check_cross_path(conjugated) + check_siegel()
+        return check_registry(models) + check_cross_path(models) + check_siegel()
     if level == "mc":
         return check_mc(samples=MC_SAMPLES if samples is None else samples,
                         seed=DEFAULT_SEED if seed is None else seed)

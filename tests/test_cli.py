@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -9,8 +10,11 @@ import numpy as np
 import pytest
 
 import homcone as hc
+from homcone import verify
 from homcone.cli import main
+from homcone.errors import ConvergenceError, DualMembershipError
 from homcone.graphs import Permutation, PermutationGroup
+from homcone.realization import Realization
 
 
 def run(capsys, argv):
@@ -365,8 +369,46 @@ def test_verify_corrupted_registry(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", "--level", "fast"])
     assert code == 5
     assert "[FAIL] conjugation G3" in out
-    assert "[FAIL] cross-path G3" in out
+    # the factorization route reports its own error on the corrupted matrix
+    assert "[FAIL] cross-path G3: point is not in the realized space" in out
     assert out.count("[FAIL]") == 2
+
+
+def fail_on_call(fn, n, exc):
+    """fn, except that its n-th call raises exc."""
+    calls = itertools.count(1)
+
+    def wrapper(*args, **kwargs):
+        if next(calls) == n:
+            raise exc
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("owner, name, exc", [
+    (verify.cone, "psi", ConvergenceError("no convergence after 50 iterations")),
+    (Realization, "log_delta_phi", DualMembershipError("factorization breakdown at block 1")),
+], ids=["newton", "factorization"])
+def test_verify_fast_reports_a_route_error_as_a_failed_check(capsys, monkeypatch,
+                                                             owner, name, exc):
+    # G1 takes the first three cross-path points, so the 4th call is G2's first
+    monkeypatch.setattr(owner, name, fail_on_call(getattr(owner, name), 4, exc))
+    code, out, err = run(capsys, ["verify", "--level", "fast"])
+    assert code == 5 and err == ""
+    lines = out.splitlines()
+    assert f"[FAIL] cross-path G2: {exc}" in lines
+    assert sum(line.startswith("[FAIL]") for line in lines) == 1
+    assert lines[-1] == "23/24 checks passed"
+
+
+def test_verify_fast_check_names():
+    labels = [f"G{i}" for i in range(1, 8)]
+    expected = [f"{check} {g}" for g in labels for check in ("axioms", "conjugation")]
+    expected += [f"cross-path {g}" for g in labels]
+    expected += [f"siegel p={p}" for p in (2, 3, 4)]
+    assert len(expected) == 24
+    assert [r.name for r in verify.run_verification("fast")] == expected
 
 
 def test_verify_unloadable_registry(capsys, serve_registry):

@@ -13,7 +13,7 @@ from homcone.graphs import (
     automorphism_group,
     enumerate_subgroups,
 )
-from homcone.invariant import build_invariant_space, project, same_space
+from homcone.invariant import build_invariant_space, same_space
 from homcone.realization import full_sym_structure
 from homcone.selection import Model, dedupe_models
 
@@ -131,14 +131,14 @@ def test_identity_in_span(spaces):
 
 def test_project_identity(spaces):
     for space in spaces.values():
-        assert np.allclose(project(space, np.eye(5)), np.eye(5), atol=1e-14)
+        assert np.allclose(space.project(np.eye(5)), np.eye(5), atol=1e-14)
 
 
 def test_project_single_diag_cell_orbit(spaces):
     # unit mass at cell (1,1) spreads over the orbit {1,2} under the vertex swap
     e11 = np.zeros((5, 5))
     e11[0, 0] = 1.0
-    got = project(spaces["G2"], e11)
+    got = spaces["G2"].project(e11)
     expected = np.zeros((5, 5))
     expected[0, 0] = expected[1, 1] = 0.5
     assert np.allclose(got, expected, atol=1e-14)
@@ -148,7 +148,7 @@ def test_project_single_diag_cell_orbit(spaces):
 def test_project_kills_non_edge_cells(spaces):
     e14 = np.zeros((5, 5))
     e14[0, 3] = e14[3, 0] = 1.0
-    assert np.allclose(project(spaces["G1"], e14), 0.0, atol=1e-14)
+    assert np.allclose(spaces["G1"].project(e14), 0.0, atol=1e-14)
 
 
 def test_projection_matches_orbit_average_oracle(spaces):
@@ -157,7 +157,7 @@ def test_projection_matches_orbit_average_oracle(spaces):
         for _ in range(100):
             a = rng.standard_normal((5, 5))
             y = a + a.T
-            assert np.max(np.abs(project(space, y) - orbit_average_projection(space, y))) < 1e-12
+            assert np.max(np.abs(space.project(y) - orbit_average_projection(space, y))) < 1e-12
 
 
 def test_projection_self_adjoint(spans):
@@ -168,8 +168,8 @@ def test_projection_self_adjoint(spans):
             u = u + u.T
             v = rng.standard_normal((space.p, space.p))
             v = v + v.T
-            lhs = np.sum(project(space, u) * v)
-            rhs = np.sum(u * project(space, v))
+            lhs = np.sum(space.project(u) * v)
+            rhs = np.sum(u * space.project(v))
             assert abs(lhs - rhs) < 1e-10
 
 
@@ -177,8 +177,8 @@ def test_projection_idempotent(spans):
     rng = np.random.default_rng(13)
     for space in spans:
         a = rng.standard_normal((space.p, space.p))
-        y = project(space, a + a.T)
-        assert np.allclose(project(space, y), y, atol=1e-13)
+        y = space.project(a + a.T)
+        assert np.allclose(space.project(y), y, atol=1e-13)
 
 
 def test_same_space_merges(spaces):
@@ -294,7 +294,7 @@ def test_non_subgroup_raises_invariance_error(butterfly):
 
 def test_project_shape_error(spaces):
     with pytest.raises(ShapeError):
-        project(spaces["G1"], np.eye(4))
+        spaces["G1"].project(np.eye(4))
     # a flat or column vector with p^2 entries is not read as a matrix
     for span in (spaces["G1"], hc.full_sym_structure(5)):
         for bad in (np.ones(25), np.ones((25, 1))):

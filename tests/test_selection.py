@@ -312,6 +312,16 @@ def test_posterior_usage_errors(models, exam_data):
                   exam_data, Hyperparams(delta=3.0, scale=np.eye(2)))
 
 
+def test_posterior_refuses_mixed_graphs_before_realizing(butterfly, subgroups, exam_data):
+    # a five-vertex star has the butterfly's size, so only the graphs differ
+    star = Graph.build(list("habcd"), [(1, v) for v in range(2, 6)])
+    models = (build_models(butterfly, {"G1": subgroups["G1"]})
+              + [Model("S", build_invariant_space(star, PermutationGroup.trivial(5)))])
+    with pytest.raises(UsageError, match="different graphs"):
+        posterior(models, exam_data, Hyperparams(delta=3.0, scale=np.eye(5)))
+    assert not any("realization" in vars(m) for m in models)
+
+
 @pytest.mark.parametrize("p", [1, 4])
 def test_posterior_rejects_wrongly_sized_prior_scale(models, exam_data, p):
     # a 4x4 scale does not broadcast against the 5x5 scatter, a 1x1 does
