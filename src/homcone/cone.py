@@ -60,7 +60,14 @@ class PsiResult:
     """Converged solution of the inverse-projection map at a dual point, with
     the functionals read off it: log delta, log phi and the metric at x_star,
     the Hessian of -log det there restricted to the space (whose inverse is
-    the Hessian of -log delta at y)."""
+    the Hessian of -log delta at y).
+
+    ``psi`` solves at y / scale, scale the Frobenius norm of y, and keeps
+    the metric at that normalized point, ``normalized_metric``; ``metric``
+    multiplies it by scale^2 when read, so a point whose metric overflows
+    in its own units still gives a finite solution, residual and
+    functionals.  ``residual`` is the Frobenius norm of
+    projection(x_star^{-1}) - y, in the units of y."""
 
     x_star: np.ndarray
     coords: np.ndarray
@@ -68,7 +75,13 @@ class PsiResult:
     residual: float
     log_delta: float
     log_phi: float
-    metric: np.ndarray
+    normalized_metric: np.ndarray
+    scale: float
+
+    @property
+    def metric(self) -> np.ndarray:
+        """The metric at x_star: scale^2 times the normalized metric."""
+        return (self.scale * self.scale) * self.normalized_metric
 
 
 def _cholesky_or_none(x: np.ndarray):
@@ -189,8 +202,10 @@ def psi(space: InvariantSpace, y: np.ndarray) -> PsiResult:
     (else the iteration has diverged); the Newton step is one solve against
     the metric.  The accepted trial point's factor and objective value carry
     over to the next iteration.  The functionals in the result are read off
-    the last iterate's factor and metric; rescaling x by 1/scale multiplies
-    the metric by scale^2.
+    the last iterate's factor and metric, and the residual is taken at the
+    normalized point by ``math.hypot`` and multiplied by scale, so none of
+    them overflows; the result keeps the normalized metric, and rescaling x
+    by 1/scale multiplies it by scale^2 when ``PsiResult.metric`` is read.
     """
     y, coords_y, scale = _check_matrix(space, y, "dual argument")
     if scale == 0.0 or np.trace(y) <= 0.0:
@@ -251,7 +266,7 @@ def psi(space: InvariantSpace, y: np.ndarray) -> PsiResult:
             iterations=MAX_ITER,
             residual=grad_norm * scale,
         )
-    residual = float(np.linalg.norm(space.from_coords(scale * coords_w) - y))
+    residual = scale * math.hypot(*(space.from_coords(coords_w) - yn).reshape(-1).tolist())
     return PsiResult(
         x_star=space.from_coords(xc) / scale,
         coords=xc / scale,
@@ -259,7 +274,8 @@ def psi(space: InvariantSpace, y: np.ndarray) -> PsiResult:
         residual=residual,
         log_delta=p * math.log(scale) - _logdet_from_chol(chol),
         log_phi=-0.5 * _logdet_from_chol(m_chol) - dim * math.log(scale),
-        metric=(scale * scale) * m,
+        normalized_metric=m,
+        scale=scale,
     )
 
 

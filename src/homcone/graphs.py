@@ -243,16 +243,18 @@ def _cayley_table(elements) -> tuple[tuple[Permutation, ...], list[list[int]]]:
     return elems, table
 
 
-def _coset_closure(table, sub: int, members: list[int], gens) -> int:
-    """Bitmask of the subgroup generated by the element indices in gens,
-    which must include generators of the subgroup H with bitmask sub and
-    element indices members.
+def _coset_closure(table, sub: int, members: list[int], gens, start: int = 0) -> int:
+    """Bitmask of the union of right cosets H z over z in start <gens>, for
+    the subgroup H with element indices members, where sub is the bitmask
+    of the coset H start.
 
-    The result is a union of right cosets H y.  Starting from H itself,
-    each coset representative y is multiplied on the right by every
-    generator; a product z outside the mask brings in the whole coset H z.
-    The union is then closed under the generators, so it is the group."""
-    mask, reps = sub, [0]
+    Starting from H start, each coset representative y is multiplied on the
+    right by every generator; a product z outside the mask brings in the
+    whole coset H z.  The union is then closed under right multiplication
+    by the generators.  With start the identity (index 0), sub = H and gens
+    including generators of H, it is the subgroup generated by gens; with
+    gens generating H, it is the double coset H start H."""
+    mask, reps = sub, [start]
     for y in reps:
         row = table[y]
         for s in gens:
@@ -490,8 +492,10 @@ def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
     H^x of H's class, so some conjugate of K is found from H^x.  The
     argument holds as well for orbits under any subgroup of the group, so
     a short generator list costs time, not subgroups.  After g is tried,
-    every g' with <g'> = <g> is skipped together with g'H and Hg':
-    <H, g'h> = <H, hg'> = <H, g'> = <H, g> for h in H.
+    every x with <x> = <g> is skipped together with its double coset HxH
+    (a walk over its right cosets, ``_coset_closure`` from Hx):
+    <H, axb> = <H, x> = <H, g> for a, b in H.  Double cosets partition the
+    group, so an x already skipped has had its whole double coset skipped.
 
     Raises ValueError if ``group.elements`` is not closed under composition.
     """
@@ -517,9 +521,12 @@ def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
                 subs |= _conjugates(maps, k)
                 reps.append((k, gens))
             for x in same_cyclic[cyclic[g]]:
-                row = table[x]
+                if tried >> x & 1:
+                    continue
+                coset = 0
                 for y in members:
-                    tried |= 1 << row[y] | 1 << table[y][x]
+                    coset |= 1 << table[y][x]
+                tried |= _coset_closure(table, coset, members, h_gens, x)
     keyed = sorted((h.bit_count(), _members(h), h) for h in subs)
     return [
         PermutationGroup(

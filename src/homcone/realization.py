@@ -39,7 +39,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import NamedTuple
 
@@ -249,8 +249,12 @@ class VStructure(OrthonormalSpan):
         )
 
 
+@lru_cache(maxsize=None)
 def full_sym_structure(p: int) -> VStructure:
-    """Canonical realization of the full symmetric cone: p scalar blocks."""
+    """Canonical realization of the full symmetric cone: p scalar blocks.
+
+    Built once per process for each p, with its basis and plan cached on
+    first use, and shared by every caller, which must not modify it."""
     subs = {(l, k): np.ones((1, 1, 1)) for k in range(1, p + 1) for l in range(k + 1, p + 1)}
     return VStructure([1] * p, subs)
 
@@ -507,6 +511,11 @@ def conjugate_space(
     in the block form, and equality of dimensions.  An orthogonal u is an
     isometry for the trace inner product, so together these make
     conjugation a coordinate isometry between the two spaces.
+
+    The whole basis stack is conjugated in one product, u^T B_a u, and each
+    element's residual from the realized space is taken from its projection
+    through the structure's flattened basis; the first element whose
+    residual is above SPAN_TOL raises ConjugationError with its index.
     """
     u = np.asarray(u, dtype=float)
     p = space.p
@@ -518,14 +527,17 @@ def conjugate_space(
     ortho_resid = float(np.linalg.norm(u.T @ u - np.eye(p)))
     if ortho_resid > 1e-12:
         raise ConjugationError(f"u is not orthogonal (residual {ortho_resid:.3e})")
-    for a, bmat in enumerate(space.basis):
-        resid = structure.residual_from(u.T @ bmat @ u)
-        if resid > SPAN_TOL:
-            raise ConjugationError(
-                f"conjugated basis element {a} leaves the block form "
-                f"(residual {resid:.3e})",
-                basis_index=a,
-            )
+    conj = (u.T @ space.basis @ u).reshape(space.dim, p * p)
+    flat = structure.flat
+    resid = np.linalg.norm(conj - (conj @ flat.T) @ flat, axis=1)
+    over = np.flatnonzero(resid > SPAN_TOL)
+    if over.size:
+        a = int(over[0])
+        raise ConjugationError(
+            f"conjugated basis element {a} leaves the block form "
+            f"(residual {resid[a]:.3e})",
+            basis_index=a,
+        )
     if structure.dim != space.dim:
         raise ConjugationError(
             f"dimension mismatch: space has {space.dim}, block form has {structure.dim}"

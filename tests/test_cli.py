@@ -14,7 +14,7 @@ from homcone import verify
 from homcone.cli import main
 from homcone.errors import ConvergenceError, DualMembershipError
 from homcone.graphs import Permutation, PermutationGroup
-from homcone.realization import Realization
+from homcone.realization import Realization, full_sym_structure, log_gamma_v
 
 
 def run(capsys, argv):
@@ -192,6 +192,20 @@ def test_select_scatter_json(capsys, tmp_path):
     code, out, _ = run(capsys, ["select", "--scatter", str(path), "--d-scale", "1"])
     assert code == 0
     assert "winner: G7" in out
+
+
+def test_fit_mle_on_a_scatter_near_the_float_range(capsys, tmp_path):
+    # the solve's residual and metric must not overflow at 1e300
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "scatter": (1e300 * np.eye(5)).tolist(), "n_raw": 30, "centered": False,
+    }))
+    code, out, err = run(capsys, ["fit", "--scatter", str(path), "--model", "G3",
+                                  "--mle", "--output", "json"])
+    assert code == 0 and err == ""
+    k = np.asarray(json.loads(out)["concentration"])
+    assert np.isfinite(k).all()
+    assert k == pytest.approx(3e-299 * np.eye(5), rel=1e-12)
 
 
 def test_select_scatter_indefinite_posterior_scale(capsys, tmp_path):
@@ -409,6 +423,15 @@ def test_verify_fast_check_names():
     expected += [f"siegel p={p}" for p in (2, 3, 4)]
     assert len(expected) == 24
     assert [r.name for r in verify.run_verification("fast")] == expected
+
+
+def test_siegel_check_is_evaluated_on_every_call(monkeypatch):
+    # the full-cone structures are built once; their integrals are not
+    assert full_sym_structure(3) is full_sym_structure(3)
+    assert all(r.passed for r in verify.run_verification("fast"))
+    monkeypatch.setattr(verify, "log_gamma_v", lambda s, a: log_gamma_v(s, a) + 1e-6)
+    failed = [r.name for r in verify.run_verification("fast") if not r.passed]
+    assert failed == [f"siegel p={p}" for p in (2, 3, 4)]
 
 
 def test_verify_unloadable_registry(capsys, serve_registry):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,39 @@ def test_psi_round_trip(spaces, models):
         y = space.project(np.linalg.inv(x))
         back = cone.psi(space, y).x_star
         assert np.max(np.abs(back - x)) < 1e-8
+
+
+def test_psi_at_a_point_near_the_float_range(spaces):
+    # the metric at 1e300 I is about 1e-600 in the point's own units; psi
+    # keeps it normalized, and its residual and functionals stay finite
+    space = spaces["G3"]
+    y = space.project(1e300 * np.eye(5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = cone.psi(space, y)
+    assert math.isfinite(res.residual)
+    assert res.residual <= 1e-12 * res.scale
+    assert np.isfinite(res.x_star).all() and np.isfinite(res.normalized_metric).all()
+    # the values the solve gave before the result kept the normalized metric
+    assert res.log_delta == pytest.approx(3453.8776394910687, rel=1e-15)
+    assert res.log_phi == pytest.approx(-4144.653167389283, rel=1e-15)
+    # 5 and 6 are p and dim: delta is homogeneous of degree p, phi of -dim
+    assert res.log_delta == pytest.approx(5 * math.log(1e300), rel=1e-14)
+    assert res.log_phi == pytest.approx(-6 * math.log(1e300), rel=1e-14)
+
+
+def test_psi_metric_is_the_normalized_metric_rescaled(spaces, dual_point):
+    space = spaces["G3"]
+    y = dual_point(space, np.random.default_rng(25), scale=7.0)
+    res = cone.psi(space, y)
+    assert res.scale == pytest.approx(np.linalg.norm(y), rel=1e-15)
+    np.testing.assert_array_equal(res.metric, res.scale**2 * res.normalized_metric)
+    # the Kronecker-form reference at the normalized solution x_star * scale
+    w = np.linalg.inv(res.scale * res.x_star)
+    reference = cone.metric_matrix(space, 0.5 * (w + w.T))
+    assert np.linalg.norm(res.normalized_metric - reference) <= 1e-10 * np.linalg.norm(reference)
+    direct = space.project(np.linalg.inv(res.x_star))
+    assert res.residual == pytest.approx(np.linalg.norm(direct - y), abs=1e-12)
 
 
 def test_psi_rejects_point_outside_space(spaces):

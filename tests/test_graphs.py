@@ -513,13 +513,15 @@ def test_subgroup_orders(graph, counts):
 
 # sha256 of the `homcone subgroups` listing (order and generator cycle
 # strings of every subgroup), recorded before the subgroup search moved onto
-# the multiplication table; pins the list order and the greedy generators.
+# the multiplication table (K6's before the double-coset skip); pins the list
+# order and the greedy generators.
 SUBGROUP_LISTING_SHA256 = {
     "butterfly": "ac39b12e7c8c3b584655b9c60850a5a3d9f32c4cc0f1e18db5e03133fe4899e5",
     "K4": "01ba8ddc8cd545071af962b255b94523de86f4576a0d08cb51d7bae3666a6d1a",
     "star": "e4970188eb0f2f6933258e7085f438af4bfe29b2b4de97f643388f338700cc93",
     "windmill": "30e455235784e4d059cfade4c384a0905bbfd7228b91b2a9950938e9333a1da0",
     "K5": "70785cab29a60121c1ef5496a0ab8deaab864ff2ee14f6af53f640416c16f8e2",
+    "K6": "4097a884205aceae6b9d88d03ee1c08e76f5ee998b773cacf3e7013130e98a70",
 }
 
 
@@ -531,6 +533,7 @@ def test_subgroup_listing_pinned(name, tmp_path, capsys):
         "star": Graph.build([str(i) for i in range(1, 6)], STAR_EDGES),
         "windmill": Graph.build([str(i) for i in range(1, 8)], WINDMILL_EDGES),
         "K5": complete_graph(5),
+        "K6": complete_graph(6),
     }[name]
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(

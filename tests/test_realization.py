@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from homcone.errors import (
     DualMembershipError,
     ShapeError,
 )
+from homcone.graphs import Graph, PermutationGroup
+from homcone.invariant import SPAN_TOL, build_invariant_space
 from homcone.realization import (
     TriangularElement,
     VStructure,
@@ -345,14 +348,13 @@ def test_factor_log_det_matches_inverse_determinant(models, dual_point):
 # ---------------------------------------------------------------------------
 # conjugation
 
-def test_conjugation_full_sym_identity():
-    import itertools
-
-    from homcone.graphs import Graph, PermutationGroup
-    from homcone.invariant import build_invariant_space
-
+def full_sym_space3():
     g = Graph.build(["a", "b", "c"], list(itertools.combinations(range(1, 4), 2)))
-    space = build_invariant_space(g, PermutationGroup.trivial(3))
+    return build_invariant_space(g, PermutationGroup.trivial(3))
+
+
+def test_conjugation_full_sym_identity():
+    space = full_sym_space3()
     structure = full_sym_structure(3)
     real = conjugate_space(space, np.eye(3), structure)
     # realized coordinates of the space basis are orthonormal: an isometry
@@ -372,6 +374,50 @@ def test_conjugation_rejects_wrong_u(models_by_id):
     with pytest.raises(ConjugationError) as info:
         conjugate_space(m3.space, u_wrong, m3.realization.structure)
     assert info.value.basis_index is not None
+
+
+def first_conjugation_failure(space, u, structure):
+    """(index, residual) of the first conjugated basis element off the
+    block form, one element at a time, or None."""
+    for a, b in enumerate(space.basis):
+        c = u.T @ b @ u
+        resid = float(np.linalg.norm(c - structure.project(c)))
+        if resid > SPAN_TOL:
+            return a, resid
+    return None
+
+
+def conjugation_failures(models_by_id):
+    """(space, u, structure) triples that conjugate_space must refuse."""
+    m3 = models_by_id["G3"]
+    full = full_sym_structure(3)
+    # dropping V[3,2] leaves only the basis element of cell (2,3), index 4,
+    # off the block form; dropping V[3,1] too puts cell (1,3), index 2, first
+    without_32 = VStructure([1, 1, 1], {k: v for k, v in full.subspaces.items()
+                                        if k != (3, 2)})
+    without_31_32 = VStructure([1, 1, 1], {(2, 1): full.subspaces[(2, 1)]})
+    swap = np.eye(3)[[0, 2, 1]]
+    return {
+        "wrong-u": (m3.space, golden_by_id()["G1"].u, m3.realization.structure),
+        "later-element": (full_sym_space3(), np.eye(3), without_32),
+        "later-element-permuted": (full_sym_space3(), swap, without_32),
+        "two-elements": (full_sym_space3(), np.eye(3), without_31_32),
+    }
+
+
+@pytest.mark.parametrize("case, first", [
+    ("wrong-u", None), ("later-element", 4), ("later-element-permuted", 4), ("two-elements", 2),
+])
+def test_conjugation_reports_the_first_failing_element(models_by_id, case, first):
+    space, u, structure = conjugation_failures(models_by_id)[case]
+    index, resid = first_conjugation_failure(space, u, structure)
+    assert first is None or index == first
+    with pytest.raises(ConjugationError) as info:
+        conjugate_space(space, u, structure)
+    assert info.value.basis_index == index
+    assert str(info.value) == (
+        f"conjugated basis element {index} leaves the block form (residual {resid:.3e})"
+    )
 
 
 def test_conjugation_shape_mismatch(models_by_id):
