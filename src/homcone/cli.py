@@ -245,10 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
     prior = argparse.ArgumentParser(add_help=False)
     prior.add_argument("--delta", type=float, default=3.0,
                        help="prior shape parameter (> 2, default 3)")
-    prior.add_argument("--d-scale", type=float, default=1.0,
+    scale = prior.add_mutually_exclusive_group()
+    scale.add_argument("--d-scale", type=float, default=1.0,
                        help="prior scale is this multiple of the identity (default 1)")
-    prior.add_argument("--D", dest="scale_file",
-                       help="prior scale matrix as a JSON file (overrides --d-scale)")
+    scale.add_argument("--D", dest="scale_file",
+                       help="prior scale matrix as a JSON file (not with --d-scale)")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", choices=("table", "json"), default="table")
 

@@ -22,11 +22,10 @@ of the space's support.  On an invariant space of a homogeneous graph, a
 pattern space whose support is chordal, that start is the solution, and
 the first iteration only certifies its gradient; a pivot of the completion
 that is not positive certifies instead that the point is outside the open
-dual cone.  Newton starts instead from a multiple of the identity when the
-support has no perfect elimination order, or when, on a span that is not
-an invariant space, a pivot fails or the projected completion is not
-positive definite.  The start reads the point's entries alone and never
-calls a realization.
+dual cone.  Any other span, or a support with no perfect elimination
+order, starts Newton from a multiple of the identity, as does a start
+whose Cholesky factor fails.  The start reads the point's entries alone
+and never calls a realization.
 
 All determinant work is done in log space.
 """
@@ -38,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, DualMembershipError, ShapeError
-from .invariant import SPAN_TOL, InvariantSpace, finite_norm
+from .errors import ConvergenceError, DualMembershipError
+from .invariant import InvariantSpace, span_coords
 
 GRAD_TOL = 1e-11
 MAX_ITER = 100
@@ -95,26 +94,6 @@ def _logdet_from_chol(chol: np.ndarray) -> float:
     return 2.0 * float(np.log(chol.diagonal()).sum())
 
 
-def _check_matrix(
-    space: InvariantSpace, m: np.ndarray, what: str
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """m as a float array with its coordinates and its Frobenius norm,
-    after checking its shape, that it is finite and that it lies in the
-    space; both norms are taken by ``math.hypot``, so none overflows."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (space.p, space.p):
-        raise ShapeError(f"{what} must be {space.p}x{space.p}, got {m.shape}")
-    norm = finite_norm(m, what)
-    coords = space.coords(m)
-    residual = math.hypot(*(m - space.from_coords(coords)).reshape(-1).tolist())
-    if residual > SPAN_TOL * max(1.0, norm):
-        raise DomainError(
-            f"{what} is not in the invariant space "
-            f"(projection residual {residual:.3e})"
-        )
-    return m, coords, norm
-
-
 def metric_matrix(space: InvariantSpace, w: np.ndarray) -> np.ndarray:
     """Matrix of u -> projection of (w u w) in the orthonormal basis.
 
@@ -130,20 +109,19 @@ def metric_matrix(space: InvariantSpace, w: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _completion_start(space, yn: np.ndarray) -> np.ndarray | None:
+def _completion_start(space: InvariantSpace, yn: np.ndarray) -> np.ndarray | None:
     """Coordinates of the inverse of the max-determinant completion of yn,
-    or None when the space's support has no perfect elimination order or,
-    off an invariant space, a pivot fails.
+    or None when the space's support has no perfect elimination order.
 
     Along the order, vertex v with later neighbours L gives
     b_v = yn_LL^{-1} yn_Lv, the pivot d_v = yn_vv - yn_vL b_v and
     u_v = e_v - b_v, and the inverse completion is
     K = sum_v u_v u_v^T / d_v (Grone, Johnson, Sa and Wolkowicz 1984).  The
     vertices with equally many later neighbours are solved as one stack.
-    On an invariant space, a pattern space, K lies in the space and solves
-    projection(K^{-1}) = yn; every pivot is positive exactly when every
-    clique block of yn is positive definite, which is membership in the open
-    dual cone, so a failed pivot raises DualMembershipError.
+    An invariant space is a pattern space, so K lies in the space and
+    solves projection(K^{-1}) = yn; every pivot is positive exactly when
+    every clique block of yn is positive definite, which is membership in
+    the open dual cone, so a failed pivot raises DualMembershipError.
     """
     groups = space.perfect_elimination
     if groups is None:
@@ -164,12 +142,10 @@ def _completion_start(space, yn: np.ndarray) -> np.ndarray | None:
         d[group.vertices] -= (y_col * b).sum(axis=1)
         flat_u[group.column] = -b
     if not (d > 0.0).all():
-        if isinstance(space, InvariantSpace):
-            raise DualMembershipError(
-                "a clique block is not positive definite; "
-                "point is not in the open dual cone"
-            )
-        return None
+        raise DualMembershipError(
+            "a clique block is not positive definite; "
+            "point is not in the open dual cone"
+        )
     return space.coords((u / d) @ u.T)
 
 
@@ -182,15 +158,14 @@ def psi(space: InvariantSpace, y: np.ndarray) -> PsiResult:
     decrease.  A collapsed line search or stalled iteration certifies that y
     is outside the open dual cone.
 
-    The iteration starts at the inverse max-determinant completion of the
-    normalized point (``_completion_start``), which solves the equation on
-    an invariant space with a chordal support, so one iteration checks its
-    gradient against GRAD_TOL and stops.  On an invariant space a failed
-    pivot of that completion raises DualMembershipError before any Newton
-    step.  The start falls back to a multiple of the identity when the
-    support has no perfect elimination order (a 4-cycle, say), when a pivot
-    fails on a span that is not an invariant space, or when the completion,
-    projected onto such a span, is not positive definite.
+    On an invariant space the iteration starts at the inverse
+    max-determinant completion of the normalized point
+    (``_completion_start``), which solves the equation when the support is
+    chordal, so one iteration checks its gradient against GRAD_TOL and
+    stops; a failed pivot of that completion raises DualMembershipError
+    before any Newton step.  Any other span, a support with no perfect
+    elimination order (a 4-cycle, say) or a start with no Cholesky factor
+    starts at a multiple of the identity.
 
     The iterate and the normalized point are carried as coordinates, so
     tr(xy) is their dot product and the gradient's Frobenius norm is its
@@ -207,14 +182,15 @@ def psi(space: InvariantSpace, y: np.ndarray) -> PsiResult:
     them overflows; the result keeps the normalized metric, and rescaling x
     by 1/scale multiplies it by scale^2 when ``PsiResult.metric`` is read.
     """
-    y, coords_y, scale = _check_matrix(space, y, "dual argument")
+    coords_y, scale = span_coords(space.point_map, y, "dual argument")
+    y = np.asarray(y, dtype=float)
     if scale == 0.0 or np.trace(y) <= 0.0:
         raise DualMembershipError("trace must be positive on the dual cone")
     p, dim = space.p, space.dim
     basis, flat = space.basis, space.flat
     yn = y / scale
     yc = coords_y / scale
-    xc = _completion_start(space, yn)
+    xc = _completion_start(space, yn) if isinstance(space, InvariantSpace) else None
     chol = None if xc is None else _cholesky_or_none(space.from_coords(xc))
     if chol is None:
         xc = (p / float(np.trace(yn))) * space.coords(np.eye(p))
@@ -289,9 +265,11 @@ def hessian_matrix(space: InvariantSpace, y: np.ndarray) -> np.ndarray:
 
     Computed as the inverse of the metric matrix at the primal solution,
     which is the derivative identity obtained by differentiating
-    projection(x^{-1}) = y along the map.
+    projection(x^{-1}) = y along the map, at the normalized point, then
+    divided by scale^2, so that it underflows where the metric overflows.
     """
-    s = np.linalg.inv(psi(space, y).metric)
+    res = psi(space, y)
+    s = np.linalg.inv(res.normalized_metric) / res.scale / res.scale
     return 0.5 * (s + s.T)
 
 
@@ -302,8 +280,8 @@ def log_phi(space: InvariantSpace, y: np.ndarray) -> float:
 
 def in_primal_cone(space: InvariantSpace, x: np.ndarray) -> bool:
     """Membership in the open primal cone, via symmetric factorization."""
-    x = _check_matrix(space, x, "primal candidate")[0]
-    return _cholesky_or_none(x) is not None
+    span_coords(space.point_map, x, "primal candidate")
+    return _cholesky_or_none(np.asarray(x, dtype=float)) is not None
 
 
 def in_dual_cone(space: InvariantSpace, y: np.ndarray) -> bool:

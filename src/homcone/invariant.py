@@ -10,13 +10,14 @@ orbit indicator per orbit, is built on first use.  Coordinates and
 projections live in ``OrthonormalSpan``, which the realized block
 structures share: it flattens the basis once into an (N, p^2) matrix B,
 so coordinates are B vec(x), a point is B^T c, and the projection is
-B^T B vec(x), each one or two matrix products.  It also reads the space's
-support, the cells where some basis matrix is nonzero, and plans an
-elimination along it (``perfect_elimination``): the vertices by ascending
-closed-neighbourhood size, ties by index.  On a homogeneous graph the closed
-neighbourhoods of adjacent vertices are nested, so the later neighbours of
-every vertex are pairwise adjacent and the order is a perfect elimination
-order.
+B^T B vec(x), each one or two matrix products; ``span_coords`` checks a
+point against its ``point_map``, B stacked over I - B^T B.  An invariant
+space also reads its support, the cells where some basis matrix is
+nonzero, and plans an elimination along it (``perfect_elimination``): the
+vertices by ascending closed-neighbourhood size, ties by index.  On a
+homogeneous graph the closed neighbourhoods of adjacent vertices are
+nested, so the later neighbours of every vertex are pairwise adjacent and
+the order is a perfect elimination order.
 """
 
 from __future__ import annotations
@@ -50,6 +51,25 @@ def finite_norm(m: np.ndarray, what: str) -> float:
     raise DomainError(f"{what} is too large: its norm overflows")
 
 
+def span_coords(linear_map: np.ndarray, y, what: str) -> tuple[np.ndarray, float]:
+    """The N coordinates of the p x p matrix y in a span, and its norm, from
+    an (N + p^2, p^2) ``linear_map`` such as the span's ``point_map``, which
+    stacks them over y's residual from the span.  ShapeError unless y is
+    p x p; DomainError from ``finite_norm``, or if the residual's norm is
+    above SPAN_TOL times max(1, norm)."""
+    y = np.asarray(y, dtype=float)
+    p = math.isqrt(linear_map.shape[1])
+    if y.shape != (p, p):
+        raise ShapeError(f"{what} must be {p}x{p}, got {y.shape}")
+    norm = finite_norm(y, what)
+    v = linear_map @ y.reshape(-1)
+    dim = linear_map.shape[0] - p * p
+    residual = math.hypot(*v[dim:].tolist())
+    if residual > SPAN_TOL * max(1.0, norm):
+        raise DomainError(f"{what} is not in the space (residual {residual:.3e})")
+    return v[:dim], norm
+
+
 def project_onto(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Orthogonal projection of x onto the span of an orthonormal stack of
     matrices under (a|b) = tr(a b^T)."""
@@ -80,37 +100,15 @@ class OrthonormalSpan:
         return np.ascontiguousarray(basis.reshape(basis.shape[0], -1))
 
     @cached_property
-    def support(self) -> np.ndarray:
-        """The p x p cells where some basis matrix is nonzero."""
-        return np.any(self.flat != 0.0, axis=0).reshape(self.p, self.p)
+    def point_map(self) -> np.ndarray:
+        """Coordinate rows B stacked over residual rows I - B^T B.
 
-    @cached_property
-    def perfect_elimination(self) -> tuple[EliminationGroup, ...] | None:
-        """The support's elimination plan, grouped by the number of later
-        neighbours, or None if the order is not a perfect elimination order
-        (the support is then not chordal along it, as on a 4-cycle).
-
-        The vertices are taken by ascending closed-neighbourhood size in the
-        support, ties by index; the diagonal counts as supported."""
-        p = self.p
-        adjacent = self.support | np.eye(p, dtype=bool)
-        order = np.argsort(adjacent.sum(axis=1), kind="stable")
-        by_count: dict[int, list[tuple[int, list[int]]]] = {}
-        for pos, v in enumerate(order):
-            later = [int(w) for w in order[pos + 1:] if adjacent[v, w]]
-            if not adjacent[np.ix_(later, later)].all():
-                return None
-            by_count.setdefault(len(later), []).append((int(v), later))
-        groups = []
-        for k, members in sorted(by_count.items()):
-            vertices = np.array([v for v, _ in members], dtype=np.intp)
-            later = np.array([l for _, l in members], dtype=np.intp).reshape(len(members), k)
-            groups.append(EliminationGroup(
-                vertices=vertices,
-                column=later * p + vertices[:, None],
-                block=later[:, :, None] * p + later[:, None, :],
-            ))
-        return tuple(groups)
+        Applied to vec(y) it gives the coordinates of y, then the residual
+        of y from the span; its norm is that of y.
+        """
+        flat = self.flat
+        resid = np.eye(flat.shape[1]) - flat.T @ flat
+        return np.ascontiguousarray(np.vstack([flat, resid]))
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of the projection of the p x p matrix x onto the space."""
@@ -124,10 +122,6 @@ class OrthonormalSpan:
 
     def project(self, y: np.ndarray) -> np.ndarray:
         return self.from_coords(self.coords(y))
-
-    def residual_from(self, y: np.ndarray) -> float:
-        """Frobenius distance from y to the space."""
-        return float(np.linalg.norm(y - self.project(y)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,6 +155,39 @@ class InvariantSpace(OrthonormalSpan):
                 b[i - 1, j - 1] = b[j - 1, i - 1] = w
         basis.setflags(write=False)
         return basis
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """The p x p cells where some basis matrix is nonzero."""
+        return np.any(self.flat != 0.0, axis=0).reshape(self.p, self.p)
+
+    @cached_property
+    def perfect_elimination(self) -> tuple[EliminationGroup, ...] | None:
+        """The support's elimination plan, grouped by the number of later
+        neighbours, or None if the order is not a perfect elimination order
+        (the support is then not chordal along it, as on a 4-cycle).
+
+        The vertices are taken by ascending closed-neighbourhood size in the
+        support, ties by index; the diagonal counts as supported."""
+        p = self.p
+        adjacent = self.support | np.eye(p, dtype=bool)
+        order = np.argsort(adjacent.sum(axis=1), kind="stable")
+        by_count: dict[int, list[tuple[int, list[int]]]] = {}
+        for pos, v in enumerate(order):
+            later = [int(w) for w in order[pos + 1:] if adjacent[v, w]]
+            if not adjacent[np.ix_(later, later)].all():
+                return None
+            by_count.setdefault(len(later), []).append((int(v), later))
+        groups = []
+        for k, members in sorted(by_count.items()):
+            vertices = np.array([v for v, _ in members], dtype=np.intp)
+            later = np.array([l for _, l in members], dtype=np.intp).reshape(len(members), k)
+            groups.append(EliminationGroup(
+                vertices=vertices,
+                column=later * p + vertices[:, None],
+                block=later[:, :, None] * p + later[:, None, :],
+            ))
+        return tuple(groups)
 
 
 def _cell_orbits(g: Graph, group: PermutationGroup):

@@ -58,6 +58,7 @@ from .invariant import (
     OrthonormalSpan,
     finite_norm,
     project_onto,
+    span_coords,
 )
 
 AXIOM_TOL = 1e-12
@@ -106,8 +107,8 @@ class VStructure(OrthonormalSpan):
     ``subspaces`` maps a pair (l, k) with 1 <= k < l <= r to a stack of
     n_l x n_k matrices that is orthonormal under (A|B) = tr(A B^T).  Pairs
     that are absent (or mapped to an empty stack) denote the zero subspace.
-    Coordinates and projections are taken over the realized space's
-    ``basis``; ``point_map`` adds the residual from the realized space.
+    Coordinates, projections and the ``point_map`` of the span are taken
+    over the realized space's ``basis``.
     """
 
     def __init__(self, block_sizes, subspaces=None):
@@ -220,17 +221,6 @@ class VStructure(OrthonormalSpan):
             n_log_n=sum(nk * math.log(nk) for nk in sizes),
             lgamma_args=tuple((nk, qk / 2.0 + 1.0) for nk, qk in zip(sizes, qs)),
         )
-
-    @cached_property
-    def point_map(self) -> np.ndarray:
-        """Coordinate rows B stacked over residual rows I - B^T B.
-
-        Applied to vec(y) it gives the coordinates of y, then the residual
-        of y from the realized space; its norm is that of y.
-        """
-        flat = self.flat
-        resid = np.eye(flat.shape[1]) - flat.T @ flat
-        return np.ascontiguousarray(np.vstack([flat, resid]))
 
     # -- congruence action -------------------------------------------------
 
@@ -364,9 +354,7 @@ def _factor_coords(
     ``linear_map`` carries vec(y) to the realized coordinates stacked over
     the residual from the realized space: the structure's own point_map
     for a realized point, or a Realization's map for a point of the
-    original space.  y must be finite and its residual, taken by
-    ``math.hypot`` so that no norm overflows, within SPAN_TOL of the
-    realized space, else DomainError.
+    original space; ``invariant.span_coords`` checks y against it.
 
     The plan's flat program then runs on the coordinate list c in place.
     Step k reads the pivot d_k = c_k / sqrt(n_k), raises
@@ -380,20 +368,13 @@ def _factor_coords(
     along the way.  The returned list holds the diagonal scalars t_k, then
     the coefficient of each T[k,j] in the orthonormal basis of V[k,j].
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (structure.p, structure.p):
-        raise ShapeError(f"expected {structure.p}x{structure.p}, got {y.shape}")
-    finite_norm(y, "point")
-    v = (linear_map @ y.reshape(-1)).tolist()
-    dim = structure.dim
-    if math.hypot(*v[dim:]) > SPAN_TOL * max(1.0, math.hypot(*v)):
-        raise DomainError("point is not in the realized space")
-    c = v[:dim]
+    c = span_coords(linear_map, y, "point")[0].tolist()
+    start = c[: structure.r]  # the diagonal coordinates, for the pivot floor
     log_delta = log_phi = 0.0
     for k, inv_sqrt_n, w_delta, w_phi, row, bilinear in structure.plan.steps:
         ck = c[k]
-        if not ck > PIVOT_RTOL * v[k]:
-            floor = PIVOT_RTOL * max(v[k], 0.0) * inv_sqrt_n
+        if not ck > PIVOT_RTOL * start[k]:
+            floor = PIVOT_RTOL * max(start[k], 0.0) * inv_sqrt_n
             raise DualMembershipError(
                 f"factorization breakdown at block {k + 1}: pivot "
                 f"{ck * inv_sqrt_n:.6g} <= {floor:.3g}"
@@ -507,7 +488,8 @@ def conjugate_space(
 ) -> Realization:
     """Verify that conjugation by u maps the space onto the realized space.
 
-    Checks orthogonality of u, membership of every conjugated basis element
+    Checks that u is finite (DomainError naming a non-finite entry) and
+    orthogonal, membership of every conjugated basis element
     in the block form, and equality of dimensions.  An orthogonal u is an
     isometry for the trace inner product, so together these make
     conjugation a coordinate isometry between the two spaces.
@@ -524,6 +506,7 @@ def conjugate_space(
             f"conjugation size mismatch: space p={p}, u {u.shape}, "
             f"structure p={structure.p}"
         )
+    finite_norm(u, "u")
     ortho_resid = float(np.linalg.norm(u.T @ u - np.eye(p)))
     if ortho_resid > 1e-12:
         raise ConjugationError(f"u is not orthogonal (residual {ortho_resid:.3e})")

@@ -31,7 +31,7 @@ from . import cone
 from .butterfly import butterfly_graph, butterfly_subgroups
 from .errors import DomainError, IntegrabilityError, ShapeError, UsageError
 from .graphs import Graph
-from .invariant import InvariantSpace, build_invariant_space, same_space
+from .invariant import InvariantSpace, build_invariant_space, finite_norm, same_space
 from .realization import Realization, realize
 
 SYMMETRY_RTOL = 1e-9
@@ -39,11 +39,11 @@ PSD_RTOL = 1e-9
 
 
 def _check_symmetric(m: np.ndarray, what: str) -> None:
-    """DomainError unless the square matrix m is finite, ShapeError unless it
-    is symmetric to SYMMETRY_RTOL relative to its largest entry."""
-    largest = np.max(np.abs(m), initial=0.0)  # NaN or inf if any entry is
-    if not math.isfinite(largest):
-        raise DomainError(f"{what} has a non-finite entry")
+    """DomainError, from ``finite_norm``, unless the square matrix m is
+    finite, ShapeError unless it is symmetric to SYMMETRY_RTOL relative to
+    its largest entry."""
+    finite_norm(m, what)
+    largest = np.max(np.abs(m), initial=0.0)
     if np.max(np.abs(m - m.T), initial=0.0) > SYMMETRY_RTOL * largest:
         raise ShapeError(f"{what} must be symmetric")
 
@@ -83,8 +83,7 @@ class DataSummary:
     n_raw: int
 
     def __post_init__(self):
-        if not np.isfinite(self.scatter).all():
-            raise DomainError("scatter has a non-finite entry")
+        finite_norm(self.scatter, "scatter")
         if not 1 <= self.n_effective <= self.n_raw:
             raise DomainError(f"need 1 <= n_effective <= n_raw, "
                               f"got {self.n_effective} and {self.n_raw}")

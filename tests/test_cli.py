@@ -384,7 +384,7 @@ def test_verify_corrupted_registry(capsys, monkeypatch):
     assert code == 5
     assert "[FAIL] conjugation G3" in out
     # the factorization route reports its own error on the corrupted matrix
-    assert "[FAIL] cross-path G3: point is not in the realized space" in out
+    assert "[FAIL] cross-path G3: point is not in the space (residual " in out
     assert out.count("[FAIL]") == 2
 
 
@@ -468,6 +468,23 @@ def test_fit_has_no_prior_options(capsys, option):
         main(["fit", "--fixture", "exam-marks", "--model", "G3", *option])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--fixture", "exam-marks"],
+    ["constants"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("first", ["--D", "--d-scale"])
+def test_d_scale_and_scale_file_are_exclusive(capsys, tmp_path, argv, first):
+    # a scale file would silently override --d-scale
+    path = tmp_path / "scale.json"
+    path.write_text(json.dumps((100.0 * np.eye(5)).tolist()))
+    options = {"--D": ["--D", str(path)], "--d-scale": ["--d-scale", "1"]}
+    second = "--d-scale" if first == "--D" else "--D"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *options[first], *options[second]])
+    assert exc.value.code == 2
+    assert f"argument {second}: not allowed with argument {first}" in capsys.readouterr().err
 
 
 def _off_center_csv(tmp_path):

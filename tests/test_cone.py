@@ -10,7 +10,7 @@ from homcone import cone
 from homcone.errors import DomainError, DualMembershipError, ShapeError
 from homcone.graphs import Graph, PermutationGroup, automorphism_group
 from homcone.invariant import build_invariant_space
-from homcone.realization import VStructure, ray_structure
+from homcone.realization import VStructure, full_sym_structure, ray_structure
 from homcone.verify import random_dual_point
 
 from closed_forms import PHI_LOG, log_delta_g1
@@ -273,24 +273,26 @@ def test_psi_on_ray_spaces():
         assert np.allclose(res.x_star, np.eye(space.p) / 1.3, rtol=1e-14, atol=0)
 
 
-def test_psi_falls_back_on_a_start_outside_the_cone():
-    # a span outside the pattern spaces: the diagonal block of the last two
-    # coordinates is a multiple of the identity, but only one of them meets
-    # the first, so the inverse completion projects to an indefinite matrix
-    span = VStructure([1, 2], {(2, 1): np.array([[1.0], [0.0]])})
+@pytest.mark.parametrize("span", [
+    VStructure([1, 2], {(2, 1): np.array([[1.0], [0.0]])}),
+    full_sym_structure(3),
+], ids=["partial", "full"])
+def test_psi_starts_a_block_structure_at_the_identity(span):
+    # the completion start is taken only on pattern spaces, the invariant
+    # spaces: a block structure starts at the multiple of the identity with
+    # y's trace, both where the inverse completion of y projects to an
+    # indefinite matrix (partial) and where it would be exact (full)
     y = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    start = span.from_coords(completion_start(span, y / np.linalg.norm(y)))
-    assert np.linalg.eigvalsh(start)[0] < 0.0
-    assert check_solves(span, y).iterations > 1
-
-
-def test_failed_pivot_off_a_pattern_space_leaves_newton_to_decide():
-    # only an invariant space takes a failed pivot as its certificate
-    span = VStructure([1, 1], {(2, 1): np.ones((1, 1, 1))})
-    y = np.diag([1.0, -0.5])
-    assert completion_start(span, y / np.linalg.norm(y)) is None
-    with pytest.raises(DualMembershipError, match="line search|diverged"):
-        cone.psi(span, y)
+    yn = y / np.linalg.norm(y)
+    records = []
+    cone.set_newton_trace(records.append)
+    try:
+        assert check_solves(span, y).iterations > 1
+    finally:
+        cone.set_newton_trace(None)
+    identity_grad = span.coords(yn - (np.trace(yn) / 3.0) * np.eye(3))
+    assert records[0]["gradient_norm"] == pytest.approx(np.linalg.norm(identity_grad),
+                                                        rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -413,6 +415,17 @@ def test_psi_metric_symmetric(dual_point):
     for space in model_spaces():
         m = cone.psi(space, dual_point(space, rng)).metric
         assert np.max(np.abs(m - m.T)) <= 4 * np.finfo(float).eps * np.max(np.abs(m))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_hessian_near_the_float_range(spaces, scale):
+    # the metric in the point's own units overflows past a norm of about
+    # 1e154; the Hessian, homogeneous of degree -2, underflows instead
+    space = spaces["G3"]
+    reference = cone.hessian_matrix(space, space.project(np.eye(5)))
+    h = cone.hessian_matrix(space, space.project(scale * np.eye(5)))
+    np.testing.assert_allclose(h, reference / scale / scale, rtol=1e-12,
+                               atol=2 * np.finfo(float).smallest_subnormal)
 
 
 def test_hessian_symmetric_pd(spaces, dual_point):

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
 import homcone as hc
-from homcone.errors import InvarianceError, ShapeError, UsageError
+from homcone.errors import DomainError, InvarianceError, ShapeError, UsageError
 from homcone.graphs import (
     Graph,
     Permutation,
@@ -13,7 +14,7 @@ from homcone.graphs import (
     automorphism_group,
     enumerate_subgroups,
 )
-from homcone.invariant import build_invariant_space, same_space
+from homcone.invariant import build_invariant_space, same_space, span_coords
 from homcone.realization import full_sym_structure
 from homcone.selection import Model, dedupe_models
 
@@ -126,7 +127,25 @@ def test_basis_invariance_and_support(spaces, butterfly):
 
 def test_identity_in_span(spaces):
     for space in spaces.values():
-        assert space.residual_from(np.eye(5)) < 1e-12
+        coords, norm = span_coords(space.point_map, np.eye(5), "identity")
+        assert norm == math.sqrt(5.0)
+        np.testing.assert_allclose(space.from_coords(coords), np.eye(5), atol=1e-15)
+
+
+def test_span_coords_accepts_the_span_and_refuses_what_leaves_it(spans):
+    rng = np.random.default_rng(17)
+    for space in spans:
+        c = rng.standard_normal(space.dim)
+        y = space.from_coords(c)
+        coords, norm = span_coords(space.point_map, y, "point")
+        np.testing.assert_allclose(coords, c, rtol=0, atol=1e-14)
+        assert norm == pytest.approx(np.linalg.norm(c), rel=1e-14)
+        off = rng.standard_normal((space.p, space.p))
+        off = 1e-6 * (off - space.project(off))
+        with pytest.raises(DomainError, match=r"point is not in the space \(residual"):
+            span_coords(space.point_map, y + off, "point")
+        with pytest.raises(ShapeError, match="point must be"):
+            span_coords(space.point_map, np.eye(space.p + 1), "point")
 
 
 def test_project_identity(spaces):

@@ -368,6 +368,16 @@ def test_conjugation_rejects_non_orthogonal(models_by_id):
         conjugate_space(m.space, 2.0 * np.eye(5), m.realization.structure)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_conjugation_rejects_a_non_finite_u(models_by_id, value):
+    # every residual of a NaN u is NaN, which no tolerance test refuses
+    m = models_by_id["G1"]
+    u = m.realization.u.copy()
+    u[0, 0] = value
+    with pytest.raises(DomainError, match=rf"u has a non-finite entry {value} at \[0, 0\]"):
+        conjugate_space(m.space, u, m.realization.structure)
+
+
 def test_conjugation_rejects_wrong_u(models_by_id):
     m3 = models_by_id["G3"]
     u_wrong = golden_by_id()["G1"].u
@@ -651,7 +661,7 @@ def test_span_check_does_not_overflow(scale):
     # |resid|^2 and |v|^2 overflow past ~1e154; a point off the ray must
     # still be rejected there, and a huge point on it still scored
     s = ray_structure(3)
-    with pytest.raises(DomainError, match="not in the realized space"):
+    with pytest.raises(DomainError, match="point is not in the space"):
         delta_phi_fast(s, np.diag([scale, 1.0, 1.0]))
     ld, lp = delta_phi_fast(s, scale * np.eye(3))
     assert ld == pytest.approx(3.0 * math.log(scale), rel=1e-14)
