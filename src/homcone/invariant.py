@@ -11,7 +11,8 @@ projections live in ``OrthonormalSpan``, which the realized block
 structures share: it flattens the basis once into an (N, p^2) matrix B,
 so coordinates are B vec(x), a point is B^T c, and the projection is
 B^T B vec(x), each one or two matrix products; ``span_coords`` checks a
-point against its ``point_map``, B stacked over I - B^T B.  An invariant
+point against its ``point_map``, B stacked over I - B^T B, or a stack of
+points against several spans' maps stacked into one.  An invariant
 space also reads its support, the cells where some basis matrix is
 nonzero, and plans an elimination along it (``perfect_elimination``): the
 vertices by ascending closed-neighbourhood size, ties by index.  On a
@@ -51,22 +52,60 @@ def finite_norm(m: np.ndarray, what: str) -> float:
     raise DomainError(f"{what} is too large: its norm overflows")
 
 
-def span_coords(linear_map: np.ndarray, y, what: str) -> tuple[np.ndarray, float]:
-    """The N coordinates of the p x p matrix y in a span, and its norm, from
-    an (N + p^2, p^2) ``linear_map`` such as the span's ``point_map``, which
-    stacks them over y's residual from the span.  ShapeError unless y is
-    p x p; DomainError from ``finite_norm``, or if the residual's norm is
-    above SPAN_TOL times max(1, norm)."""
+def span_coords(linear_map: np.ndarray, y, what: str, labels=None) -> tuple:
+    """Coordinates of points of k spans, checked against one stacked map.
+
+    ``linear_map`` stacks the k spans' coordinate rows, N in all, over
+    their k residual blocks of p^2 rows each, in the same span order; a
+    span's ``point_map`` is the stack of one.  Without ``labels`` y is one
+    p x p matrix, and the result is its N coordinates and its norm.  With
+    ``labels``, one per span, y is a stack of m p x p matrices, and the
+    result is the (N, m) coordinates and the m norms.
+
+    ShapeError unless y has that shape; DomainError from ``finite_norm``,
+    or if a point's residual from a span has a norm above its bound,
+    SPAN_TOL times max(1, norm), naming that span's label.  Neither way of
+    taking the residual norms overflows: one residual's norm is taken by
+    ``math.hypot``, and a stack's from the residuals divided by their
+    bounds (at most about 1e10 each), where one dot product settles the
+    usual case in which all of them pass together.
+    """
     y = np.asarray(y, dtype=float)
     p = math.isqrt(linear_map.shape[1])
-    if y.shape != (p, p):
-        raise ShapeError(f"{what} must be {p}x{p}, got {y.shape}")
+    if y.shape[-2:] != (p, p) or y.ndim != (2 if labels is None else 3):
+        raise ShapeError(f"{what} must be {'' if labels is None else 'a stack of '}"
+                         f"{p}x{p}, got {y.shape}")
+    if labels is None:
+        return _one_point_coords(linear_map, y, what, "")
+    if len(labels) * len(y) == 1:  # math.hypot is cheaper than the stacked pass
+        coords, norm = _one_point_coords(linear_map, y[0], what, f" of {labels[0]}")
+        return coords[:, None], np.array([norm])
+    norms = [finite_norm(point, what) for point in y]
+    bounds = np.array([SPAN_TOL * max(1.0, norm) for norm in norms])
+    # one point a column: numpy multiplies by a transposed view several
+    # times more slowly at these sizes
+    v = linear_map @ np.ascontiguousarray(y.reshape(-1, p * p).T)
+    dim = v.shape[0] - len(labels) * p * p
+    scaled = v[dim:] / bounds
+    flat = scaled.reshape(-1)
+    if not flat @ flat <= 1.0:  # else every residual is within its bound
+        blocks = scaled.reshape(len(labels), p * p, -1)
+        squared = np.einsum("kim,kim->km", blocks, blocks)
+        if not squared.max() <= 1.0:
+            k, j = np.argwhere(~(squared <= 1.0))[0]
+            raise DomainError(f"{what} is not in the space of {labels[k]} "
+                              f"(residual {math.sqrt(squared[k, j]) * bounds[j]:.3e})")
+    return v[:dim], np.array(norms)
+
+
+def _one_point_coords(linear_map: np.ndarray, y: np.ndarray, what: str, of: str):
+    """``span_coords`` for one p x p point of one span, named by ``of``."""
     norm = finite_norm(y, what)
     v = linear_map @ y.reshape(-1)
-    dim = linear_map.shape[0] - p * p
+    dim = v.size - y.size
     residual = math.hypot(*v[dim:].tolist())
     if residual > SPAN_TOL * max(1.0, norm):
-        raise DomainError(f"{what} is not in the space (residual {residual:.3e})")
+        raise DomainError(f"{what} is not in the space{of} (residual {residual:.3e})")
     return v[:dim], norm
 
 

@@ -30,7 +30,9 @@ the point, so the resulting Realization composes them into fixed matrices,
 built on first use: ``point_map`` takes vec(y) of a point of the space to
 its realized coordinates stacked over its residual from the block form,
 and ``scale_map`` does the same for projection(D) / 2 of a prior scale D.
-Scoring a model is one matrix-vector product and the float factorization.
+``log_delta_phi_at_scales`` stacks the scale maps of several realizations,
+so scoring them at several scales is one matrix product and one float
+factorization per realization and scale.
 """
 
 from __future__ import annotations
@@ -346,17 +348,13 @@ class TriangularElement:
         return t
 
 
-def _factor_coords(
-    structure: VStructure, linear_map: np.ndarray, y: np.ndarray
-) -> tuple[list[float], float, float]:
-    """The triangular factor's coordinates, log delta and log phi.
+def _factor_coords(structure: VStructure, c: list[float]) -> tuple[list[float], float, float]:
+    """The triangular factor's coordinates, log delta and log phi, from the
+    list c of a point's realized coordinates, which ``invariant.span_coords``
+    has checked against a map to them: the structure's own point_map for a
+    realized point, or a Realization's map for a point of the original space.
 
-    ``linear_map`` carries vec(y) to the realized coordinates stacked over
-    the residual from the realized space: the structure's own point_map
-    for a realized point, or a Realization's map for a point of the
-    original space; ``invariant.span_coords`` checks y against it.
-
-    The plan's flat program then runs on the coordinate list c in place.
+    The plan's flat program runs on c in place.
     Step k reads the pivot d_k = c_k / sqrt(n_k), raises
     DualMembershipError unless it is above PIVOT_RTOL times its starting
     value, and stores t_k = sqrt(d_k) in c_k.  Each coordinate x of row k
@@ -368,7 +366,6 @@ def _factor_coords(
     along the way.  The returned list holds the diagonal scalars t_k, then
     the coefficient of each T[k,j] in the orthonormal basis of V[k,j].
     """
-    c = span_coords(linear_map, y, "point")[0].tolist()
     start = c[: structure.r]  # the diagonal coordinates, for the pivot floor
     log_delta = log_phi = 0.0
     for k, inv_sqrt_n, w_delta, w_phi, row, bilinear in structure.plan.steps:
@@ -394,6 +391,11 @@ def _factor_coords(
     return c, log_delta, log_phi
 
 
+def _realized_coords(linear_map: np.ndarray, y) -> list[float]:
+    """The realized coordinates of one point y, checked by ``span_coords``."""
+    return span_coords(linear_map, y, "point")[0].tolist()
+
+
 def factor_T(structure: VStructure, y: np.ndarray) -> TriangularElement:
     """Unique triangular element with projection(T^T T) equal to the dual point y.
 
@@ -407,7 +409,7 @@ def factor_T(structure: VStructure, y: np.ndarray) -> TriangularElement:
     diagonal coefficient raises DualMembershipError: y is past the boundary
     of the dual cone, or on it up to rounding.
     """
-    coords, _, _ = _factor_coords(structure, structure.point_map, y)
+    coords, _, _ = _factor_coords(structure, _realized_coords(structure.point_map, y))
     blocks = tuple(
         (lk, np.einsum("a,aij->ij", np.asarray(coords[lo:hi]), structure.subspaces[lk]))
         for lk, (lo, hi) in zip(structure.offdiag_slots(), structure.plan.slots)
@@ -424,7 +426,7 @@ def delta_phi_fast(structure: VStructure, y: np.ndarray) -> tuple[float, float]:
     the diagonal scalars with the structure's multidegree.  Both read only
     the factor's diagonal scalars, and accumulate as the factorization runs.
     """
-    return _factor_coords(structure, structure.point_map, y)[1:]
+    return _factor_coords(structure, _realized_coords(structure.point_map, y))[1:]
 
 
 def log_gamma_v(structure: VStructure, alpha: float) -> float:
@@ -475,12 +477,49 @@ class Realization:
 
     def log_delta_phi(self, y: np.ndarray) -> tuple[float, float]:
         """(log delta, log phi) at a point y of the original space."""
-        return _factor_coords(self.structure, self.point_map, y)[1:]
+        return _factor_coords(self.structure, _realized_coords(self.point_map, y))[1:]
 
     def log_delta_phi_at_scale(self, scale: np.ndarray) -> tuple[float, float]:
         """(log delta, log phi) at projection(scale) / 2, the point at which a
         prior with scale matrix ``scale`` is scored."""
-        return _factor_coords(self.structure, self.scale_map, scale)[1:]
+        return _factor_coords(self.structure, _realized_coords(self.scale_map, scale))[1:]
+
+
+@lru_cache(maxsize=4)
+def _stacked_scale_map(realizations: tuple[Realization, ...]) -> np.ndarray:
+    """The realizations' scale maps as one map for ``span_coords``: every
+    coordinate block, in order, over every residual block in the same order.
+
+    Built once per tuple of realizations, which hash by identity; it holds
+    (N + k p^2) p^2 doubles for k realizations of total dimension N, and the
+    cache keeps the last few tuples."""
+    maps = [(r.scale_map, r.structure.dim) for r in realizations]
+    stacked = np.vstack([m[:dim] for m, dim in maps] + [m[dim:] for m, dim in maps])
+    stacked.setflags(write=False)  # shared by every caller with these realizations
+    return stacked
+
+
+def log_delta_phi_at_scales(realizations, scales, labels) -> list[list[tuple[float, float]]]:
+    """(log delta, log phi) of each realization at projection(scale) / 2 for
+    each p x p scale matrix, one row per realization.
+
+    The realized coordinates of every realization at every scale come from
+    one product of the stacked scale maps with the stacked scales, checked
+    by ``span_coords``: a point that leaves a realization's block form
+    raises DomainError naming its entry of ``labels``.  Each realization's
+    share of a column then runs through its factorization.
+    """
+    realizations = tuple(realizations)
+    stack = (realizations[0].scale_map if len(realizations) == 1
+             else _stacked_scale_map(realizations))
+    coords = span_coords(stack, np.array(scales, dtype=float), "projected scale", labels)[0]
+    columns = coords.T.tolist()
+    rows, start = [], 0
+    for r in realizations:
+        stop = start + r.structure.dim
+        rows.append([_factor_coords(r.structure, c[start:stop])[1:] for c in columns])
+        start = stop
+    return rows
 
 
 def conjugate_space(

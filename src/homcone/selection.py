@@ -32,7 +32,7 @@ from .butterfly import butterfly_graph, butterfly_subgroups
 from .errors import DomainError, IntegrabilityError, ShapeError, UsageError
 from .graphs import Graph
 from .invariant import InvariantSpace, build_invariant_space, finite_norm, same_space
-from .realization import Realization, realize
+from .realization import Realization, log_delta_phi_at_scales, realize
 
 SYMMETRY_RTOL = 1e-9
 PSD_RTOL = 1e-9
@@ -244,21 +244,36 @@ class LogITerms(NamedTuple):
         return self.log_gamma + self.log_phi - self.alpha * self.log_delta
 
 
-def log_I_terms(model: Model, hyper: Hyperparams) -> LogITerms:
-    """Factors of the conjugate prior's log normalizing constant on the model cone.
+def _score_terms(models, hypers) -> list[list[LogITerms]]:
+    """The factors of each model's log normalizing constant under each
+    hyperparameter set, one row per model.
 
     This is the one scoring route.  All three factors come from the block
     realization: the gamma factor at exponent (delta - 2) / 2 from its block
     sizes and subspace dimensions, and the determinant functionals at the
     projected point scale / 2 from the triangular factor and the multidegree.
-    The realization's cached scale map takes the scale matrix straight to
-    the realized coordinates of that point, in one matrix-vector product.
+    The realizations' stacked scale maps take every scale matrix straight to
+    the realized coordinates of every model's point, in one matrix product
+    (``realization.log_delta_phi_at_scales``); a point off a model's block
+    form raises DomainError naming the model's label.
+    """
+    alphas = [(h.delta - 2.0) / 2.0 for h in hypers]
+    ldlp = log_delta_phi_at_scales([m.realization for m in models],
+                                   [h.scale for h in hypers], [m.label for m in models])
+    return [
+        [LogITerms(a, m.realization.log_gamma(a), ld, lp) for a, (ld, lp) in zip(alphas, row)]
+        for m, row in zip(models, ldlp)
+    ]
+
+
+def log_I_terms(model: Model, hyper: Hyperparams) -> LogITerms:
+    """Factors of the conjugate prior's log normalizing constant on the model
+    cone: the scoring route with one model and one scale.
+
     ``hyper`` is taken as already validated; a scale of the wrong size
     raises ShapeError.
     """
-    alpha = (hyper.delta - 2.0) / 2.0
-    ld, lp = model.realization.log_delta_phi_at_scale(hyper.scale)
-    return LogITerms(alpha, model.realization.log_gamma(alpha), ld, lp)
+    return _score_terms([model], [hyper])[0][0]
 
 
 def log_I(model: Model, delta: float, scale) -> float:
@@ -297,7 +312,8 @@ def posterior(models, data: DataSummary, hyper: Hyperparams) -> SelectionReport:
     constants, with the scatter added to the scale matrix and the effective
     sample size added to the shape; probabilities come out of log-sum-exp.
     The posterior Hyperparams is built once, so a scatter that makes the
-    posterior scale indefinite raises DomainError before any scoring.
+    posterior scale indefinite raises DomainError before any scoring; every
+    model is then scored at both scales from one stacked product.
     """
     models = dedupe_models(models)  # UsageError unless all share one graph
     if not models:
@@ -310,8 +326,9 @@ def posterior(models, data: DataSummary, hyper: Hyperparams) -> SelectionReport:
     post = Hyperparams(
         delta=hyper.delta + data.n_effective, scale=hyper.scale + data.scatter
     )
-    priors = [log_I_terms(m, hyper).log_I for m in models]
-    posts = [log_I_terms(m, post).log_I for m in models]
+    terms = _score_terms(models, [hyper, post])
+    priors = [prior.log_I for prior, _ in terms]
+    posts = [post_terms.log_I for _, post_terms in terms]
     scores = [b - a for a, b in zip(priors, posts)]
     scores_arr = np.array(scores)
     shifted = scores_arr - scores_arr.max()

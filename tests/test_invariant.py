@@ -148,6 +148,48 @@ def test_span_coords_accepts_the_span_and_refuses_what_leaves_it(spans):
             span_coords(space.point_map, np.eye(space.p + 1), "point")
 
 
+def stacked_point_map(spans):
+    """The spans' point maps as one: every coordinate block over every
+    residual block, in the same order."""
+    maps = [(s.point_map, s.dim) for s in spans]
+    return np.vstack([m[:dim] for m, dim in maps] + [m[dim:] for m, dim in maps])
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150, 1e300])
+def test_span_coords_checks_a_stack_of_points_against_stacked_spans(spaces, butterfly, scale):
+    # each span's share of the stacked product is its own coordinates, and a
+    # point that leaves one span is refused under that span's label, at any
+    # scale: squared residuals of a 1e300 point would overflow
+    names = sorted(spaces)
+    stacked = stacked_point_map([spaces[n] for n in names])
+    adjacency = np.zeros((5, 5))
+    for i, j in butterfly.edge_list():
+        adjacency[i - 1, j - 1] = adjacency[j - 1, i - 1] = 1.0
+    # I + t A is invariant under every automorphism, so it lies in every span
+    ys = scale * np.array([np.eye(5) + t * adjacency for t in (0.1, -0.3, 0.7)])
+    coords, norms = span_coords(stacked, ys, "point", names)
+    assert coords.shape == (sum(spaces[n].dim for n in names), 3)
+    np.testing.assert_allclose(norms, [np.linalg.norm(y / scale) * scale for y in ys],
+                               rtol=1e-14)
+    start = 0
+    for n in names:
+        stop = start + spaces[n].dim
+        for j, y in enumerate(ys):
+            alone, _ = span_coords(spaces[n].point_map, y, "point")
+            np.testing.assert_allclose(coords[start:stop, j], alone, rtol=1e-14)
+        start = stop
+    off = ys.copy()
+    # (1,4) is not an edge; below norm 1 the bound is SPAN_TOL itself
+    off[1, 0, 3] = off[1, 3, 0] = max(1e-6 * scale, 1e-9)
+    assert names[0] == "G1"  # the first span in the stack to refuse it
+    with pytest.raises(DomainError, match=r"point is not in the space of G1 \(residual"):
+        span_coords(stacked, off, "point", names)
+    with pytest.raises(ShapeError, match="point must be a stack of 5x5"):
+        span_coords(stacked, ys[0], "point", names)
+    with pytest.raises(ShapeError, match="point must be 5x5"):
+        span_coords(spaces["G1"].point_map, ys, "point")
+
+
 def test_project_identity(spaces):
     for space in spaces.values():
         assert np.allclose(space.project(np.eye(5)), np.eye(5), atol=1e-14)

@@ -9,6 +9,7 @@ import homcone as hc
 from homcone import cone
 from homcone import selection as selection_module
 from homcone.errors import (
+    ConjugationError,
     DomainError,
     IntegrabilityError,
     ShapeError,
@@ -17,7 +18,7 @@ from homcone.errors import (
 from homcone.graphs import Graph, PermutationGroup
 from homcone.invariant import build_invariant_space
 from homcone.oracle import mc_cone_integral
-from homcone.realization import realize
+from homcone.realization import Realization, conjugate_space, realize
 from homcone.selection import (
     DataSummary,
     Hyperparams,
@@ -32,10 +33,13 @@ from homcone.selection import (
     fit_concentration_mle,
     load_scatter_json,
     log_I,
+    log_I_terms,
     posterior,
     scatter_summary,
     summarize_data,
 )
+
+from lattices import LATTICES, lattice_models
 
 EXAM_TABLE_G3 = 1e-3 * np.array(
     [
@@ -351,6 +355,84 @@ def test_report_json_fields(models, exam_data):
         assert set(rec.keys()) == expected_keys
     table = report.render_table()
     assert "winner: G7" in table
+
+
+# ---------------------------------------------------------------------------
+# every model of a posterior() call scored from one stacked product
+
+STACK_RTOL = 1e-12
+
+
+def assert_scores_match_one_shot(report, models, data, hyper):
+    # each record against log_I_terms, a stack of one model and one scale
+    post = Hyperparams(delta=hyper.delta + data.n_effective, scale=hyper.scale + data.scatter)
+    by_id = {m.label: m for m in models}
+    assert len(report.records) == len(models)
+    for r in report.records:
+        prior = log_I_terms(by_id[r.model_id], hyper).log_I
+        post_I = log_I_terms(by_id[r.model_id], post).log_I
+        assert r.log_I_prior == pytest.approx(prior, rel=STACK_RTOL)
+        assert r.log_I_posterior == pytest.approx(post_I, rel=STACK_RTOL)
+        assert r.log_score == pytest.approx(post_I - prior, rel=STACK_RTOL)
+
+
+@pytest.mark.parametrize("d", sorted(EXPECTED_WINNERS))
+def test_posterior_scores_match_one_shot_scores(models, exam_data, d):
+    hyper = Hyperparams(delta=3.0, scale=d * np.eye(5))
+    assert_scores_match_one_shot(posterior(models, exam_data, hyper), models, exam_data, hyper)
+
+
+def test_posterior_scores_match_one_shot_scores_over_the_k5_lattice():
+    g, n_spaces = LATTICES["K5"]
+    models = lattice_models(g)
+    assert len(models) == n_spaces == 93
+    assert len({m.space.dim for m in models}) > 5
+    x = np.random.default_rng(27).standard_normal((40, 5))
+    data = summarize_data(x)
+    hyper = Hyperparams(delta=4.5, scale=3.0 * np.eye(5))
+    assert_scores_match_one_shot(posterior(models, data, hyper), models, data, hyper)
+
+
+def test_a_realization_off_its_block_form_is_named(models, exam_data):
+    # a Realization built directly, bypassing conjugate_space, on a slightly
+    # rotated u: the projected scales leave its block form, and the stacked
+    # check names that model
+    g3 = next(m for m in models if m.label == "G3")
+    rot, _ = np.linalg.qr(np.eye(5) + 1e-3 * np.random.default_rng(5).standard_normal((5, 5)))
+    u = g3.realization.u @ rot
+    with pytest.raises(ConjugationError):
+        conjugate_space(g3.space, u, g3.realization.structure)
+    bent = Model("G3-rotated", g3.space)
+    vars(bent)["realization"] = Realization(u=u, structure=g3.realization.structure,
+                                            space_flat=g3.space.flat)
+    hyper = Hyperparams(delta=3.0, scale=100.0 * np.eye(5))
+    others = [m for m in models if m.label != "G3"]
+    named = r"projected scale is not in the space of G3-rotated \(residual"
+    with pytest.raises(DomainError, match=named):
+        posterior(others + [bent], exam_data, hyper)
+    with pytest.raises(DomainError, match=named):
+        posterior([bent] + others, exam_data, hyper)
+    # u^T (d I) u = d I for any u, so the one-shot check needs a scale that is not d I
+    with pytest.raises(DomainError, match=named):
+        log_I_terms(bent, Hyperparams(delta=3.0, scale=hyper.scale + exam_data.scatter))
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-150, 1e150, 1e300])
+def test_posterior_near_the_float_range(models, exam_data, c):
+    # scaling the prior scale and the scatter together by c moves log delta
+    # by p log c at both scales, so every score shifts by
+    # -(n_eff / 2) p log c and the probabilities stay put
+    n = exam_data.n_effective
+    data = DataSummary(scatter=c * exam_data.scatter, n_effective=n, n_raw=exam_data.n_raw)
+    shift = -0.5 * n * 5 * math.log(c)
+    for d in EXPECTED_WINNERS:
+        base = posterior(models, exam_data, Hyperparams(delta=3.0, scale=d * np.eye(5)))
+        scaled = posterior(models, data, Hyperparams(delta=3.0, scale=c * d * np.eye(5)))
+        assert scaled.winner_id == base.winner_id
+        for a, b in zip(base.records, scaled.records):
+            assert b.model_id == a.model_id
+            assert abs(b.probability - a.probability) <= 1e-10
+            assert b.log_score == pytest.approx(a.log_score + shift, rel=STACK_RTOL)
 
 
 # ---------------------------------------------------------------------------
