@@ -45,8 +45,8 @@ from .selection import (
     fit_concentration,
     fit_concentration_mle,
     load_scatter_json,
-    log_I_terms,
     posterior,
+    score_terms,
     summarize_data,
 )
 from .verify import run_verification
@@ -204,14 +204,11 @@ def cmd_constants(args) -> int:
     unknown = [w for w in wanted if w not in known]
     if unknown:
         raise ValueError(f"unknown models {unknown}; available: {sorted(known)}")
-    rows = []
-    for m in models:
-        if m.label not in wanted:
-            continue
-        terms = log_I_terms(m, hyper)
-        rows.append(
-            {"model_id": m.label, "dim": m.space.dim, **terms._asdict(), "log_I": terms.log_I}
-        )
+    chosen = [m for m in models if m.label in wanted]
+    rows = [
+        {"model_id": m.label, "dim": m.space.dim, **terms._asdict(), "log_I": terms.log_I}
+        for m, (terms,) in zip(chosen, score_terms(chosen, [hyper]))
+    ]
     if args.output == "json":
         print(_dump_json({"models": rows}))
     else:

@@ -59,27 +59,34 @@ def span_coords(linear_map: np.ndarray, y, what: str, labels=None) -> tuple:
     their k residual blocks of p^2 rows each, in the same span order; a
     span's ``point_map`` is the stack of one.  Without ``labels`` y is one
     p x p matrix, and the result is its N coordinates and its norm.  With
-    ``labels``, one per span, y is a stack of m p x p matrices, and the
-    result is the (N, m) coordinates and the m norms.
+    ``labels``, one per span, y is a sequence of m p x p matrices, and the
+    result is the (N, m) coordinates and the list of the m norms.
 
-    ShapeError unless y has that shape; DomainError from ``finite_norm``,
-    or if a point's residual from a span has a norm above its bound,
-    SPAN_TOL times max(1, norm), naming that span's label.  Neither way of
-    taking the residual norms overflows: one residual's norm is taken by
-    ``math.hypot``, and a stack's from the residuals divided by their
-    bounds (at most about 1e10 each), where one dot product settles the
-    usual case in which all of them pass together.
+    ShapeError names the shape of a point that is not p x p; DomainError
+    comes from ``finite_norm``, or if a point's residual from a span has a
+    norm above its bound, SPAN_TOL times max(1, norm), naming that span's
+    label.  Neither way of taking the residual norms overflows: one
+    point's residual norm is taken by ``math.hypot``, and a stack's from
+    the residuals divided by their bounds (at most about 1e10 each), where
+    one dot product settles the usual case in which all of them pass
+    together.
     """
-    y = np.asarray(y, dtype=float)
     p = math.isqrt(linear_map.shape[1])
-    if y.shape[-2:] != (p, p) or y.ndim != (2 if labels is None else 3):
-        raise ShapeError(f"{what} must be {'' if labels is None else 'a stack of '}"
-                         f"{p}x{p}, got {y.shape}")
     if labels is None:
-        return _one_point_coords(linear_map, y, what, "")
-    if len(labels) * len(y) == 1:  # math.hypot is cheaper than the stacked pass
-        coords, norm = _one_point_coords(linear_map, y[0], what, f" of {labels[0]}")
-        return coords[:, None], np.array([norm])
+        y = np.asarray(y, dtype=float)
+        if y.shape != (p, p):
+            raise ShapeError(f"{what} must be {p}x{p}, got {y.shape}")
+        norm = finite_norm(y, what)
+        v = linear_map @ y.reshape(-1)
+        dim = linear_map.shape[0] - p * p
+        residual = math.hypot(*v[dim:].tolist())
+        if residual > SPAN_TOL * max(1.0, norm):
+            raise DomainError(f"{what} is not in the space (residual {residual:.3e})")
+        return v[:dim], norm
+    shape = next((np.shape(point) for point in y if np.shape(point) != (p, p)), None)
+    if shape is not None:
+        raise ShapeError(f"{what} must be {p}x{p}, got {shape}")
+    y = np.asarray(y, dtype=float)
     norms = [finite_norm(point, what) for point in y]
     bounds = np.array([SPAN_TOL * max(1.0, norm) for norm in norms])
     # one point a column: numpy multiplies by a transposed view several
@@ -95,18 +102,7 @@ def span_coords(linear_map: np.ndarray, y, what: str, labels=None) -> tuple:
             k, j = np.argwhere(~(squared <= 1.0))[0]
             raise DomainError(f"{what} is not in the space of {labels[k]} "
                               f"(residual {math.sqrt(squared[k, j]) * bounds[j]:.3e})")
-    return v[:dim], np.array(norms)
-
-
-def _one_point_coords(linear_map: np.ndarray, y: np.ndarray, what: str, of: str):
-    """``span_coords`` for one p x p point of one span, named by ``of``."""
-    norm = finite_norm(y, what)
-    v = linear_map @ y.reshape(-1)
-    dim = v.size - y.size
-    residual = math.hypot(*v[dim:].tolist())
-    if residual > SPAN_TOL * max(1.0, norm):
-        raise DomainError(f"{what} is not in the space{of} (residual {residual:.3e})")
-    return v[:dim], norm
+    return v[:dim], norms
 
 
 def project_onto(stack: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -456,7 +456,8 @@ class Realization:
     flattened basis, ``point_map`` stacks B K over (I - B^T B) K, the
     realized coordinates over the residual from the block form; and
     ``scale_map`` folds in the space's projector P and the halving of a
-    prior scale, point_map P / 2.
+    prior scale, point_map P / 2, taken through the space's basis F
+    (``scale_blocks``).
     """
 
     u: np.ndarray
@@ -470,7 +471,23 @@ class Realization:
 
     @cached_property
     def scale_map(self) -> np.ndarray:
-        return 0.5 * (self.point_map @ (self.space_flat.T @ self.space_flat))
+        return np.vstack(self.scale_blocks())
+
+    def scale_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The coordinate rows and the residual rows of the scale map, built
+        without caching it.
+
+        With P = F^T F, K F^T holds the conjugated basis vec(u^T F_a u) as
+        columns, and Q = B K F^T is the (N, N) matrix of their realized
+        coordinates, so the rows are Q F / 2 and (K F^T - B^T Q) F / 2.
+        """
+        p = self.u.shape[0]
+        n = self.space_flat.shape[0]
+        conj = (self.u.T @ self.space_flat.reshape(n, p, p) @ self.u).reshape(n, p * p)
+        flat = self.structure.flat
+        q = flat @ conj.T
+        half = 0.5 * self.space_flat
+        return q @ half, (conj.T - flat.T @ q) @ half
 
     def log_gamma(self, alpha: float) -> float:
         return log_gamma_v(self.structure, alpha)
@@ -485,16 +502,24 @@ class Realization:
         return _factor_coords(self.structure, _realized_coords(self.scale_map, scale))[1:]
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _stacked_scale_map(realizations: tuple[Realization, ...]) -> np.ndarray:
     """The realizations' scale maps as one map for ``span_coords``: every
     coordinate block, in order, over every residual block in the same order.
 
-    Built once per tuple of realizations, which hash by identity; it holds
-    (N + k p^2) p^2 doubles for k realizations of total dimension N, and the
-    cache keeps the last few tuples."""
-    maps = [(r.scale_map, r.structure.dim) for r in realizations]
-    stacked = np.vstack([m[:dim] for m, dim in maps] + [m[dim:] for m, dim in maps])
+    Built once per tuple of realizations, which hash by identity, straight
+    from their ``scale_blocks``, so no realization caches its own map; it
+    holds (N + k p^2) p^2 doubles for k realizations of total dimension N,
+    and the cache keeps only the last tuple."""
+    p2 = realizations[0].space_flat.shape[1]
+    n = sum(r.structure.dim for r in realizations)
+    stacked = np.empty((n + len(realizations) * p2, p2))
+    start, resid = 0, n
+    for r in realizations:
+        coords, residual = r.scale_blocks()
+        stacked[start:start + len(coords)] = coords
+        stacked[resid:resid + p2] = residual
+        start, resid = start + len(coords), resid + p2
     stacked.setflags(write=False)  # shared by every caller with these realizations
     return stacked
 
@@ -510,9 +535,11 @@ def log_delta_phi_at_scales(realizations, scales, labels) -> list[list[tuple[flo
     share of a column then runs through its factorization.
     """
     realizations = tuple(realizations)
+    if not realizations:
+        return []
     stack = (realizations[0].scale_map if len(realizations) == 1
              else _stacked_scale_map(realizations))
-    coords = span_coords(stack, np.array(scales, dtype=float), "projected scale", labels)[0]
+    coords = span_coords(stack, scales, "projected scale", labels)[0]
     columns = coords.T.tolist()
     rows, start = [], 0
     for r in realizations:

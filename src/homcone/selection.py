@@ -244,7 +244,7 @@ class LogITerms(NamedTuple):
         return self.log_gamma + self.log_phi - self.alpha * self.log_delta
 
 
-def _score_terms(models, hypers) -> list[list[LogITerms]]:
+def score_terms(models, hypers) -> list[list[LogITerms]]:
     """The factors of each model's log normalizing constant under each
     hyperparameter set, one row per model.
 
@@ -255,7 +255,9 @@ def _score_terms(models, hypers) -> list[list[LogITerms]]:
     The realizations' stacked scale maps take every scale matrix straight to
     the realized coordinates of every model's point, in one matrix product
     (``realization.log_delta_phi_at_scales``); a point off a model's block
-    form raises DomainError naming the model's label.
+    form raises DomainError naming the model's label.  The ``hypers`` are
+    taken as already validated; a scale of the wrong size raises ShapeError
+    naming its shape.
     """
     alphas = [(h.delta - 2.0) / 2.0 for h in hypers]
     ldlp = log_delta_phi_at_scales([m.realization for m in models],
@@ -273,7 +275,7 @@ def log_I_terms(model: Model, hyper: Hyperparams) -> LogITerms:
     ``hyper`` is taken as already validated; a scale of the wrong size
     raises ShapeError.
     """
-    return _score_terms([model], [hyper])[0][0]
+    return score_terms([model], [hyper])[0][0]
 
 
 def log_I(model: Model, delta: float, scale) -> float:
@@ -326,7 +328,7 @@ def posterior(models, data: DataSummary, hyper: Hyperparams) -> SelectionReport:
     post = Hyperparams(
         delta=hyper.delta + data.n_effective, scale=hyper.scale + data.scatter
     )
-    terms = _score_terms(models, [hyper, post])
+    terms = score_terms(models, [hyper, post])
     priors = [prior.log_I for prior, _ in terms]
     posts = [post_terms.log_I for _, post_terms in terms]
     scores = [b - a for a, b in zip(priors, posts)]

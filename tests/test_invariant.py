@@ -184,8 +184,8 @@ def test_span_coords_checks_a_stack_of_points_against_stacked_spans(spaces, butt
     assert names[0] == "G1"  # the first span in the stack to refuse it
     with pytest.raises(DomainError, match=r"point is not in the space of G1 \(residual"):
         span_coords(stacked, off, "point", names)
-    with pytest.raises(ShapeError, match="point must be a stack of 5x5"):
-        span_coords(stacked, ys[0], "point", names)
+    with pytest.raises(ShapeError, match=r"point must be 5x5, got \(4, 4\)"):
+        span_coords(stacked, [ys[0], np.eye(4)], "point", names)
     with pytest.raises(ShapeError, match="point must be 5x5"):
         span_coords(spaces["G1"].point_map, ys, "point")
 

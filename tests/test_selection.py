@@ -417,6 +417,24 @@ def test_a_realization_off_its_block_form_is_named(models, exam_data):
         log_I_terms(bent, Hyperparams(delta=3.0, scale=hyper.scale + exam_data.scatter))
 
 
+def test_score_terms_on_a_wrong_scale_and_no_models(models):
+    # the stack of one checks each scale by itself, so the message carries
+    # the shape the caller passed, not that of the stack; no models, no rows
+    with pytest.raises(ShapeError, match=r"projected scale must be 5x5, got \(4, 4\)"):
+        log_I_terms(models[0], Hyperparams(delta=3.0, scale=np.eye(4)))
+    assert selection_module.score_terms([], [Hyperparams(delta=3.0, scale=np.eye(5))]) == []
+
+
+def test_posterior_caches_no_per_model_map(butterfly, subgroups, exam_data):
+    # the stacked scale map is built from each realization's blocks, so
+    # scoring leaves no scale map or point map cached on a realization
+    fresh = build_models(butterfly, subgroups)
+    report = posterior(fresh, exam_data, Hyperparams(delta=3.0, scale=100.0 * np.eye(5)))
+    assert report.winner_id == "G3"
+    assert not any({"scale_map", "point_map"} & vars(m.realization).keys() for m in fresh)
+    assert not any("point_map" in vars(m.realization.structure) for m in fresh)
+
+
 @pytest.mark.parametrize("c", [1e-300, 1e-150, 1e150, 1e300])
 def test_posterior_near_the_float_range(models, exam_data, c):
     # scaling the prior scale and the scatter together by c moves log delta
