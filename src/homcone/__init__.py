@@ -39,6 +39,7 @@ from .cone import (
     log_delta,
     log_phi,
     psi,
+    psi_stack,
 )
 from .realization import (
     Realization,

@@ -43,9 +43,21 @@ class CheckResult:
     detail: str
 
 
+def random_dual_points(space, rng, m):
+    """m seeded points of the open dual cone of the space, as an (m, p, p)
+    stack: the projections of A A^T + 0.1 I for m standard normal p x p
+    matrices A, drawn in one call and projected as one stack."""
+    p = space.p
+    a = rng.standard_normal((m, p, p))
+    # each point a row vector of its own, so that it is projected as it
+    # would be alone, whatever m is
+    w = (a @ a.transpose(0, 2, 1) + 0.1 * np.eye(p)).reshape(m, 1, p * p)
+    return (w @ space.flat.T @ space.flat).reshape(m, p, p)
+
+
 def random_dual_point(space, rng):
-    a = rng.standard_normal((space.p, space.p))
-    return space.project(a @ a.T + 0.1 * np.eye(space.p))
+    """One point of ``random_dual_points``: the same draw as a stack of one."""
+    return random_dual_points(space, rng, 1)[0]
 
 
 def check_registry(models) -> list[CheckResult]:
@@ -71,17 +83,17 @@ def check_registry(models) -> list[CheckResult]:
 def check_cross_path(models) -> list[CheckResult]:
     """Triangular-factorization functionals of each model's realization
     against the Newton-based route, at CROSS_PATH_POINTS seeded dual points
-    per model; an error from either route fails that model's check.  Each
-    model's points are drawn before either route runs, so a failure leaves
-    the points of later models unchanged."""
+    per model, which the Newton route solves as one stack; an error from
+    either route fails that model's check, and names the point in the
+    stack it is about.  Each model's points are drawn before either route
+    runs, so a failure leaves the points of later models unchanged."""
     results = []
     rng = np.random.default_rng(CROSS_PATH_SEED)
     for m in models:
-        points = [random_dual_point(m.space, rng) for _ in range(CROSS_PATH_POINTS)]
+        points = random_dual_points(m.space, rng, CROSS_PATH_POINTS)
         try:
             errs = []
-            for y in points:
-                res = cone.psi(m.space, y)
+            for y, res in zip(points, cone.psi_stack(m.space, points)):
                 fast = m.realization.log_delta_phi(y)
                 errs.append(max(abs(num - f) / max(1.0, abs(num))
                                 for num, f in zip((res.log_delta, res.log_phi), fast)))

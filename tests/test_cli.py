@@ -400,14 +400,15 @@ def fail_on_call(fn, n, exc):
     return wrapper
 
 
-@pytest.mark.parametrize("owner, name, exc", [
-    (verify.cone, "psi", ConvergenceError("no convergence after 50 iterations")),
-    (Realization, "log_delta_phi", DualMembershipError("factorization breakdown at block 1")),
+@pytest.mark.parametrize("owner, name, call, exc", [
+    (verify.cone, "psi_stack", 2, ConvergenceError("no convergence after 50 iterations")),
+    (Realization, "log_delta_phi", 4, DualMembershipError("factorization breakdown at block 1")),
 ], ids=["newton", "factorization"])
 def test_verify_fast_reports_a_route_error_as_a_failed_check(capsys, monkeypatch,
-                                                             owner, name, exc):
-    # G1 takes the first three cross-path points, so the 4th call is G2's first
-    monkeypatch.setattr(owner, name, fail_on_call(getattr(owner, name), 4, exc))
+                                                             owner, name, call, exc):
+    # G1's three cross-path points are the first Newton stack and the first
+    # three factorizations, so either route's failing call is G2's first
+    monkeypatch.setattr(owner, name, fail_on_call(getattr(owner, name), call, exc))
     code, out, err = run(capsys, ["verify", "--level", "fast"])
     assert code == 5 and err == ""
     lines = out.splitlines()
@@ -519,6 +520,8 @@ def test_verbose_newton_trace(capsys):
     assert lines
     record = json.loads(lines[0])
     assert "gradient_norm" in record and "iteration" in record
+    # the fit's one solve is a stack of one, started at its solution
+    assert record["halvings"] == 0 and record["point"] == 0
 
 
 # Runs cli.main over argv lists (argv[1], JSON) with every import of scipy

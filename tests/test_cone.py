@@ -7,11 +7,12 @@ import pytest
 
 import homcone as hc
 from homcone import cone
-from homcone.errors import DomainError, DualMembershipError, ShapeError
+from homcone.errors import ConvergenceError, DomainError, DualMembershipError, ShapeError
 from homcone.graphs import Graph, PermutationGroup, automorphism_group
 from homcone.invariant import build_invariant_space
 from homcone.realization import VStructure, full_sym_structure, ray_structure
-from homcone.verify import random_dual_point
+from homcone import verify
+from homcone.verify import random_dual_point, random_dual_points
 
 from closed_forms import PHI_LOG, log_delta_g1
 from lattices import LATTICES, lattice_models, random_graphs
@@ -42,14 +43,26 @@ def random_primal(space, rng, spread=0.3):
 # ---------------------------------------------------------------------------
 # the inverse-projection solve
 
+# the counts of the matrix-form iteration from the identity start, whose
+# steps the coordinate form must reproduce, at verify's cross-path points
+PINNED_FROM_IDENTITY = [8, 9, 9, 8, 7, 9, 7, 7, 9, 9, 8, 9, 8, 7, 7, 9, 8, 8, 7, 6, 7]
+
+
+def cross_path_stacks():
+    # (space, points) of verify's cross-path check, in its order and seed
+    rng = np.random.default_rng(verify.CROSS_PATH_SEED)
+    return [(space, random_dual_points(space, rng, verify.CROSS_PATH_POINTS))
+            for space in model_spaces()]
+
+
 def cross_path_iterations():
-    # the Newton solves of verify's cross-path check, in its order and seed
-    rng = np.random.default_rng(20240601)
-    return [
-        cone.psi(space, random_dual_point(space, rng)).iterations
-        for space in model_spaces()
-        for _ in range(3)
-    ]
+    # each cross-path point solved alone
+    return [cone.psi(space, y).iterations for space, ys in cross_path_stacks() for y in ys]
+
+
+def stacked_iterations():
+    # each model's cross-path points solved as one stack, as verify does
+    return [r.iterations for space, ys in cross_path_stacks() for r in cone.psi_stack(space, ys)]
 
 
 @pytest.fixture
@@ -59,16 +72,203 @@ def identity_start(monkeypatch):
 
 
 def test_psi_iteration_counts_pinned_from_identity(identity_start):
-    # the counts of the matrix-form iteration, whose steps the coordinate
-    # form must reproduce
-    assert cross_path_iterations() == [
-        8, 9, 9, 8, 7, 9, 7, 7, 9, 9, 8, 9, 8, 7, 7, 9, 8, 8, 7, 6, 7
-    ]
+    assert cross_path_iterations() == PINNED_FROM_IDENTITY
 
 
 def test_psi_iteration_counts_pinned_from_completion():
     # the start is the solution: one iteration certifies its gradient
     assert cross_path_iterations() == [1] * 21
+
+
+def test_psi_stack_iteration_counts_pinned_from_identity(identity_start):
+    assert stacked_iterations() == PINNED_FROM_IDENTITY
+
+
+def test_psi_stack_iteration_counts_pinned_from_completion():
+    assert stacked_iterations() == [1] * 21
+
+
+def test_random_dual_points_are_sequential_draws_bit_for_bit():
+    # verify draws each model's points as one stack; they are the points a
+    # draw one at a time gives, so the pinned counts above hold for both
+    for m in (1, 3, 5):
+        stacked, alone = np.random.default_rng(7), np.random.default_rng(7)
+        for space in model_spaces():
+            ys = random_dual_points(space, stacked, m)
+            assert ys.shape == (m, 5, 5)
+            np.testing.assert_array_equal(
+                ys, [random_dual_point(space, alone) for _ in range(m)])
+
+
+def assert_results_agree(stacked, alone):
+    """Each PsiResult of a stack against its point's solve alone, to 1e-14
+    relative: arrays by their norm, log delta and log phi against
+    max(1, |value|), the residual, a rounding-level quantity, against the
+    point's scale."""
+    assert len(stacked) == len(alone)
+    for s, a in zip(stacked, alone):
+        assert s.iterations == a.iterations and s.scale == a.scale
+        for field in ("x_star", "coords", "normalized_metric"):
+            ref = getattr(a, field)
+            assert np.linalg.norm(getattr(s, field) - ref) <= 1e-14 * np.linalg.norm(ref), field
+        for field in ("log_delta", "log_phi"):
+            ref = getattr(a, field)
+            assert abs(getattr(s, field) - ref) <= 1e-14 * max(1.0, abs(ref)), field
+        assert abs(s.residual - a.residual) <= 1e-14 * a.scale
+
+
+def test_psi_stack_agrees_with_psi_at_the_cross_path_points():
+    for space, ys in cross_path_stacks():
+        assert_results_agree(cone.psi_stack(space, ys), [cone.psi(space, y) for y in ys])
+
+
+def test_psi_stack_agrees_with_psi_on_the_k5_lattice():
+    rng = np.random.default_rng(28)
+    for m in lattice_models(LATTICES["K5"][0]):
+        ys = random_dual_points(m.space, rng, 4)
+        assert_results_agree(cone.psi_stack(m.space, ys), [cone.psi(m.space, y) for y in ys])
+
+
+def test_psi_stack_runs_each_point_for_its_own_iterations():
+    # a block structure starts at the identity and needs the line search;
+    # the points leave the loop at different iterations, and each result is
+    # the one its point gives alone
+    span = VStructure([1, 2], {(2, 1): np.array([[1.0], [0.0]])})
+    ys = random_dual_points(span, np.random.default_rng(29), 6)
+    stacked = cone.psi_stack(span, ys)
+    alone = [cone.psi(span, y) for y in ys]
+    assert len({r.iterations for r in stacked}) > 1
+    assert [r.iterations for r in stacked] == [r.iterations for r in alone]
+    for s, a in zip(stacked, alone):
+        assert np.linalg.norm(s.x_star - a.x_star) <= 1e-14 * np.linalg.norm(a.x_star)
+    assert_results_agree(stacked, alone)
+
+
+def traced(fn, *args):
+    records = []
+    cone.set_newton_trace(records.append)
+    try:
+        return fn(*args), records
+    finally:
+        cone.set_newton_trace(None)
+
+
+def test_psi_stack_traces_each_point_still_iterating(identity_start):
+    # from the identity start the line search halves some steps; a stack
+    # emits each point's records, as its solve alone does, while it iterates
+    halved = 0
+    for space, ys in cross_path_stacks():
+        results, records = traced(cone.psi_stack, space, ys)
+        for j, res in enumerate(results):
+            mine = [r for r in records if r["point"] == j]
+            _, alone = traced(cone.psi, space, ys[j])
+            assert [r["iteration"] for r in mine] == list(range(1, res.iterations + 1))
+            # counted per step: 0 at the start, and 0 for the last, full
+            # Newton steps
+            assert mine[0]["halvings"] == 0 and mine[-1]["halvings"] == 0
+            assert [r["halvings"] for r in mine] == [r["halvings"] for r in alone]
+            np.testing.assert_allclose([r["gradient_norm"] for r in mine],
+                                       [r["gradient_norm"] for r in alone], rtol=1e-9)
+            halved += sum(r["halvings"] for r in mine)
+        # one record per point still iterating, in stack order
+        for it in range(1, max(r.iterations for r in results) + 1):
+            active = [j for j, res in enumerate(results) if res.iterations >= it]
+            assert [r["point"] for r in records if r["iteration"] == it] == active
+    assert halved > 0
+
+
+def test_psi_stack_names_the_point_outside_the_dual_cone(spaces):
+    space = spaces["G1"]
+    good = np.eye(5)
+    singular = np.eye(5)
+    singular[0, 1] = singular[1, 0] = 1.0  # a singular clique block, {1, 2, 3}
+    with pytest.raises(DualMembershipError,
+                       match=r"^point 2 of 3: trace must be positive on the dual cone$"):
+        cone.psi_stack(space, [good, good, -good])
+    with pytest.raises(DualMembershipError, match=r"^point 1 of 3: a clique block is not"):
+        cone.psi_stack(space, [good, singular, good])
+    negative = np.diag([1.0, 1.0, -0.5, 1.0, 1.0])  # positive trace, a negative pivot
+    with pytest.raises(DualMembershipError, match=r"^point 0 of 2: a clique block is not"):
+        cone.psi_stack(space, [negative, good])
+    # a singular block among vertex 1's later neighbours {2, 3} fails the
+    # stacked solve; the blocks are solved one by one to find its point
+    collapsed = np.eye(5)
+    collapsed[1, 2] = collapsed[2, 1] = 1.0
+    with pytest.raises(DualMembershipError, match=r"^point 2 of 3: a clique block is not"):
+        cone.psi_stack(space, [good, good, collapsed])
+
+
+def test_psi_stack_starts_a_point_without_a_start_factor_at_the_identity(spaces, monkeypatch):
+    # a start with no Cholesky factor sends its own point, and no other, to
+    # the identity start
+    space = spaces["G3"]
+    ys = random_dual_points(space, np.random.default_rng(30), 3)
+    complete = cone._completion_start
+
+    def spoiled(space, yn):
+        xc = complete(space, yn)
+        xc[1] = -xc[1]  # negative definite
+        return xc
+
+    monkeypatch.setattr(cone, "_completion_start", spoiled)
+    stacked = cone.psi_stack(space, ys)
+    monkeypatch.setattr(cone, "_completion_start", lambda space, yn: None)
+    from_identity = cone.psi(space, ys[1])
+    assert [r.iterations for r in stacked] == [1, from_identity.iterations, 1]
+    assert from_identity.iterations > 1
+    assert_results_agree(stacked[1:2], [from_identity])
+
+
+def test_psi_stack_names_the_point_where_newton_fails(identity_start, monkeypatch):
+    space = full_sym_space(2)
+    outside = np.array([[1.0, 0.0], [0.0, -0.5]])  # positive trace, outside the dual
+    # Newton's own exterior certificates, from the identity start
+    with pytest.raises(DualMembershipError,
+                       match=r"^point 1 of 2: (line search collapsed|iteration diverged)"):
+        cone.psi_stack(space, [np.eye(2), outside])
+    monkeypatch.setattr(cone, "MAX_ITER", 2)
+    far = np.diag([1.0, 1e-3])  # from the identity start two iterations are too few
+    with pytest.raises(ConvergenceError, match=r"^point 1 of 2: no convergence after 2 ") as info:
+        cone.psi_stack(space, [np.eye(2), far])
+    assert info.value.iterations == 2 and info.value.residual > 0
+
+
+def test_psi_stack_names_the_point_off_the_span_or_not_finite(spaces):
+    space = spaces["G1"]
+    off = np.eye(5)
+    off[0, 3] = off[3, 0] = 1.0  # (1, 4) is not an edge
+    with pytest.raises(DomainError, match=r"^point 1 of 2: dual argument is not in the space") as info:
+        cone.psi_stack(space, [np.eye(5), off])
+    assert not isinstance(info.value, DualMembershipError)
+    bad = np.eye(5)
+    bad[1, 1] = math.nan
+    with pytest.raises(DomainError, match=r"^point 0 of 2: dual argument has a non-finite entry nan") as info:
+        cone.psi_stack(space, [bad, np.eye(5)])
+    assert not isinstance(info.value, DualMembershipError)
+
+
+@pytest.mark.parametrize("ys", [np.eye(5), np.zeros((0, 5, 5)), np.ones((2, 4, 4)), np.ones(5)],
+                         ids=["one-point", "empty", "4x4-points", "vector"])
+def test_psi_stack_refuses_a_wrong_shaped_stack(spaces, ys):
+    with pytest.raises(ShapeError):
+        cone.psi_stack(spaces["G1"], ys)
+
+
+def test_cross_path_check_names_the_failing_point(monkeypatch):
+    # an exterior third point of G1's stack fails G1's check, naming it
+    draw = verify.random_dual_points
+
+    def exterior_third(space, rng, m):
+        ys = draw(space, rng, m)
+        if space.dim == 11:  # G1, the trivial group's space
+            ys[2] = -ys[2]
+        return ys
+
+    monkeypatch.setattr(verify, "random_dual_points", exterior_third)
+    results = verify.check_cross_path(hc.build_butterfly_models())
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["cross-path G1"]
+    assert failed[0].detail == "point 2 of 3: trace must be positive on the dual cone"
 
 
 def test_newton_trace_emits_one_record_per_iteration():
