@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DualMembershipError, ShapeError
-from .invariant import InvariantSpace, span_coords
+from .invariant import InvariantSpace, in_stack, span_coords
 
 GRAD_TOL = 1e-11
 MAX_ITER = 100
@@ -120,12 +120,6 @@ def metric_matrix(space: InvariantSpace, w: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _in_stack(message: str, j: int, m: int) -> str:
-    """message about point j of a stack of m points: prefixed "point j of
-    m: " when the stack holds more than one point."""
-    return message if m == 1 else f"point {j} of {m}: {message}"
-
-
 def _solve_each(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solutions of a stack of linear systems taken one at a time, NaN
     where a block is singular."""
@@ -179,7 +173,7 @@ def _completion_start(space: InvariantSpace, yn: np.ndarray) -> np.ndarray | Non
     # d_v = yn_vv - yn_vL b_v = sum over l of yn_lv (u_v)_l
     d = (flat_y.reshape(-1, p, p) * u).sum(axis=1)
     if not (d > 0.0).all():
-        raise DualMembershipError(_in_stack(
+        raise DualMembershipError(in_stack(
             "a clique block is not positive definite; point is not in the open "
             "dual cone", int((~(d > 0.0)).any(axis=1).argmax()), len(d)))
     k = (u / d[:, None, :]) @ u.transpose(0, 2, 1)
@@ -198,7 +192,8 @@ def psi_stack(space: InvariantSpace, ys) -> list[PsiResult]:
     Armijo decrease.  A collapsed line search or stalled iteration
     certifies that the point is outside the open dual cone.
 
-    Each point is checked against the span by ``span_coords``.  On an
+    One ``span_coords`` call checks every point's finiteness and
+    membership in the span before any point's trace is tested.  On an
     invariant space the iteration starts at the inverse max-determinant
     completion of each normalized point (``_completion_start``, one stacked
     solve per elimination group), which solves the equation when the
@@ -244,14 +239,13 @@ def psi_stack(space: InvariantSpace, ys) -> list[PsiResult]:
         raise ShapeError(f"dual points must be a nonempty (m, {p}, {p}) stack, "
                          f"got shape {ys.shape}")
     m = len(ys)
-    yn, yc, scales = np.empty(ys.shape), np.empty((m, dim)), []
-    for j, y in enumerate(ys):
-        c, scale = span_coords(space.point_map, y, _in_stack("dual argument", j, m))
+    coords, scales = span_coords(space.point_map, ys, "dual argument")
+    yn, yc = np.empty(ys.shape), np.empty((m, dim))
+    for j, (y, c, scale) in enumerate(zip(ys, coords.T, scales)):
         if y.trace() <= 0.0:
-            raise DualMembershipError(_in_stack("trace must be positive on the dual cone", j, m))
+            raise DualMembershipError(in_stack("trace must be positive on the dual cone", j, m))
         np.divide(y, scale, out=yn[j])
         np.divide(c, scale, out=yc[j])
-        scales.append(scale)
     basis, flat = space.basis, space.flat
     xc = _completion_start(space, yn) if isinstance(space, InvariantSpace) else None
     x = None if xc is None else (xc[:, None] @ flat).reshape(m, p, p)
@@ -285,7 +279,7 @@ def psi_stack(space: InvariantSpace, ys) -> list[PsiResult]:
             # the metric only degenerates when the iterate runs to the cone
             # boundary or to infinity, i.e. the objective has no minimizer
             i = next(i for i, mi in enumerate(metric) if _cholesky_or_none(mi) is None)
-            raise DualMembershipError(_in_stack(
+            raise DualMembershipError(in_stack(
                 "iteration diverged; point is not in the open dual cone", points[i], m))
         going = [g > GRAD_TOL for g in grad_norm]
         for i, j in enumerate(points):
@@ -331,13 +325,13 @@ def psi_stack(space: InvariantSpace, ys) -> list[PsiResult]:
                 t *= 0.5
                 halvings[i] += 1
                 if t < 1e-14:
-                    raise DualMembershipError(_in_stack(
+                    raise DualMembershipError(in_stack(
                         "line search collapsed; point is not in the open dual cone",
                         points[i], m))
             x[i], xc[i], chol[i], f[i] = cand_x, cand, cand_chol, f_cand
     raise ConvergenceError(
-        _in_stack(f"no convergence after {MAX_ITER} iterations "
-                 f"(gradient norm {grad_norm[0]:.3e})", points[0], m),
+        in_stack(f"no convergence after {MAX_ITER} iterations "
+                f"(gradient norm {grad_norm[0]:.3e})", points[0], m),
         iterations=MAX_ITER,
         residual=grad_norm[0] * scales[points[0]],
     )
@@ -382,8 +376,9 @@ def log_phi(space: InvariantSpace, y: np.ndarray) -> float:
 
 def in_primal_cone(space: InvariantSpace, x: np.ndarray) -> bool:
     """Membership in the open primal cone, via symmetric factorization."""
-    span_coords(space.point_map, x, "primal candidate")
-    return _cholesky_or_none(np.asarray(x, dtype=float)) is not None
+    x = np.asarray(x, dtype=float)
+    span_coords(space.point_map, x[None], "primal candidate")
+    return _cholesky_or_none(x) is not None
 
 
 def in_dual_cone(space: InvariantSpace, y: np.ndarray) -> bool:

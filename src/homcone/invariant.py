@@ -10,9 +10,9 @@ orbit indicator per orbit, is built on first use.  Coordinates and
 projections live in ``OrthonormalSpan``, which the realized block
 structures share: it flattens the basis once into an (N, p^2) matrix B,
 so coordinates are B vec(x), a point is B^T c, and the projection is
-B^T B vec(x), each one or two matrix products; ``span_coords`` checks a
-point against its ``point_map``, B stacked over I - B^T B, or a stack of
-points against several spans' maps stacked into one.  An invariant
+B^T B vec(x), each one or two matrix products; ``span_coords``, the one
+membership check, takes a stack of points through a ``point_map``, B
+stacked over I - B^T B, or several spans' maps stacked into one.  An invariant
 space also reads its support, the cells where some basis matrix is
 nonzero, and plans an elimination along it (``perfect_elimination``): the
 vertices by ascending closed-neighbourhood size, ties by index.  On a
@@ -52,56 +52,56 @@ def finite_norm(m: np.ndarray, what: str) -> float:
     raise DomainError(f"{what} is too large: its norm overflows")
 
 
-def span_coords(linear_map: np.ndarray, y, what: str, labels=None) -> tuple:
-    """Coordinates of points of k spans, checked against one stacked map.
+def in_stack(message: str, j: int, m: int) -> str:
+    """message about point j of a stack of m points: prefixed "point j of
+    m: " when the stack holds more than one point."""
+    return message if m == 1 else f"point {j} of {m}: {message}"
+
+
+def span_coords(linear_map: np.ndarray, ys, what: str, labels=None) -> tuple:
+    """Coordinates of a stack of points of k spans, checked against one
+    stacked map.
 
     ``linear_map`` stacks the k spans' coordinate rows, N in all, over
     their k residual blocks of p^2 rows each, in the same span order; a
-    span's ``point_map`` is the stack of one.  Without ``labels`` y is one
-    p x p matrix, and the result is its N coordinates and its norm.  With
-    ``labels``, one per span, y is a sequence of m p x p matrices, and the
-    result is the (N, m) coordinates and the list of the m norms.
+    span's ``point_map`` is the stack of one.  ``labels`` names the k
+    spans, one each; without it the map holds one span.  ys is a stack of
+    m >= 1 p x p points, and the result is their (N, m) coordinates, one
+    point a column, and the list of their m norms.
 
-    ShapeError names the shape of a point that is not p x p; DomainError
-    comes from ``finite_norm``, or if a point's residual from a span has a
-    norm above its bound, SPAN_TOL times max(1, norm), naming that span's
-    label.  Neither way of taking the residual norms overflows: one
-    point's residual norm is taken by ``math.hypot``, and a stack's from
-    the residuals divided by their bounds (at most about 1e10 each), where
-    one dot product settles the usual case in which all of them pass
-    together.
+    ShapeError names the shape of the points if it is not p x p.  Every
+    point's finiteness is checked, by ``finite_norm``, before any point's
+    membership.  A point whose residual from a span has a norm above its
+    bound, SPAN_TOL times max(1, norm), raises DomainError, naming the
+    span's label if there are labels.  An error about a point of a stack
+    of m > 1 starts "point j of m: " (``in_stack``), j the first such
+    point.  Every norm is taken by ``math.hypot``, so none overflows; one
+    over all the residuals, against the smallest bound, settles the usual
+    case in which every point is within every span.
     """
     p = math.isqrt(linear_map.shape[1])
-    if labels is None:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (p, p):
-            raise ShapeError(f"{what} must be {p}x{p}, got {y.shape}")
-        norm = finite_norm(y, what)
-        v = linear_map @ y.reshape(-1)
-        dim = linear_map.shape[0] - p * p
-        residual = math.hypot(*v[dim:].tolist())
-        if residual > SPAN_TOL * max(1.0, norm):
-            raise DomainError(f"{what} is not in the space (residual {residual:.3e})")
-        return v[:dim], norm
-    shape = next((np.shape(point) for point in y if np.shape(point) != (p, p)), None)
-    if shape is not None:
-        raise ShapeError(f"{what} must be {p}x{p}, got {shape}")
-    y = np.asarray(y, dtype=float)
-    norms = [finite_norm(point, what) for point in y]
-    bounds = np.array([SPAN_TOL * max(1.0, norm) for norm in norms])
-    # one point a column: numpy multiplies by a transposed view several
-    # times more slowly at these sizes
-    v = linear_map @ np.ascontiguousarray(y.reshape(-1, p * p).T)
-    dim = v.shape[0] - len(labels) * p * p
-    scaled = v[dim:] / bounds
-    flat = scaled.reshape(-1)
-    if not flat @ flat <= 1.0:  # else every residual is within its bound
-        blocks = scaled.reshape(len(labels), p * p, -1)
-        squared = np.einsum("kim,kim->km", blocks, blocks)
-        if not squared.max() <= 1.0:
-            k, j = np.argwhere(~(squared <= 1.0))[0]
-            raise DomainError(f"{what} is not in the space of {labels[k]} "
-                              f"(residual {math.sqrt(squared[k, j]) * bounds[j]:.3e})")
+    ys = np.asarray(ys, dtype=float)
+    if ys.shape[1:] != (p, p):
+        raise ShapeError(f"{what} must be {p}x{p}, got {ys.shape[1:]}")
+    m = len(ys)
+    flat = ys.reshape(m, -1)
+    norms = [math.hypot(*point) for point in flat.tolist()]
+    if not math.isfinite(sum(norms)):  # a norm is not finite, or only their sum
+        for j, point in enumerate(ys):
+            finite_norm(point, in_stack(what, j, m))
+    # one point a column: numpy multiplies by a transposed view of several
+    # points several times more slowly at these sizes
+    v = linear_map @ (flat.T if m == 1 else np.ascontiguousarray(flat.T))
+    dim = len(v) - (len(labels) if labels else 1) * p * p
+    if not math.hypot(*v[dim:].ravel().tolist()) <= SPAN_TOL * max(1.0, min(norms)):
+        p2, residuals = p * p, v[dim:]
+        for j, norm in enumerate(norms):
+            for i in range(0, len(residuals), p2):
+                residual = math.hypot(*residuals[i:i + p2, j].tolist())
+                if residual > SPAN_TOL * max(1.0, norm):
+                    span = f" of {labels[i // p2]}" if labels else ""
+                    raise DomainError(in_stack(
+                        f"{what} is not in the space{span} (residual {residual:.3e})", j, m))
     return v[:dim], norms
 
 

@@ -30,9 +30,10 @@ the point, so the resulting Realization composes them into fixed matrices,
 built on first use: ``point_map`` takes vec(y) of a point of the space to
 its realized coordinates stacked over its residual from the block form,
 and ``scale_map`` does the same for projection(D) / 2 of a prior scale D.
-``log_delta_phi_at_scales`` stacks the scale maps of several realizations,
-so scoring them at several scales is one matrix product and one float
-factorization per realization and scale.
+``log_delta_phi_at_scales`` stacks the scale maps of several realizations
+(one reads its own), so scoring them at several scales is one matrix
+product, checked by one ``span_coords`` call, and one float factorization
+per realization and scale.
 """
 
 from __future__ import annotations
@@ -393,7 +394,8 @@ def _factor_coords(structure: VStructure, c: list[float]) -> tuple[list[float], 
 
 def _realized_coords(linear_map: np.ndarray, y) -> list[float]:
     """The realized coordinates of one point y, checked by ``span_coords``."""
-    return span_coords(linear_map, y, "point")[0].tolist()
+    coords, _ = span_coords(linear_map, np.asarray(y, dtype=float)[None], "point")
+    return coords[:, 0].tolist()
 
 
 def factor_T(structure: VStructure, y: np.ndarray) -> TriangularElement:
@@ -495,11 +497,6 @@ class Realization:
     def log_delta_phi(self, y: np.ndarray) -> tuple[float, float]:
         """(log delta, log phi) at a point y of the original space."""
         return _factor_coords(self.structure, _realized_coords(self.point_map, y))[1:]
-
-    def log_delta_phi_at_scale(self, scale: np.ndarray) -> tuple[float, float]:
-        """(log delta, log phi) at projection(scale) / 2, the point at which a
-        prior with scale matrix ``scale`` is scored."""
-        return _factor_coords(self.structure, _realized_coords(self.scale_map, scale))[1:]
 
 
 @lru_cache(maxsize=1)

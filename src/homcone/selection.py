@@ -362,8 +362,14 @@ def fit_concentration(model: Model, data: DataSummary) -> np.ndarray:
     exactly by construction.  This matches the reference concentration
     tables for the examination-marks benchmark; the maximizer of the
     restricted likelihood is available as fit_concentration_mle.
+    An averaged scatter with no inverse, its smallest eigenvalue at most
+    p eps times its largest, raises DomainError naming its rank.
     """
     averaged = np.asarray(data.scatter, dtype=float) / data.n_effective
+    eig = np.linalg.eigvalsh(averaged)
+    tol = len(eig) * np.finfo(float).eps * eig[-1]
+    if not eig[0] > tol:
+        raise DomainError(f"averaged scatter has rank {(eig > tol).sum()} of {len(eig)}: no inverse")
     return model.space.project(np.linalg.inv(averaged))
 
 

@@ -208,6 +208,21 @@ def test_fit_mle_on_a_scatter_near_the_float_range(capsys, tmp_path):
     assert k == pytest.approx(3e-299 * np.eye(5), rel=1e-12)
 
 
+def test_fit_refuses_a_singular_scatter_that_the_mle_fits(capsys, tmp_path):
+    # three rows on five vertices: no inverse of the averaged scatter to
+    # project, so exit 2 naming the rank, not a table of ~1e17 entries
+    x = np.random.default_rng(3).standard_normal((3, 5))
+    path = tmp_path / "rank3.json"
+    path.write_text(json.dumps({"scatter": (x.T @ x).tolist(), "n_raw": 3, "centered": False}))
+    code, out, err = run(capsys, ["fit", "--scatter", str(path), "--model", "G3"])
+    assert code == 2 and out == ""
+    assert "rank 3 of 5" in err
+    code, out, err = run(capsys, ["fit", "--scatter", str(path), "--model", "G3", "--mle",
+                                  "--output", "json"])
+    assert code == 0 and err == ""
+    assert np.isfinite(json.loads(out)["concentration"]).all()
+
+
 def test_select_scatter_indefinite_posterior_scale(capsys, tmp_path):
     path = tmp_path / "scatter.json"
     path.write_text(json.dumps({

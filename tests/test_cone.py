@@ -240,6 +240,11 @@ def test_psi_stack_names_the_point_off_the_span_or_not_finite(spaces):
     with pytest.raises(DomainError, match=r"^point 1 of 2: dual argument is not in the space") as info:
         cone.psi_stack(space, [np.eye(5), off])
     assert not isinstance(info.value, DualMembershipError)
+    # the whole stack is checked against the span before any trace test, so
+    # point 1 off the span is named, not point 0 with a negative trace
+    with pytest.raises(DomainError, match=r"^point 1 of 2: dual argument is not in the space") as info:
+        cone.psi_stack(space, [-np.eye(5), off])
+    assert not isinstance(info.value, DualMembershipError)
     bad = np.eye(5)
     bad[1, 1] = math.nan
     with pytest.raises(DomainError, match=r"^point 0 of 2: dual argument has a non-finite entry nan") as info:
@@ -372,13 +377,27 @@ def test_psi_rejects_point_outside_space(spaces):
 def test_psi_names_a_non_finite_entry(value, cell):
     # a non-finite point is not a point outside the cone: no pivot or
     # Newton step runs, and no floating-point warning comes first (the
-    # suite turns RuntimeWarning into an error)
+    # suite turns RuntimeWarning into an error); every public route into
+    # the span check names the entry
+    space = full_sym_space(3)
+    routes = {
+        "psi": lambda y: cone.psi(space, y),
+        "psi_stack": lambda y: cone.psi_stack(space, [np.eye(3), y]),
+        "log_delta": lambda y: cone.log_delta(space, y),
+        "log_phi": lambda y: cone.log_phi(space, y),
+        "hessian_matrix": lambda y: cone.hessian_matrix(space, y),
+        "in_primal_cone": lambda y: cone.in_primal_cone(space, y),
+        "in_dual_cone": lambda y: cone.in_dual_cone(space, y),
+    }
     y = np.eye(3)
     y[cell] = y[cell[::-1]] = value
     named = rf"non-finite entry {value} at \[{cell[0]}, {cell[1]}\]"
-    with pytest.raises(DomainError, match=named) as info:
-        cone.psi(full_sym_space(3), y)
-    assert not isinstance(info.value, DualMembershipError)
+    for name, run in routes.items():
+        with pytest.raises(DomainError, match=named) as info:
+            run(y)
+        assert not isinstance(info.value, DualMembershipError), name
+        if name == "psi_stack":
+            assert str(info.value).startswith("point 1 of 2: dual argument has")
 
 
 def test_psi_rejects_nonpositive_trace(spaces):

@@ -127,25 +127,36 @@ def test_basis_invariance_and_support(spaces, butterfly):
 
 def test_identity_in_span(spaces):
     for space in spaces.values():
-        coords, norm = span_coords(space.point_map, np.eye(5), "identity")
-        assert norm == math.sqrt(5.0)
-        np.testing.assert_allclose(space.from_coords(coords), np.eye(5), atol=1e-15)
+        coords, norms = span_coords(space.point_map, np.eye(5)[None], "identity")
+        assert coords.shape == (space.dim, 1) and norms == [math.sqrt(5.0)]
+        np.testing.assert_allclose(space.from_coords(coords[:, 0]), np.eye(5), atol=1e-15)
 
 
 def test_span_coords_accepts_the_span_and_refuses_what_leaves_it(spans):
     rng = np.random.default_rng(17)
     for space in spans:
-        c = rng.standard_normal(space.dim)
-        y = space.from_coords(c)
-        coords, norm = span_coords(space.point_map, y, "point")
-        np.testing.assert_allclose(coords, c, rtol=0, atol=1e-14)
-        assert norm == pytest.approx(np.linalg.norm(c), rel=1e-14)
+        cs = rng.standard_normal((3, space.dim))
+        ys = np.array([space.from_coords(c) for c in cs])
+        coords, norms = span_coords(space.point_map, ys, "point")
+        np.testing.assert_allclose(coords, cs.T, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(norms, np.linalg.norm(cs, axis=1), rtol=1e-14)
+        for j, y in enumerate(ys):
+            # a point's column of the stack is its stack of one
+            alone, norm = span_coords(space.point_map, y[None], "point")
+            np.testing.assert_allclose(coords[:, j], alone[:, 0], rtol=0, atol=1e-14)
+            assert norm == [norms[j]]
         off = rng.standard_normal((space.p, space.p))
         off = 1e-6 * (off - space.project(off))
-        with pytest.raises(DomainError, match=r"point is not in the space \(residual"):
-            span_coords(space.point_map, y + off, "point")
+        with pytest.raises(DomainError, match=r"^point is not in the space \(residual"):
+            span_coords(space.point_map, (ys[0] + off)[None], "point")
+        ys[2] += off
+        with pytest.raises(DomainError,
+                           match=r"^point 2 of 3: point is not in the space \(residual"):
+            span_coords(space.point_map, ys, "point")
+        with pytest.raises(ShapeError, match=rf"point must be {space.p}x{space.p}, got \(1, 1\)"):
+            span_coords(space.point_map, np.ones((2, 1, 1)), "point")
         with pytest.raises(ShapeError, match="point must be"):
-            span_coords(space.point_map, np.eye(space.p + 1), "point")
+            span_coords(space.point_map, np.eye(space.p + 1)[None], "point")
 
 
 def stacked_point_map(spans):
@@ -175,19 +186,37 @@ def test_span_coords_checks_a_stack_of_points_against_stacked_spans(spaces, butt
     for n in names:
         stop = start + spaces[n].dim
         for j, y in enumerate(ys):
-            alone, _ = span_coords(spaces[n].point_map, y, "point")
-            np.testing.assert_allclose(coords[start:stop, j], alone, rtol=1e-14)
+            alone, _ = span_coords(spaces[n].point_map, y[None], "point")
+            np.testing.assert_allclose(coords[start:stop, j], alone[:, 0], rtol=1e-14)
         start = stop
     off = ys.copy()
     # (1,4) is not an edge; below norm 1 the bound is SPAN_TOL itself
     off[1, 0, 3] = off[1, 3, 0] = max(1e-6 * scale, 1e-9)
     assert names[0] == "G1"  # the first span in the stack to refuse it
-    with pytest.raises(DomainError, match=r"point is not in the space of G1 \(residual"):
+    with pytest.raises(DomainError,
+                       match=r"^point 1 of 3: point is not in the space of G1 \(residual"):
         span_coords(stacked, off, "point", names)
+    with pytest.raises(DomainError, match=r"^point is not in the space of G1 \(residual"):
+        span_coords(stacked, off[1:2], "point", names)
     with pytest.raises(ShapeError, match=r"point must be 5x5, got \(4, 4\)"):
-        span_coords(stacked, [ys[0], np.eye(4)], "point", names)
-    with pytest.raises(ShapeError, match="point must be 5x5"):
-        span_coords(spaces["G1"].point_map, ys, "point")
+        span_coords(stacked, np.ones((2, 4, 4)), "point", names)
+    with pytest.raises(ShapeError, match=r"point must be 5x5, got \(5,\)"):
+        span_coords(spaces["G1"].point_map, ys[0], "point")
+
+
+def test_span_coords_checks_every_point_finite_before_any_membership(spaces):
+    off = np.eye(5)
+    off[0, 3] = off[3, 0] = 1.0  # (1, 4) is not an edge
+    bad = np.eye(5)
+    bad[2, 2] = math.nan
+    for ys, j in (([off, bad], 1), ([bad, off], 0)):
+        with pytest.raises(DomainError, match=rf"^point {j} of 2: point has a non-finite entry nan "
+                                              r"at \[2, 2\]$"):
+            span_coords(spaces["G1"].point_map, ys, "point")
+    # every norm finite, their sum not: no point is refused for it
+    huge = 1e308 * np.eye(5)[None] / math.sqrt(5.0)
+    _, norms = span_coords(spaces["G1"].point_map, np.concatenate([huge, huge]), "point")
+    assert norms == [pytest.approx(1e308, rel=1e-14)] * 2
 
 
 def test_project_identity(spaces):

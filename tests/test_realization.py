@@ -32,6 +32,7 @@ from homcone.realization import (
     delta_phi_fast,
     factor_T,
     full_sym_structure,
+    log_delta_phi_at_scales,
     log_gamma_v,
     ray_structure,
     validate_vstructure,
@@ -681,12 +682,12 @@ def factorization_entry_points(models_by_id):
         "factor_T": lambda y: factor_T(s, y),
         "delta_phi_fast": lambda y: delta_phi_fast(s, y),
         "log_delta_phi": g1.log_delta_phi,
-        "log_delta_phi_at_scale": g1.log_delta_phi_at_scale,
+        "log_delta_phi_at_scales": lambda y: log_delta_phi_at_scales([g1], [y], ["G1"]),
     }
 
 
 @pytest.mark.parametrize("entry", ["factor_T", "delta_phi_fast", "log_delta_phi",
-                                   "log_delta_phi_at_scale"])
+                                   "log_delta_phi_at_scales"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("cell", [(2, 2), (0, 1)])
 def test_factorization_names_a_non_finite_entry(models_by_id, entry, value, cell):
@@ -706,4 +707,4 @@ def test_realization_maps_reject_wrong_size(models_by_id):
         with pytest.raises(ShapeError):
             real.log_delta_phi(bad)
         with pytest.raises(ShapeError):
-            real.log_delta_phi_at_scale(bad)
+            log_delta_phi_at_scales([real], [bad], ["G7"])

@@ -9,7 +9,7 @@ from homcone.butterfly import (
 )
 from homcone.graphs import Permutation, PermutationGroup, automorphism_group, enumerate_subgroups
 from homcone.invariant import same_space
-from homcone.realization import conjugate_space
+from homcone.realization import conjugate_space, log_delta_phi_at_scales
 from homcone.selection import Hyperparams, log_I_terms
 
 from closed_forms import GAMMA_LOG, golden_realizations
@@ -104,7 +104,7 @@ def test_derived_realizations_match_golden(models_by_id, exam_data):
                                scale=prior.scale + exam_data.scatter)
             for hyper in (prior, post):
                 alpha = (hyper.delta - 2.0) / 2.0
-                ld, lp = golden.log_delta_phi_at_scale(hyper.scale)
+                [[(ld, lp)]] = log_delta_phi_at_scales([golden], [hyper.scale], [entry.model_id])
                 want = golden.log_gamma(alpha) + lp - alpha * ld
                 got = log_I_terms(m, hyper).log_I
                 assert abs(got - want) <= GOLDEN_RTOL * abs(want), (entry.model_id, d)

@@ -474,6 +474,19 @@ def test_fit_concentration_identity_scatter(models_by_id):
         assert np.allclose(fit(models_by_id["G3"], data), np.eye(5), atol=1e-10)
 
 
+def test_fit_concentration_refuses_a_singular_scatter(models_by_id):
+    # three rows on five vertices: scatter_summary accepts the semidefinite
+    # scatter, which has no inverse to project; the MLE needs none
+    x = np.random.default_rng(3).standard_normal((3, 5))
+    data = scatter_summary(x.T @ x, n_raw=3, centered=False)
+    with pytest.raises(DomainError, match=r"averaged scatter has rank 3 of 5: no inverse"):
+        fit_concentration(models_by_id["G3"], data)
+    m = models_by_id["G3"]
+    k = fit_concentration_mle(m, data)
+    target = m.space.project(data.scatter / data.n_effective)
+    assert np.linalg.norm(m.space.project(np.linalg.inv(k)) - target) < 1e-10 * np.linalg.norm(target)
+
+
 def test_fit_concentration_mle_matching_property(models_by_id, exam_data):
     for key in ("G1", "G3", "G7"):
         m = models_by_id[key]
