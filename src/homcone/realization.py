@@ -15,8 +15,10 @@ act simply transitively on the realized cone by congruence, which gives:
   (delta_phi_fast): twice the log determinant of the factor, and a power
   of its diagonal scalars whose exponents (the multidegree) are counted
   from the dimensions of the off-diagonal subspaces, both summed inside
-  the factorization's one pass, and
-* the gamma-type integral of the cone in closed form (log_gamma_v).
+  the factorization's one pass,
+* the gamma-type integral of the cone in closed form (log_gamma_v), and
+* the inverse-projection map in closed form (``Realization.psi``): the
+  primal point u T^{-1} T^{-T} u^T, T the factor of the realized point.
 
 An invariant space is hooked up to a realization by an orthogonal
 conjugation (conjugate_space), which is an isometry for the trace inner
@@ -60,6 +62,7 @@ from .invariant import (
     InvariantSpace,
     OrthonormalSpan,
     finite_norm,
+    in_stack,
     project_onto,
     span_coords,
 )
@@ -181,6 +184,25 @@ class VStructure(OrthonormalSpan):
                 b[self.block_slice(k), self.block_slice(l)] = a.T / math.sqrt(2.0)
                 mats.append(b)
         out = np.array(mats)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def triangular_basis(self) -> np.ndarray:
+        """Read-only (dim, p^2) matrix taking the coordinates ``_factor_coords``
+        returns to vec(T): row k is vec of the identity on diagonal block k,
+        then one row per basis element of each V[l,k], in
+        ``offdiag_slots`` order, holding that element in block (l, k)."""
+        out = np.zeros((self.dim, self.p, self.p))
+        for k in range(1, self.r + 1):
+            sl = self.block_slice(k)
+            out[k - 1, sl, sl] = np.eye(self.block_sizes[k - 1])
+        row = self.r
+        for l, k in self.offdiag_slots():
+            mats = self.subspaces[(l, k)]
+            out[row:row + len(mats), self.block_slice(l), self.block_slice(k)] = mats
+            row += len(mats)
+        out = out.reshape(self.dim, -1)
         out.setflags(write=False)
         return out
 
@@ -468,8 +490,13 @@ class Realization:
 
     @cached_property
     def point_map(self) -> np.ndarray:
+        """B K over K - B^T (B K), built from the structure's ``flat`` alone,
+        so that the structure caches no point map of its own."""
         u_t = self.u.T
-        return self.structure.point_map @ np.kron(u_t, u_t)
+        kron = np.kron(u_t, u_t)
+        flat = self.structure.flat
+        coords = flat @ kron
+        return np.vstack([coords, kron - flat.T @ coords])
 
     @cached_property
     def scale_map(self) -> np.ndarray:
@@ -494,9 +521,50 @@ class Realization:
     def log_gamma(self, alpha: float) -> float:
         return log_gamma_v(self.structure, alpha)
 
+    def log_delta_phi_stack(self, ys) -> list[tuple[float, float]]:
+        """(log delta, log phi) at each point of the (m, p, p) stack ys of
+        points of the original space.
+
+        One ``span_coords`` call checks every point and takes all their
+        realized coordinates in one product; each point's coordinates then
+        run through the factorization.  An error about a point of a stack of
+        m > 1 starts "point j of m: ", j the first such point."""
+        coords, _ = span_coords(self.point_map, ys, "point")
+        out = []
+        for j, c in enumerate(coords.T.tolist()):
+            try:
+                out.append(_factor_coords(self.structure, c)[1:])
+            except DualMembershipError as exc:
+                raise DualMembershipError(in_stack(str(exc), j, coords.shape[1])) from None
+        return out
+
     def log_delta_phi(self, y: np.ndarray) -> tuple[float, float]:
-        """(log delta, log phi) at a point y of the original space."""
-        return _factor_coords(self.structure, _realized_coords(self.point_map, y))[1:]
+        """(log delta, log phi) at a point y of the original space: the stack
+        of one."""
+        return self.log_delta_phi_stack(np.asarray(y, dtype=float)[None])[0]
+
+    def psi(self, y: np.ndarray) -> np.ndarray:
+        """The primal point x of the original space with projection(x^{-1}) = y,
+        in closed form.
+
+        The realized point u^T y u is projection(T^T T) for the triangular
+        factor T of ``factor_T``, and the triangular group acts on the primal
+        cone by x -> t x t^T, so T^{-1} T^{-T} is in the realized cone and
+        x = u T^{-1} T^{-T} u^T.  y is checked by ``span_coords`` as a stack
+        of one, and its factor's coordinates give T in one product with
+        ``triangular_basis``; x = (u T^{-1})(u T^{-1})^T is then projected
+        onto the space through its basis, so that it is exactly 0 off the
+        support and equal within each orbit.  The factor's entries scale
+        as |y|^(1/2), so no step overflows where |y| and 1 / |y| do not.  A
+        point past or on the boundary of the open dual cone raises
+        DualMembershipError from the factorization; one off the space or
+        with a non-finite entry raises DomainError.
+        """
+        factor, _, _ = _factor_coords(self.structure, _realized_coords(self.point_map, y))
+        p = self.u.shape[0]
+        t = (np.asarray(factor) @ self.structure.triangular_basis).reshape(p, p)
+        w = self.u @ np.linalg.inv(t)
+        return ((self.space_flat @ (w @ w.T).reshape(-1)) @ self.space_flat).reshape(p, p)
 
 
 @lru_cache(maxsize=1)

@@ -27,9 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import cone
 from .butterfly import butterfly_graph, butterfly_subgroups
-from .errors import DomainError, IntegrabilityError, ShapeError, UsageError
+from .errors import DomainError, DualMembershipError, IntegrabilityError, ShapeError, UsageError
 from .graphs import Graph
 from .invariant import InvariantSpace, build_invariant_space, finite_norm, same_space
 from .realization import Realization, log_delta_phi_at_scales, realize
@@ -378,7 +377,15 @@ def fit_concentration_mle(model: Model, data: DataSummary) -> np.ndarray:
 
     Solves projection(K^{-1}) = projection(scatter / n_effective) over the
     model cone, so the fitted inverse matches the averaged scatter on every
-    free cell of the model.
+    free cell of the model.  The solution is read in closed form off the
+    triangular factor of the model's realization (``Realization.psi``).  A
+    projected averaged scatter outside the open dual cone of the model
+    raises DualMembershipError: the likelihood then has no maximizer.
     """
     target = model.space.project(np.asarray(data.scatter, dtype=float) / data.n_effective)
-    return cone.psi(model.space, target).x_star
+    try:
+        return model.realization.psi(target)
+    except DualMembershipError as exc:
+        raise DualMembershipError(
+            f"the projected averaged scatter is not in the open dual cone of model "
+            f"{model.label}, so the likelihood has no maximizer ({exc})") from None

@@ -223,6 +223,38 @@ def test_fit_refuses_a_singular_scatter_that_the_mle_fits(capsys, tmp_path):
     assert np.isfinite(json.loads(out)["concentration"]).all()
 
 
+def test_fit_mle_on_an_ill_conditioned_scatter(capsys, tmp_path):
+    # 10 (a a^T + eps I), condition 8.3e5: a Newton solve of this target
+    # ends in ConvergenceError after 100 iterations
+    a = np.array([-8.0, 9.0, 6.0, 9.0, -3.0])
+    scatter = 10.0 * (np.outer(a, a) + 3.274e-4 * np.eye(5))
+    path = tmp_path / "ridge.json"
+    path.write_text(json.dumps({"scatter": scatter.tolist(), "n_raw": 10, "centered": False}))
+    code, out, err = run(capsys, ["fit", "--scatter", str(path), "--model", "G1", "--mle",
+                                  "--output", "json"])
+    assert code == 0 and err == ""
+    k = np.asarray(json.loads(out)["concentration"])
+    space = hc.build_butterfly_models()[0].space
+    target = space.project(scatter / 10.0)
+    resid = np.linalg.norm(space.project(np.linalg.inv(k)) - target) / np.linalg.norm(target)
+    assert resid <= 1e-8
+
+
+def test_fit_mle_names_a_scatter_outside_the_dual_cone(capsys, tmp_path):
+    # a zero-variance column, here the hub's, which G3 maps to itself,
+    # leaves the likelihood without a maximizer
+    x = np.random.default_rng(3).standard_normal((20, 5))
+    x[:, 2] = 0.0
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"scatter": (x.T @ x).tolist(), "n_raw": 20, "centered": False}))
+    code, out, err = run(capsys, ["fit", "--scatter", str(path), "--model", "G3", "--mle"])
+    assert code == 3 and out == ""
+    assert err.startswith(
+        "error: the projected averaged scatter is not in the open dual cone of model G3, "
+        "so the likelihood has no maximizer (factorization breakdown at block ")
+    assert "pivot 0 <= 0)" in err
+
+
 def test_select_scatter_indefinite_posterior_scale(capsys, tmp_path):
     path = tmp_path / "scatter.json"
     path.write_text(json.dumps({
@@ -398,8 +430,9 @@ def test_verify_corrupted_registry(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", "--level", "fast"])
     assert code == 5
     assert "[FAIL] conjugation G3" in out
-    # the factorization route reports its own error on the corrupted matrix
-    assert "[FAIL] cross-path G3: point is not in the space (residual " in out
+    # the factorization route reports its own error on the corrupted matrix,
+    # about the first point of its stack
+    assert "[FAIL] cross-path G3: point 0 of 3: point is not in the space (residual " in out
     assert out.count("[FAIL]") == 2
 
 
@@ -417,12 +450,13 @@ def fail_on_call(fn, n, exc):
 
 @pytest.mark.parametrize("owner, name, call, exc", [
     (verify.cone, "psi_stack", 2, ConvergenceError("no convergence after 50 iterations")),
-    (Realization, "log_delta_phi", 4, DualMembershipError("factorization breakdown at block 1")),
+    (Realization, "log_delta_phi_stack", 2,
+     DualMembershipError("factorization breakdown at block 1")),
 ], ids=["newton", "factorization"])
 def test_verify_fast_reports_a_route_error_as_a_failed_check(capsys, monkeypatch,
                                                              owner, name, call, exc):
-    # G1's three cross-path points are the first Newton stack and the first
-    # three factorizations, so either route's failing call is G2's first
+    # each route takes a model's three cross-path points as one stack, so
+    # either route's second call is G2's
     monkeypatch.setattr(owner, name, fail_on_call(getattr(owner, name), call, exc))
     code, out, err = run(capsys, ["verify", "--level", "fast"])
     assert code == 5 and err == ""
@@ -526,16 +560,13 @@ def test_no_center_scores_the_uncentered_data(capsys, tmp_path):
 
 
 def test_verbose_newton_trace(capsys):
-    code, out, err = run(
-        capsys,
-        ["-v", "fit", "--fixture", "exam-marks", "--model", "G7", "--mle"],
-    )
+    code, out, err = run(capsys, ["-v", "verify", "--level", "fast"])
     assert code == 0
     lines = [l for l in err.splitlines() if l.strip().startswith("{")]
     assert lines
     record = json.loads(lines[0])
     assert "gradient_norm" in record and "iteration" in record
-    # the fit's one solve is a stack of one, started at its solution
+    # the cross-path check's first Newton stack, started at its solutions
     assert record["halvings"] == 0 and record["point"] == 0
 
 

@@ -14,6 +14,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
+from lattices import LATTICES, lattice_models
+from strategies import gram_points
 
 from homcone import cone
 from homcone.errors import (
@@ -28,6 +30,7 @@ from homcone.invariant import SPAN_TOL, build_invariant_space
 from homcone.realization import (
     TriangularElement,
     VStructure,
+    _factor_coords,
     conjugate_space,
     delta_phi_fast,
     factor_T,
@@ -502,18 +505,6 @@ GENERATED = settings(derandomize=True, deadline=None, max_examples=50)
 NEWTON_LOG10_COND = 3.0
 
 
-@st.composite
-def gram_points(draw, p, log10_cond=(0.0, 6.0)):
-    """A A^T + eps I for an integer p x m matrix A, with eps = lambda_max / 10^c:
-    condition number up to about 10^c before projection."""
-    m = draw(st.integers(1, p))
-    a = np.array(draw(st.lists(st.integers(-9, 9), min_size=p * m, max_size=p * m)))
-    a = a.reshape(p, m).astype(float)
-    c = draw(st.floats(*log10_cond))
-    top = max(1.0, float(np.linalg.eigvalsh(a @ a.T)[-1]))
-    return a @ a.T + top * 10.0 ** -c * np.eye(p)
-
-
 def rel_err(value, reference):
     return abs(value - reference) / max(1.0, abs(reference))
 
@@ -708,3 +699,77 @@ def test_realization_maps_reject_wrong_size(models_by_id):
             real.log_delta_phi(bad)
         with pytest.raises(ShapeError):
             log_delta_phi_at_scales([real], [bad], ["G7"])
+
+
+# ---------------------------------------------------------------------------
+# the closed-form inverse-projection map
+
+PSI_NEWTON_RTOL = 1e-10
+
+
+def rel_norm(value, reference):
+    return np.linalg.norm(value - reference) / np.linalg.norm(reference)
+
+
+@over_structures
+def test_triangular_basis_rebuilds_the_factor(s, dual_point):
+    rng = np.random.default_rng(41)
+    y = dual_point(s, rng)
+    factor, _, _ = _factor_coords(s, s.coords(y).tolist())
+    t = (np.asarray(factor) @ s.triangular_basis).reshape(s.p, s.p)
+    assert np.array_equal(t, factor_T(s, y).matrix())
+    assert s.triangular_basis.shape == (s.dim, s.p * s.p)
+    assert not s.triangular_basis.flags.writeable
+
+
+@pytest.mark.parametrize("mid", [f"G{i}" for i in range(1, 8)])
+@GENERATED
+@given(y0=gram_points(5, log10_cond=(0.0, NEWTON_LOG10_COND)))
+def test_closed_form_psi_matches_newton(models_by_id, mid, y0):
+    m = models_by_id[mid]
+    y = m.space.project(y0)
+    assert rel_norm(m.realization.psi(y), cone.psi(m.space, y).x_star) <= PSI_NEWTON_RTOL
+
+
+def test_closed_form_psi_matches_newton_on_the_k5_lattice():
+    rng = np.random.default_rng(42)
+    for m in lattice_models(LATTICES["K5"][0]):
+        for c in (0.0, 1.5, 3.0):  # condition up to about 10^c before projection
+            a = rng.standard_normal((5, 5))
+            y0 = a @ a.T
+            y = m.space.project(y0 + np.linalg.eigvalsh(y0)[-1] * 10.0 ** -c * np.eye(5))
+            newton = cone.psi(m.space, y).x_star
+            assert rel_norm(m.realization.psi(y), newton) <= PSI_NEWTON_RTOL, m.label
+
+
+@pytest.mark.parametrize("mid", [f"G{i}" for i in range(1, 8)])
+@GENERATED
+@given(y0=gram_points(5))
+def test_closed_form_psi_is_exact_off_the_support_and_on_each_orbit(models_by_id, mid, y0):
+    m = models_by_id[mid]
+    x = m.realization.psi(m.space.project(y0))
+    off = ~(m.space.support | np.eye(5, dtype=bool))
+    assert (x[off] == 0.0).all()
+    for orbit in m.space.orbits:
+        values = {x[i - 1, j - 1] for i, j in orbit} | {x[j - 1, i - 1] for i, j in orbit}
+        assert len(values) == 1, orbit
+
+
+@pytest.mark.parametrize("c", [1e150, 1e-150, 1e300, 1e-300])
+def test_closed_form_psi_is_homogeneous_of_degree_minus_one(models_by_id, exam_data, c):
+    for m in models_by_id.values():
+        y = m.space.project(exam_data.scatter / exam_data.n_effective)
+        x = m.realization.psi(c * y)
+        assert np.isfinite(x).all()
+        assert rel_norm(c * x, m.realization.psi(y)) <= 1e-14, m.label
+
+
+def test_closed_form_psi_refuses_points_outside_the_open_dual_cone(models_by_id):
+    real = models_by_id["G3"].realization
+    for bad in (np.zeros((5, 5)), -np.eye(5), np.diag([1.0, 1.0, 0.0, 1.0, 1.0])):
+        with pytest.raises(DualMembershipError, match="factorization breakdown"):
+            real.psi(bad)
+    off_edge = np.eye(5)
+    off_edge[0, 3] = off_edge[3, 0] = 0.5  # (1,4) is not an edge
+    with pytest.raises(DomainError, match="point is not in the space"):
+        real.psi(off_edge)

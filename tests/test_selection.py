@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import homcone as hc
 from homcone import cone
 from homcone import selection as selection_module
 from homcone.errors import (
+    CapabilityError,
     ConjugationError,
     DomainError,
+    DualMembershipError,
     IntegrabilityError,
     ShapeError,
     UsageError,
@@ -40,6 +43,7 @@ from homcone.selection import (
 )
 
 from lattices import LATTICES, lattice_models
+from strategies import gram_points
 
 EXAM_TABLE_G3 = 1e-3 * np.array(
     [
@@ -496,6 +500,54 @@ def test_fit_concentration_mle_matching_property(models_by_id, exam_data):
         assert np.linalg.norm(resid) < 1e-10
         for i, j in ((0, 3), (0, 4), (1, 3), (1, 4)):
             assert k[i, j] == 0.0
+
+
+@pytest.mark.parametrize("mid", ["G1", "G3", "G7"])
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(y0=gram_points(5))
+def test_fit_concentration_mle_on_ill_conditioned_scatters(models_by_id, mid, y0):
+    # condition up to about 1e6, where Newton stalls or refuses some points
+    m = models_by_id[mid]
+    data = scatter_summary(10.0 * y0, n_raw=10, centered=False)
+    k = fit_concentration_mle(m, data)
+    np.linalg.cholesky(k)
+    target = m.space.project(data.scatter / data.n_effective)
+    assert np.linalg.norm(m.space.project(np.linalg.inv(k)) - target) <= 1e-8 * np.linalg.norm(target)
+
+
+def test_fit_concentration_mle_makes_no_newton_call(models, exam_data, monkeypatch):
+    reference = [cone.psi(m.space, m.space.project(exam_data.scatter / exam_data.n_effective))
+                 for m in models]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Newton solve called")
+
+    monkeypatch.setattr(cone, "psi_stack", refuse)
+    for m, res in zip(models, reference):
+        k = fit_concentration_mle(m, exam_data)
+        assert np.linalg.norm(k - res.x_star) <= 1e-14 * np.linalg.norm(res.x_star), m.label
+
+
+def test_fit_concentration_mle_names_a_scatter_outside_the_dual_cone(models_by_id):
+    # a zero-variance column: the likelihood is unbounded on every model
+    x = np.random.default_rng(4).standard_normal((20, 5))
+    x[:, 2] = 0.0
+    data = summarize_data(x)
+    for m in models_by_id.values():
+        with pytest.raises(DualMembershipError, match=(
+                rf"projected averaged scatter is not in the open dual cone of model "
+                rf"{m.label}, so the likelihood has no maximizer \(factorization breakdown")):
+            fit_concentration_mle(m, data)
+
+
+def test_fit_concentration_mle_needs_a_realization(exam_data):
+    # like posterior(), on a graph that is not homogeneous
+    g = Graph.build(list("abcde"), [(1, 2), (2, 3), (3, 4), (4, 5)])
+    m = Model(label="P5", space=build_invariant_space(g, PermutationGroup.trivial(5)))
+    with pytest.raises(CapabilityError):
+        fit_concentration_mle(m, exam_data)
+    with pytest.raises(CapabilityError):
+        posterior([m], exam_data, Hyperparams(delta=3.0, scale=np.eye(5)))
 
 
 def test_build_butterfly_models():
