@@ -47,36 +47,45 @@ def _vertex_pair(edge) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with 1-based vertex indices and labels."""
+    """Simple undirected graph with 1-based vertex indices and labels.
+
+    ``labels`` is a nonempty tuple of distinct strings, and ``edges`` a
+    frozenset of pairs (i, j) of integer vertex indices, 1 <= i < j <= p;
+    anything else raises ValueError where the graph is made.  ``build`` is
+    the coercing front door."""
 
     labels: tuple[str, ...]
     edges: frozenset[tuple[int, int]]
 
-    @classmethod
-    def build(cls, labels, edges) -> "Graph":
-        """Labels are strings (numpy strings accepted; a str is read as its
-        characters), all distinct; edges are pairs of 1-based indices."""
-        distinct = {}  # an ordered set
+    def __post_init__(self):
+        labels = self.labels
+        if not (isinstance(labels, tuple) and isinstance(self.edges, frozenset)):
+            raise ValueError("a Graph holds a tuple of labels and a frozenset of edges")
+        p = len(labels)
+        if not p:
+            raise ValueError("graph needs at least one vertex")
         for label in labels:
             if not isinstance(label, str):
                 raise ValueError(f"vertex label {label!r} is not a string")
-            label = str(label)
-            if label in distinct:
-                raise ValueError(f"vertex label {label!r} is repeated")
-            distinct[label] = None
-        labels = tuple(distinct)
-        p = len(labels)
-        if p == 0:
-            raise ValueError("graph needs at least one vertex")
-        normalized = set()
-        for e in edges:
-            i, j = _vertex_pair(e)
+        if len(set(labels)) < p:
+            label = next(label for k, label in enumerate(labels) if label in labels[:k])
+            raise ValueError(f"vertex label {label!r} is repeated")
+        for edge in self.edges:
+            i, j = _vertex_pair(edge)
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             if not (1 <= i <= p and 1 <= j <= p):
                 raise ValueError(f"edge ({i},{j}) outside 1..{p}")
-            normalized.add((min(i, j), max(i, j)))
-        return cls(labels=labels, edges=frozenset(normalized))
+            if i > j or edge != (i, j):
+                raise ValueError(f"edge {edge!r} is not a tuple (i, j) with i < j")
+
+    @classmethod
+    def build(cls, labels, edges) -> "Graph":
+        """Labels are strings (numpy strings accepted; a str is read as its
+        characters); edges are pairs of 1-based indices, in either order."""
+        labels = tuple(str(label) if isinstance(label, str) else label for label in labels)
+        pairs = map(_vertex_pair, edges)
+        return cls(labels=labels, edges=frozenset((min(i, j), max(i, j)) for i, j in pairs))
 
     @property
     def vertex_count(self) -> int:

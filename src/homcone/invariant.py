@@ -11,11 +11,11 @@ projections live in ``OrthonormalSpan``, which the realized block
 structures share: it flattens the basis once into an (N, p^2) matrix B,
 so coordinates are B vec(x), a point is B^T c, and the projection is
 B^T B vec(x), each one or two matrix products; ``span_coords``, the one
-membership check, takes a stack of points through a ``point_map``, B
-stacked over I - B^T B, or several spans' maps stacked into one.  An invariant
-space also reads its support, the cells where some basis matrix is
-nonzero, and plans an elimination along it (``perfect_elimination``): the
-vertices by ascending closed-neighbourhood size, ties by index.  On a
+membership check, takes a stack of points through the span's
+``point_map``, B stacked over I - B^T B.  An invariant space also reads
+its support, the cells where some basis matrix is nonzero, and plans an
+elimination along it (``perfect_elimination``): the vertices by ascending
+closed-neighbourhood size, ties by index.  On a
 homogeneous graph the closed neighbourhoods of adjacent vertices are
 nested, so the later neighbours of every vertex are pairwise adjacent and
 the order is a perfect elimination order.
@@ -58,32 +58,32 @@ def in_stack(message: str, j: int, m: int) -> str:
     return message if m == 1 else f"point {j} of {m}: {message}"
 
 
-def span_coords(linear_map: np.ndarray, ys, what: str, labels=None) -> tuple:
-    """Coordinates of a stack of points of k spans, checked against one
-    stacked map.
+def span_coords(linear_map: np.ndarray, ys, what: str) -> tuple:
+    """Coordinates of a stack of points of one span, checked against its
+    ``point_map``.
 
-    ``linear_map`` stacks the k spans' coordinate rows, N in all, over
-    their k residual blocks of p^2 rows each, in the same span order; a
-    span's ``point_map`` is the stack of one.  ``labels`` names the k
-    spans, one each; without it the map holds one span.  ys is a stack of
-    m >= 1 p x p points, and the result is their (N, m) coordinates, one
-    point a column, and the list of their m norms.
+    ``linear_map`` stacks the span's N coordinate rows over its p^2
+    residual rows.  ys is a stack of m >= 1 p x p points, and the result is
+    their (N, m) coordinates, one point a column, and the list of their m
+    norms.
 
-    ShapeError names the shape of the points if it is not p x p.  Every
-    point's finiteness is checked, by ``finite_norm``, before any point's
-    membership.  A point whose residual from a span has a norm above its
-    bound, SPAN_TOL times max(1, norm), raises DomainError, naming the
-    span's label if there are labels.  An error about a point of a stack
-    of m > 1 starts "point j of m: " (``in_stack``), j the first such
-    point.  Every norm is taken by ``math.hypot``, so none overflows; one
-    over all the residuals, against the smallest bound, settles the usual
-    case in which every point is within every span.
+    ShapeError names the shape of the points if it is not p x p, and
+    refuses an empty stack.  Every point's finiteness is checked, by
+    ``finite_norm``, before any point's membership.  A point whose residual
+    from the span has a norm above its bound, SPAN_TOL times max(1, norm),
+    raises DomainError.  An error about a point of a stack of m > 1 starts
+    "point j of m: " (``in_stack``), j the first such point.  Every norm is
+    taken by ``math.hypot``, so none overflows; one over all the residuals,
+    against the smallest bound, settles the usual case in which every point
+    is within the span.
     """
     p = math.isqrt(linear_map.shape[1])
     ys = np.asarray(ys, dtype=float)
     if ys.shape[1:] != (p, p):
         raise ShapeError(f"{what} must be {p}x{p}, got {ys.shape[1:]}")
     m = len(ys)
+    if not m:
+        raise ShapeError(f"{what} stack is empty")
     flat = ys.reshape(m, -1)
     norms = [math.hypot(*point) for point in flat.tolist()]
     if not math.isfinite(sum(norms)):  # a norm is not finite, or only their sum
@@ -92,16 +92,13 @@ def span_coords(linear_map: np.ndarray, ys, what: str, labels=None) -> tuple:
     # one point a column: numpy multiplies by a transposed view of several
     # points several times more slowly at these sizes
     v = linear_map @ (flat.T if m == 1 else np.ascontiguousarray(flat.T))
-    dim = len(v) - (len(labels) if labels else 1) * p * p
+    dim = len(v) - p * p
     if not math.hypot(*v[dim:].ravel().tolist()) <= SPAN_TOL * max(1.0, min(norms)):
-        p2, residuals = p * p, v[dim:]
         for j, norm in enumerate(norms):
-            for i in range(0, len(residuals), p2):
-                residual = math.hypot(*residuals[i:i + p2, j].tolist())
-                if residual > SPAN_TOL * max(1.0, norm):
-                    span = f" of {labels[i // p2]}" if labels else ""
-                    raise DomainError(in_stack(
-                        f"{what} is not in the space{span} (residual {residual:.3e})", j, m))
+            residual = math.hypot(*v[dim:, j].tolist())
+            if residual > SPAN_TOL * max(1.0, norm):
+                raise DomainError(in_stack(
+                    f"{what} is not in the space (residual {residual:.3e})", j, m))
     return v[:dim], norms
 
 

@@ -21,21 +21,18 @@ act simply transitively on the realized cone by congruence, which gives:
   primal point u T^{-1} T^{-T} u^T, T the factor of the realized point.
 
 An invariant space is hooked up to a realization by an orthogonal
-conjugation (conjugate_space), which is an isometry for the trace inner
-product, so all functionals computed in realized coordinates agree with
-their definitions on the original space.  ``realize`` derives the
-conjugation and the block structure of any invariant space of a
-homogeneous graph from the eigenspaces of one generic element, and
-returns them only once both checks pass.  Projection, conjugation,
-coordinates and the block-form membership residual are then all linear in
-the point, so the resulting Realization composes them into fixed matrices,
-built on first use: ``point_map`` takes vec(y) of a point of the space to
-its realized coordinates stacked over its residual from the block form,
-and ``scale_map`` does the same for projection(D) / 2 of a prior scale D.
-``log_delta_phi_at_scales`` stacks the scale maps of several realizations
-(one reads its own), so scoring them at several scales is one matrix
-product, checked by one ``span_coords`` call, and one float factorization
-per realization and scale.
+conjugation u, an isometry for the trace inner product, so all functionals
+computed in realized coordinates agree with their definitions on the
+original space.  ``realize`` derives u and the block structure of any
+invariant space of a homogeneous graph from the eigenspaces of one generic
+element.  A ``Realization`` checks where it is built (``conjugate_space``
+is its front door) that u carries the space onto the block form, and keeps
+the (N, N) coordinate isometry Q that the check computes.  Every route then
+reads Q and none checks the block form again: a point of the space is
+checked against the space's own ``point_map`` and goes to Q c, and
+``log_delta_phi_at_scales`` scores several realizations at several scales
+by one product with their stacked rows Q F / 2, F the space's flattened
+basis, and one float factorization per realization and scale.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import NamedTuple
@@ -373,9 +370,10 @@ class TriangularElement:
 
 def _factor_coords(structure: VStructure, c: list[float]) -> tuple[list[float], float, float]:
     """The triangular factor's coordinates, log delta and log phi, from the
-    list c of a point's realized coordinates, which ``invariant.span_coords``
-    has checked against a map to them: the structure's own point_map for a
-    realized point, or a Realization's map for a point of the original space.
+    list c of a point's realized coordinates: checked by
+    ``invariant.span_coords`` against the structure's own point_map for a
+    realized point, or a Realization's isometry applied to the checked
+    coordinates of a point of the original space.
 
     The plan's flat program runs on c in place.
     Step k reads the pivot d_k = c_k / sqrt(n_k), raises
@@ -470,53 +468,53 @@ def log_gamma_v(structure: VStructure, alpha: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Realization:
-    """Orthogonal change of coordinates carrying a space onto a block form.
+    """Orthogonal change of coordinates carrying a space onto a block form,
+    checked where it is built.
 
-    Holds the conjugating matrix u, with u^T y u in the realized space for
-    every y in the original space, the block structure, and the original
-    space's flattened basis.  Build it with conjugate_space, which checks
-    that.  Scoring reads two linear maps of vec(y), built on first use:
-    with K = u^T (x) u^T (so K vec(y) = vec(u^T y u)) and B the realized
-    flattened basis, ``point_map`` stacks B K over (I - B^T B) K, the
-    realized coordinates over the residual from the block form; and
-    ``scale_map`` folds in the space's projector P and the halving of a
-    prior scale, point_map P / 2, taken through the space's basis F
-    (``scale_blocks``).
+    Holds the conjugating matrix u, the block structure, the original
+    space, and ``isometry``, the read-only (N, N) matrix Q = B K F^T, with
+    K = u^T (x) u^T (so K vec(y) = vec(u^T y u)), B the structure's and F
+    the space's flattened basis: Q takes the coordinates of a point y of
+    the space to those of u^T y u.  Construction raises ShapeError unless
+    u, space and structure are all p x p, DomainError naming a non-finite
+    entry of u, and ConjugationError unless u is orthogonal, every u^T F_a u
+    is in the block form (else naming the first a whose residual is above
+    SPAN_TOL) and the dimensions are equal; an orthogonal u preserves the
+    trace inner product, so Q is then an isometry.
     """
 
     u: np.ndarray
     structure: VStructure
-    space_flat: np.ndarray  # (N, p^2): the original space's basis, one row each
+    space: InvariantSpace
+    isometry: np.ndarray = field(init=False, repr=False)
 
-    @cached_property
-    def point_map(self) -> np.ndarray:
-        """B K over K - B^T (B K), built from the structure's ``flat`` alone,
-        so that the structure caches no point map of its own."""
-        u_t = self.u.T
-        kron = np.kron(u_t, u_t)
-        flat = self.structure.flat
-        coords = flat @ kron
-        return np.vstack([coords, kron - flat.T @ coords])
-
-    @cached_property
-    def scale_map(self) -> np.ndarray:
-        return np.vstack(self.scale_blocks())
-
-    def scale_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The coordinate rows and the residual rows of the scale map, built
-        without caching it.
-
-        With P = F^T F, K F^T holds the conjugated basis vec(u^T F_a u) as
-        columns, and Q = B K F^T is the (N, N) matrix of their realized
-        coordinates, so the rows are Q F / 2 and (K F^T - B^T Q) F / 2.
-        """
-        p = self.u.shape[0]
-        n = self.space_flat.shape[0]
-        conj = (self.u.T @ self.space_flat.reshape(n, p, p) @ self.u).reshape(n, p * p)
-        flat = self.structure.flat
+    def __post_init__(self):
+        u = np.asarray(self.u, dtype=float)
+        space, structure = self.space, self.structure
+        p = space.p
+        if u.shape != (p, p) or structure.p != p:
+            raise ShapeError(f"conjugation size mismatch: space p={p}, u {u.shape}, "
+                             f"structure p={structure.p}")
+        finite_norm(u, "u")
+        ortho_resid = float(np.linalg.norm(u.T @ u - np.eye(p)))
+        if ortho_resid > 1e-12:
+            raise ConjugationError(f"u is not orthogonal (residual {ortho_resid:.3e})")
+        conj = (u.T @ space.basis @ u).reshape(space.dim, p * p)
+        flat = structure.flat
         q = flat @ conj.T
-        half = 0.5 * self.space_flat
-        return q @ half, (conj.T - flat.T @ q) @ half
+        resid = np.linalg.norm(conj - q.T @ flat, axis=1)
+        over = np.flatnonzero(resid > SPAN_TOL)
+        if over.size:
+            a = int(over[0])
+            raise ConjugationError(f"conjugated basis element {a} leaves the block form "
+                                   f"(residual {resid[a]:.3e})", basis_index=a)
+        if structure.dim != space.dim:
+            raise ConjugationError(
+                f"dimension mismatch: space has {space.dim}, block form has {structure.dim}"
+            )
+        q.setflags(write=False)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "isometry", q)
 
     def log_gamma(self, alpha: float) -> float:
         return log_gamma_v(self.structure, alpha)
@@ -525,13 +523,13 @@ class Realization:
         """(log delta, log phi) at each point of the (m, p, p) stack ys of
         points of the original space.
 
-        One ``span_coords`` call checks every point and takes all their
-        realized coordinates in one product; each point's coordinates then
-        run through the factorization.  An error about a point of a stack of
-        m > 1 starts "point j of m: ", j the first such point."""
-        coords, _ = span_coords(self.point_map, ys, "point")
+        One ``span_coords`` call checks every point against the space's
+        ``point_map`` and takes their coordinates, and one product with the
+        isometry takes them to the factorization.  An error about a point of
+        a stack of m > 1 starts "point j of m: ", j the first such point."""
+        coords, _ = span_coords(self.space.point_map, ys, "point")
         out = []
-        for j, c in enumerate(coords.T.tolist()):
+        for j, c in enumerate((self.isometry @ coords).T.tolist()):
             try:
                 out.append(_factor_coords(self.structure, c)[1:])
             except DualMembershipError as exc:
@@ -551,60 +549,63 @@ class Realization:
         factor T of ``factor_T``, and the triangular group acts on the primal
         cone by x -> t x t^T, so T^{-1} T^{-T} is in the realized cone and
         x = u T^{-1} T^{-T} u^T.  y is checked by ``span_coords`` as a stack
-        of one, and its factor's coordinates give T in one product with
-        ``triangular_basis``; x = (u T^{-1})(u T^{-1})^T is then projected
-        onto the space through its basis, so that it is exactly 0 off the
-        support and equal within each orbit.  The factor's entries scale
-        as |y|^(1/2), so no step overflows where |y| and 1 / |y| do not.  A
-        point past or on the boundary of the open dual cone raises
-        DualMembershipError from the factorization; one off the space or
-        with a non-finite entry raises DomainError.
+        of one.  The factor's entries scale as |y|^(1/2), so no step
+        overflows where |y| and 1 / |y| do not.  A point past or on the
+        boundary of the open dual cone raises DualMembershipError from the
+        factorization; one off the space or with a non-finite entry raises
+        DomainError.
         """
-        factor, _, _ = _factor_coords(self.structure, _realized_coords(self.point_map, y))
+        coords, _ = span_coords(self.space.point_map, np.asarray(y, dtype=float)[None], "point")
+        return self._psi_at(coords[:, 0])
+
+    def _psi_at(self, c: np.ndarray) -> np.ndarray:
+        """``psi`` at the point of the space with the finite coordinates c.
+        The factor's coordinates give T in one product with
+        ``triangular_basis``, and x = (u T^{-1})(u T^{-1})^T is projected
+        onto the space, so it is exactly 0 off the support and equal within
+        each orbit."""
+        factor, _, _ = _factor_coords(self.structure, (self.isometry @ c).tolist())
         p = self.u.shape[0]
         t = (np.asarray(factor) @ self.structure.triangular_basis).reshape(p, p)
         w = self.u @ np.linalg.inv(t)
-        return ((self.space_flat @ (w @ w.T).reshape(-1)) @ self.space_flat).reshape(p, p)
+        return self.space.project(w @ w.T)
 
 
 @lru_cache(maxsize=1)
 def _stacked_scale_map(realizations: tuple[Realization, ...]) -> np.ndarray:
-    """The realizations' scale maps as one map for ``span_coords``: every
-    coordinate block, in order, over every residual block in the same order.
-
-    Built once per tuple of realizations, which hash by identity, straight
-    from their ``scale_blocks``, so no realization caches its own map; it
-    holds (N + k p^2) p^2 doubles for k realizations of total dimension N,
-    and the cache keeps only the last tuple."""
-    p2 = realizations[0].space_flat.shape[1]
-    n = sum(r.structure.dim for r in realizations)
-    stacked = np.empty((n + len(realizations) * p2, p2))
-    start, resid = 0, n
-    for r in realizations:
-        coords, residual = r.scale_blocks()
-        stacked[start:start + len(coords)] = coords
-        stacked[resid:resid + p2] = residual
-        start, resid = start + len(coords), resid + p2
+    """The rows Q F / 2 of every realization, in order: the map from vec(D)
+    to the realized coordinates of projection(D) / 2 under each.  Built
+    once per tuple of realizations, which hash by identity, in a one-entry
+    cache, so no realization caches a map of its own."""
+    stacked = np.vstack([r.isometry @ (0.5 * r.space.flat) for r in realizations])
     stacked.setflags(write=False)  # shared by every caller with these realizations
     return stacked
 
 
-def log_delta_phi_at_scales(realizations, scales, labels) -> list[list[tuple[float, float]]]:
+def log_delta_phi_at_scales(realizations, scales) -> list[list[tuple[float, float]]]:
     """(log delta, log phi) of each realization at projection(scale) / 2 for
-    each p x p scale matrix, one row per realization.
+    each p x p scale matrix, one row per realization; no scales give empty
+    rows.
 
-    The realized coordinates of every realization at every scale come from
-    one product of the stacked scale maps with the stacked scales, checked
-    by ``span_coords``: a point that leaves a realization's block form
-    raises DomainError naming its entry of ``labels``.  Each realization's
-    share of a column then runs through its factorization.
+    A projected scale is in every space, so only the scales' shape
+    (ShapeError) and finiteness (DomainError naming the entry) are checked.
+    One product with the stacked scale map gives every realization's
+    coordinates at every scale, and each realization's share of a column
+    runs through its factorization.
     """
     realizations = tuple(realizations)
-    if not realizations:
-        return []
-    stack = (realizations[0].scale_map if len(realizations) == 1
-             else _stacked_scale_map(realizations))
-    coords = span_coords(stack, scales, "projected scale", labels)[0]
+    scales = np.asarray(scales, dtype=float)
+    if not realizations or not len(scales):
+        return [[] for _ in realizations]
+    p = realizations[0].u.shape[0]
+    if scales.shape[1:] != (p, p):
+        raise ShapeError(f"projected scale must be {p}x{p}, got {scales.shape[1:]}")
+    m = len(scales)
+    for j, scale in enumerate(scales):
+        finite_norm(scale, in_stack("projected scale", j, m))
+    # one scale a column: numpy multiplies by a transposed view of several
+    # scales several times more slowly at these sizes
+    coords = _stacked_scale_map(realizations) @ np.ascontiguousarray(scales.reshape(m, -1).T)
     columns = coords.T.tolist()
     rows, start = [], 0
     for r in realizations:
@@ -614,49 +615,10 @@ def log_delta_phi_at_scales(realizations, scales, labels) -> list[list[tuple[flo
     return rows
 
 
-def conjugate_space(
-    space: InvariantSpace, u: np.ndarray, structure: VStructure
-) -> Realization:
-    """Verify that conjugation by u maps the space onto the realized space.
-
-    Checks that u is finite (DomainError naming a non-finite entry) and
-    orthogonal, membership of every conjugated basis element
-    in the block form, and equality of dimensions.  An orthogonal u is an
-    isometry for the trace inner product, so together these make
-    conjugation a coordinate isometry between the two spaces.
-
-    The whole basis stack is conjugated in one product, u^T B_a u, and each
-    element's residual from the realized space is taken from its projection
-    through the structure's flattened basis; the first element whose
-    residual is above SPAN_TOL raises ConjugationError with its index.
-    """
-    u = np.asarray(u, dtype=float)
-    p = space.p
-    if u.shape != (p, p) or structure.p != p:
-        raise ShapeError(
-            f"conjugation size mismatch: space p={p}, u {u.shape}, "
-            f"structure p={structure.p}"
-        )
-    finite_norm(u, "u")
-    ortho_resid = float(np.linalg.norm(u.T @ u - np.eye(p)))
-    if ortho_resid > 1e-12:
-        raise ConjugationError(f"u is not orthogonal (residual {ortho_resid:.3e})")
-    conj = (u.T @ space.basis @ u).reshape(space.dim, p * p)
-    flat = structure.flat
-    resid = np.linalg.norm(conj - (conj @ flat.T) @ flat, axis=1)
-    over = np.flatnonzero(resid > SPAN_TOL)
-    if over.size:
-        a = int(over[0])
-        raise ConjugationError(
-            f"conjugated basis element {a} leaves the block form "
-            f"(residual {resid[a]:.3e})",
-            basis_index=a,
-        )
-    if structure.dim != space.dim:
-        raise ConjugationError(
-            f"dimension mismatch: space has {space.dim}, block form has {structure.dim}"
-        )
-    return Realization(u=u, structure=structure, space_flat=space.flat)
+def conjugate_space(space: InvariantSpace, u: np.ndarray, structure: VStructure) -> Realization:
+    """The realization of the space by conjugation with u onto the
+    structure's block form, checked as ``Realization`` checks it."""
+    return Realization(u=u, structure=structure, space=space)
 
 
 # ---------------------------------------------------------------------------

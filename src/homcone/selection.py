@@ -251,16 +251,16 @@ def score_terms(models, hypers) -> list[list[LogITerms]]:
     realization: the gamma factor at exponent (delta - 2) / 2 from its block
     sizes and subspace dimensions, and the determinant functionals at the
     projected point scale / 2 from the triangular factor and the multidegree.
-    The realizations' stacked scale maps take every scale matrix straight to
-    the realized coordinates of every model's point, in one matrix product
-    (``realization.log_delta_phi_at_scales``); a point off a model's block
-    form raises DomainError naming the model's label.  The ``hypers`` are
-    taken as already validated; a scale of the wrong size raises ShapeError
-    naming its shape.
+    One product with the models' stacked scale map takes every scale matrix
+    straight to the realized coordinates of every model's point
+    (``realization.log_delta_phi_at_scales``); each realization checked its
+    block form where it was built, so no point is checked against it again.
+    The ``hypers`` are taken as already validated; a scale of the wrong size
+    raises ShapeError naming its shape, and no ``hypers`` give one empty row
+    per model.
     """
     alphas = [(h.delta - 2.0) / 2.0 for h in hypers]
-    ldlp = log_delta_phi_at_scales([m.realization for m in models],
-                                   [h.scale for h in hypers], [m.label for m in models])
+    ldlp = log_delta_phi_at_scales([m.realization for m in models], [h.scale for h in hypers])
     return [
         [LogITerms(a, m.realization.log_gamma(a), ld, lp) for a, (ld, lp) in zip(alphas, row)]
         for m, row in zip(models, ldlp)
@@ -378,13 +378,15 @@ def fit_concentration_mle(model: Model, data: DataSummary) -> np.ndarray:
     Solves projection(K^{-1}) = projection(scatter / n_effective) over the
     model cone, so the fitted inverse matches the averaged scatter on every
     free cell of the model.  The solution is read in closed form off the
-    triangular factor of the model's realization (``Realization.psi``).  A
-    projected averaged scatter outside the open dual cone of the model
-    raises DualMembershipError: the likelihood then has no maximizer.
+    triangular factor of the model's realization (``Realization.psi``), at
+    the averaged scatter's coordinates in the space, which need no
+    membership check.  A projected averaged scatter outside the open dual
+    cone of the model raises DualMembershipError: the likelihood then has
+    no maximizer.
     """
-    target = model.space.project(np.asarray(data.scatter, dtype=float) / data.n_effective)
+    coords = model.space.coords(np.asarray(data.scatter, dtype=float) / data.n_effective)
     try:
-        return model.realization.psi(target)
+        return model.realization._psi_at(coords)
     except DualMembershipError as exc:
         raise DualMembershipError(
             f"the projected averaged scatter is not in the open dual cone of model "

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import json
@@ -12,7 +13,7 @@ import pytest
 import homcone as hc
 from homcone import verify
 from homcone.cli import main
-from homcone.errors import ConvergenceError, DualMembershipError
+from homcone.errors import ConjugationError, ConvergenceError, DualMembershipError
 from homcone.graphs import Permutation, PermutationGroup
 from homcone.realization import Realization, full_sym_structure, log_gamma_v
 
@@ -423,17 +424,23 @@ def test_verify_mc_small(capsys):
 
 
 def test_verify_corrupted_registry(capsys, monkeypatch):
+    # a Realization refuses a corrupted u where it is built, so the corrupted
+    # copy is made past the frozen dataclass
     g3 = hc.build_butterfly_models()[2]
     u = g3.realization.u.copy()
     u[0, 0] = 0.0 if u[0, 0] else 1.0  # breaks orthogonality of the G3 matrix
-    monkeypatch.setitem(vars(g3), "realization", dataclasses.replace(g3.realization, u=u))
+    with pytest.raises(ConjugationError):
+        dataclasses.replace(g3.realization, u=u)
+    bent = copy.copy(g3.realization)
+    object.__setattr__(bent, "u", u)
+    monkeypatch.setitem(vars(g3), "realization", bent)
     code, out, _ = run(capsys, ["verify", "--level", "fast"])
     assert code == 5
     assert "[FAIL] conjugation G3" in out
-    # the factorization route reports its own error on the corrupted matrix,
-    # about the first point of its stack
-    assert "[FAIL] cross-path G3: point 0 of 3: point is not in the space (residual " in out
-    assert out.count("[FAIL]") == 2
+    # the factorization route reads the isometry checked at construction,
+    # not u, so it still agrees with Newton
+    assert "[ok] cross-path G3" in out
+    assert out.count("[FAIL]") == 1
 
 
 def fail_on_call(fn, n, exc):

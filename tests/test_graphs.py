@@ -223,6 +223,24 @@ def test_graph_from_dict_refuses_string_labels():
         graph_from_dict({"labels": "abcde", "edges": []})
 
 
+@pytest.mark.parametrize("labels, edges, message", [
+    # 0-based K6 edges: unchecked, they gave 120 automorphisms where S6 has 720
+    (tuple("abcdef"), frozenset(itertools.combinations(range(6), 2)),
+     r"edge \(0,\d\) outside 1\.\.6"),
+    (("a", "b", "a"), frozenset(), "vertex label 'a' is repeated"),
+    (("a", 1), frozenset(), "vertex label 1 is not a string"),
+    ((), frozenset(), "at least one vertex"),
+    (["a", "b"], frozenset(), "a Graph holds a tuple of labels and a frozenset of edges"),
+    (("a", "b"), {(1, 2)}, "a Graph holds a tuple of labels and a frozenset of edges"),
+    (("a", "b"), frozenset({(2, 1)}), r"edge \(2, 1\) is not a tuple \(i, j\) with i < j"),
+    (("a", "b"), frozenset({(1, 1)}), "self-loop at vertex 1"),
+    (("a", "b"), frozenset({(1, 2.0)}), "is not a pair of integer vertex indices"),
+])
+def test_graph_constructor_refuses_what_build_refuses(labels, edges, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(labels, edges)
+
+
 def test_graph_edge_normalization():
     g = Graph.build(["a", "b", "c"], [(2, 1), (1, 2), (3, 1)])
     assert g.edge_list() == [(1, 2), (1, 3)]

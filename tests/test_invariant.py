@@ -157,51 +157,39 @@ def test_span_coords_accepts_the_span_and_refuses_what_leaves_it(spans):
             span_coords(space.point_map, np.ones((2, 1, 1)), "point")
         with pytest.raises(ShapeError, match="point must be"):
             span_coords(space.point_map, np.eye(space.p + 1)[None], "point")
-
-
-def stacked_point_map(spans):
-    """The spans' point maps as one: every coordinate block over every
-    residual block, in the same order."""
-    maps = [(s.point_map, s.dim) for s in spans]
-    return np.vstack([m[:dim] for m, dim in maps] + [m[dim:] for m, dim in maps])
+        p = space.p
+        with pytest.raises(ShapeError, match=rf"point must be {p}x{p}, got \({p},\)"):
+            span_coords(space.point_map, ys[0], "point")
+        with pytest.raises(ShapeError, match="^point stack is empty$"):
+            span_coords(space.point_map, np.empty((0, p, p)), "point")
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150, 1e300])
-def test_span_coords_checks_a_stack_of_points_against_stacked_spans(spaces, butterfly, scale):
-    # each span's share of the stacked product is its own coordinates, and a
-    # point that leaves one span is refused under that span's label, at any
-    # scale: squared residuals of a 1e300 point would overflow
-    names = sorted(spaces)
-    stacked = stacked_point_map([spaces[n] for n in names])
+def test_span_coords_checks_a_stack_of_points_at_any_scale(spaces, butterfly, scale):
+    # each point's column of the stack is its stack of one, and a point that
+    # leaves a span is refused at any scale: squared residuals of a 1e300
+    # point would overflow
     adjacency = np.zeros((5, 5))
     for i, j in butterfly.edge_list():
         adjacency[i - 1, j - 1] = adjacency[j - 1, i - 1] = 1.0
     # I + t A is invariant under every automorphism, so it lies in every span
     ys = scale * np.array([np.eye(5) + t * adjacency for t in (0.1, -0.3, 0.7)])
-    coords, norms = span_coords(stacked, ys, "point", names)
-    assert coords.shape == (sum(spaces[n].dim for n in names), 3)
-    np.testing.assert_allclose(norms, [np.linalg.norm(y / scale) * scale for y in ys],
-                               rtol=1e-14)
-    start = 0
-    for n in names:
-        stop = start + spaces[n].dim
-        for j, y in enumerate(ys):
-            alone, _ = span_coords(spaces[n].point_map, y[None], "point")
-            np.testing.assert_allclose(coords[start:stop, j], alone[:, 0], rtol=1e-14)
-        start = stop
     off = ys.copy()
     # (1,4) is not an edge; below norm 1 the bound is SPAN_TOL itself
     off[1, 0, 3] = off[1, 3, 0] = max(1e-6 * scale, 1e-9)
-    assert names[0] == "G1"  # the first span in the stack to refuse it
-    with pytest.raises(DomainError,
-                       match=r"^point 1 of 3: point is not in the space of G1 \(residual"):
-        span_coords(stacked, off, "point", names)
-    with pytest.raises(DomainError, match=r"^point is not in the space of G1 \(residual"):
-        span_coords(stacked, off[1:2], "point", names)
-    with pytest.raises(ShapeError, match=r"point must be 5x5, got \(4, 4\)"):
-        span_coords(stacked, np.ones((2, 4, 4)), "point", names)
-    with pytest.raises(ShapeError, match=r"point must be 5x5, got \(5,\)"):
-        span_coords(spaces["G1"].point_map, ys[0], "point")
+    for space in spaces.values():
+        coords, norms = span_coords(space.point_map, ys, "point")
+        assert coords.shape == (space.dim, 3)
+        np.testing.assert_allclose(norms, [np.linalg.norm(y / scale) * scale for y in ys],
+                                   rtol=1e-14)
+        for j, y in enumerate(ys):
+            alone, _ = span_coords(space.point_map, y[None], "point")
+            np.testing.assert_allclose(coords[:, j], alone[:, 0], rtol=1e-14)
+        with pytest.raises(DomainError,
+                           match=r"^point 1 of 3: point is not in the space \(residual"):
+            span_coords(space.point_map, off, "point")
+        with pytest.raises(DomainError, match=r"^point is not in the space \(residual"):
+            span_coords(space.point_map, off[1:2], "point")
 
 
 def test_span_coords_checks_every_point_finite_before_any_membership(spaces):

@@ -673,7 +673,7 @@ def factorization_entry_points(models_by_id):
         "factor_T": lambda y: factor_T(s, y),
         "delta_phi_fast": lambda y: delta_phi_fast(s, y),
         "log_delta_phi": g1.log_delta_phi,
-        "log_delta_phi_at_scales": lambda y: log_delta_phi_at_scales([g1], [y], ["G1"]),
+        "log_delta_phi_at_scales": lambda y: log_delta_phi_at_scales([g1], [y]),
     }
 
 
@@ -698,7 +698,12 @@ def test_realization_maps_reject_wrong_size(models_by_id):
         with pytest.raises(ShapeError):
             real.log_delta_phi(bad)
         with pytest.raises(ShapeError):
-            log_delta_phi_at_scales([real], [bad], ["G7"])
+            log_delta_phi_at_scales([real], [bad])
+    # an empty stack of points is refused as Newton's psi_stack refuses it;
+    # no scales give an empty row
+    with pytest.raises(ShapeError, match="point stack is empty"):
+        real.log_delta_phi_stack(np.empty((0, 5, 5)))
+    assert log_delta_phi_at_scales([real], []) == [[]]
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_derived_realizations_match_golden(models_by_id, exam_data):
                                scale=prior.scale + exam_data.scatter)
             for hyper in (prior, post):
                 alpha = (hyper.delta - 2.0) / 2.0
-                [[(ld, lp)]] = log_delta_phi_at_scales([golden], [hyper.scale], [entry.model_id])
+                [[(ld, lp)]] = log_delta_phi_at_scales([golden], [hyper.scale])
                 want = golden.log_gamma(alpha) + lp - alpha * ld
                 got = log_I_terms(m, hyper).log_I
                 assert abs(got - want) <= GOLDEN_RTOL * abs(want), (entry.model_id, d)

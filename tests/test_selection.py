@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ from homcone.selection import (
     summarize_data,
 )
 
-from lattices import LATTICES, lattice_models
+from lattices import LATTICES, complete, graph, lattice_models
 from strategies import gram_points
 
 EXAM_TABLE_G3 = 1e-3 * np.array(
@@ -397,46 +399,65 @@ def test_posterior_scores_match_one_shot_scores_over_the_k5_lattice():
     assert_scores_match_one_shot(posterior(models, data, hyper), models, data, hyper)
 
 
-def test_a_realization_off_its_block_form_is_named(models, exam_data):
-    # a Realization built directly, bypassing conjugate_space, on a slightly
-    # rotated u: the projected scales leave its block form, and the stacked
-    # check names that model
+def test_a_realization_off_its_block_form_is_named(models):
+    # a Realization checks itself where it is built: a slightly rotated u
+    # takes the space off its block form however the realization is built,
+    # and the error names the first basis element that leaves it
     g3 = next(m for m in models if m.label == "G3")
     rot, _ = np.linalg.qr(np.eye(5) + 1e-3 * np.random.default_rng(5).standard_normal((5, 5)))
     u = g3.realization.u @ rot
-    with pytest.raises(ConjugationError):
-        conjugate_space(g3.space, u, g3.realization.structure)
-    bent = Model("G3-rotated", g3.space)
-    vars(bent)["realization"] = Realization(u=u, structure=g3.realization.structure,
-                                            space_flat=g3.space.flat)
-    hyper = Hyperparams(delta=3.0, scale=100.0 * np.eye(5))
-    others = [m for m in models if m.label != "G3"]
-    named = r"projected scale is not in the space of G3-rotated \(residual"
-    with pytest.raises(DomainError, match=named):
-        posterior(others + [bent], exam_data, hyper)
-    with pytest.raises(DomainError, match=named):
-        posterior([bent] + others, exam_data, hyper)
-    # u^T (d I) u = d I for any u, so the one-shot check needs a scale that is not d I
-    with pytest.raises(DomainError, match=named):
-        log_I_terms(bent, Hyperparams(delta=3.0, scale=hyper.scale + exam_data.scatter))
+    named = r"conjugated basis element \d+ leaves the block form \(residual"
+    for build in (lambda: conjugate_space(g3.space, u, g3.realization.structure),
+                  lambda: Realization(u=u, structure=g3.realization.structure, space=g3.space),
+                  lambda: dataclasses.replace(g3.realization, u=u)):
+        with pytest.raises(ConjugationError, match=named) as info:
+            build()
+        assert info.value.basis_index is not None
 
 
 def test_score_terms_on_a_wrong_scale_and_no_models(models):
     # the stack of one checks each scale by itself, so the message carries
-    # the shape the caller passed, not that of the stack; no models, no rows
+    # the shape the caller passed, not that of the stack; no models, no
+    # rows, and no scales, one empty row per model
     with pytest.raises(ShapeError, match=r"projected scale must be 5x5, got \(4, 4\)"):
         log_I_terms(models[0], Hyperparams(delta=3.0, scale=np.eye(4)))
     assert selection_module.score_terms([], [Hyperparams(delta=3.0, scale=np.eye(5))]) == []
+    assert selection_module.score_terms(models, []) == [[] for _ in models]
 
 
 def test_posterior_caches_no_per_model_map(butterfly, subgroups, exam_data):
-    # the stacked scale map is built from each realization's blocks, so
-    # scoring leaves no scale map or point map cached on a realization
+    # a realization holds its u, structure, space and isometry and nothing
+    # else, and scoring caches no point map on its structure or space
     fresh = build_models(butterfly, subgroups)
     report = posterior(fresh, exam_data, Hyperparams(delta=3.0, scale=100.0 * np.eye(5)))
     assert report.winner_id == "G3"
-    assert not any({"scale_map", "point_map"} & vars(m.realization).keys() for m in fresh)
-    assert not any("point_map" in vars(m.realization.structure) for m in fresh)
+    for m in fresh:
+        assert vars(m.realization).keys() == {"u", "structure", "space", "isometry"}
+        assert "point_map" not in vars(m.realization.structure)
+        assert "point_map" not in vars(m.space)
+
+
+K6_POSTERIOR_PEAK_MIB = 10.0
+
+
+def test_k6_posterior_traced_peak():
+    # the whole K6 lattice scored, 739 models: posterior() allocates the
+    # stacked scale map (about 1.7 MB) and little else, since no realization
+    # caches a map of its own
+    models = lattice_models(graph(6, complete(6)))
+    assert len(models) == 739
+    for m in models:
+        m.realization
+    data = summarize_data(np.random.default_rng(6).standard_normal((50, 6)), center=False)
+    tracemalloc.start()
+    try:
+        report = posterior(models, data, Hyperparams(delta=3.0, scale=np.eye(6)))
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert len(report.records) == 739
+    assert abs(math.fsum(r.probability for r in report.records) - 1.0) <= 1e-12
+    assert peak <= K6_POSTERIOR_PEAK_MIB, f"traced peak {peak:.1f} MiB"
 
 
 @pytest.mark.parametrize("c", [1e-300, 1e-150, 1e150, 1e300])
