@@ -199,7 +199,7 @@ def cmd_fit(args) -> int:
 def cmd_constants(args) -> int:
     graph, models = _resolve_models(args)
     hyper = Hyperparams(delta=args.delta, scale=_resolve_scale(args, graph.vertex_count))
-    wanted = args.model.split(",") if args.model else [m.label for m in models]
+    wanted = args.model.split(",") if args.model is not None else [m.label for m in models]
     known = {m.label for m in models}
     unknown = [w for w in wanted if w not in known]
     if unknown:
@@ -256,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         "graphical models on homogeneous graphs",
     )
     parser.add_argument("-v", "--verbose", action="store_true",
-                        help="dump solver iteration records to stderr as JSON lines")
+                        help="dump solver iteration records to stderr as JSON lines "
+                             "(verify only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, summary, *parents):
@@ -291,11 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.verbose:
-        cone.set_newton_trace(
-            lambda record: print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        )
     try:
+        if args.verbose:
+            if args.command != "verify":
+                raise ValueError("-v applies to verify only")
+            cone.set_newton_trace(
+                lambda record: print(json.dumps(record, sort_keys=True), file=sys.stderr)
+            )
         return args.func(args)
     except (HomogeneityError, IntegrabilityError, DualMembershipError) as exc:
         print(f"error: {exc}", file=sys.stderr)

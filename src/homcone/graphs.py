@@ -495,7 +495,7 @@ def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
     elements g outside it, closing the generators H was found with plus g
     by a walk over the right cosets of H.  A subgroup K not yet seen brings
     in its whole conjugacy class, the orbit of its bitmask under
-    conjugation by generators of the group taken from the table, and K
+    conjugation by ``group.generators`` (their indices in the table), and K
     becomes the representative that is grown in turn.  This reaches every
     subgroup: if K = <H, g>, then K^x = <H^x, g^x> for the representative
     H^x of H's class, so some conjugate of K is found from H^x.  The
@@ -512,7 +512,7 @@ def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
     elems, table = group.cayley
     n = len(elems)
     cyclic = _cyclic_masks(table)
-    maps = _conjugation_maps(table, _minimal_generators(table, cyclic, (1 << n) - 1))
+    maps = _conjugation_maps(table, [elems.index(s) for s in group.generators])
     same_cyclic: dict[int, list[int]] = {}
     for e, c in enumerate(cyclic):
         same_cyclic.setdefault(c, []).append(e)

@@ -55,11 +55,6 @@ def random_dual_points(space, rng, m):
     return (w @ space.flat.T @ space.flat).reshape(m, p, p)
 
 
-def random_dual_point(space, rng):
-    """One point of ``random_dual_points``: the same draw as a stack of one."""
-    return random_dual_points(space, rng, 1)[0]
-
-
 def check_registry(models) -> list[CheckResult]:
     """Axioms and conjugation validity of each model's realization, checked
     again on every call."""

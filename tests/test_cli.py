@@ -2,7 +2,9 @@ import copy
 import dataclasses
 import itertools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ from homcone.cli import main
 from homcone.errors import ConjugationError, ConvergenceError, DualMembershipError
 from homcone.graphs import Permutation, PermutationGroup
 from homcone.realization import Realization, full_sym_structure, log_gamma_v
+from homcone.selection import load_scatter_json
 
 
 def run(capsys, argv):
@@ -28,6 +31,24 @@ def write_graph(tmp_path, labels, edges, name="graph.json"):
     path = tmp_path / name
     path.write_text(json.dumps({"labels": labels, "edges": edges}))
     return str(path)
+
+
+def run_python(args, timeout):
+    """A fresh interpreter run with args, importing homcone from this
+    checkout's source tree."""
+    src = str(Path(hc.__file__).resolve().parents[1])
+    pythonpath = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
+def run_cli_process(argv):
+    """``homcone argv`` in a fresh process that fails on a floating-point
+    warning, within a minute; its stdout, after asserting exit 0."""
+    proc = run_python(["-W", "error::RuntimeWarning", "-m", "homcone.cli", *argv], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_aut_default_graph(capsys):
@@ -114,11 +135,12 @@ def test_select_json_deterministic(capsys):
 
 
 def test_select_rejects_non_homogeneous_graph(capsys, tmp_path):
-    path = write_graph(tmp_path, ["a", "b", "c", "d"],
-                       [[1, 2], [2, 3], [3, 4], [4, 1]])
-    code, _, err = run(capsys, ["select", "--graph", path, "--fixture", "exam-marks"])
-    assert code == 3
-    assert "homogeneous" in err
+    # the 4-cycle is not chordal; the 4-vertex path is an induced one
+    for edges in ([[1, 2], [2, 3], [3, 4], [4, 1]], [[1, 2], [2, 3], [3, 4]]):
+        path = write_graph(tmp_path, ["a", "b", "c", "d"], edges)
+        code, _, err = run(capsys, ["select", "--graph", path, "--fixture", "exam-marks"])
+        assert code == 3
+        assert "homogeneous" in err
 
 
 def test_select_requires_realization_registry(capsys, tmp_path):
@@ -139,10 +161,80 @@ def test_select_scores_every_subgroup_of_a_graph(capsys, tmp_path, graph, n_mode
     code, out, err = run(capsys, ["select", "--graph", path, "--fixture", "exam-marks",
                                   "--output", "json"])
     assert code == 0, err
-    records = json.loads(out)["models"]
+    report = json.loads(out)
+    records = report["models"]
     assert len(records) == n_models
     assert records[0]["merged_labels"][0] == "H1"
     assert abs(sum(r["probability"] for r in records) - 1.0) < 1e-12
+    code, out, err = run(capsys, ["select", "--graph", path, "--fixture", "exam-marks"])
+    assert code == 0, err
+    assert out.splitlines()[-1] == f"winner: {report['winner']}"
+
+
+def test_constants_scores_every_subgroup_of_a_graph(capsys, tmp_path):
+    path = write_graph(tmp_path, *K5)
+    code, out, err = run(capsys, ["constants", "--graph", path])
+    assert code == 0, err
+    assert sum(line.startswith("H") for line in out.splitlines()) == 93
+
+
+def mle_residual(graph_path, data, fit_json):
+    """Relative residual of a ``fit --graph --mle --output json`` result:
+    the projection of the fitted inverse against the projected averaged
+    scatter, on the space of the fitted model's subgroup."""
+    graph = hc.load_graph(graph_path)
+    subgroups = hc.enumerate_subgroups(hc.automorphism_group(graph))
+    labelled = {f"H{i}": h for i, h in enumerate(subgroups, start=1)}
+    out = json.loads(fit_json)
+    space = hc.build_invariant_space(graph, labelled[out["model_id"]])
+    target = space.project(np.asarray(data.scatter) / data.n_effective)
+    fitted = space.project(np.linalg.inv(np.asarray(out["concentration"])))
+    return np.linalg.norm(fitted - target) / np.linalg.norm(target)
+
+
+def test_fit_mle_on_a_graph_matches_the_projected_target(capsys, tmp_path):
+    path = write_graph(tmp_path, *STAR)
+    code, out, err = run(capsys, ["fit", "--graph", path, "--fixture", "exam-marks",
+                                  "--model", "H18", "--mle", "--output", "json"])
+    assert code == 0, err
+    assert mle_residual(path, hc.exam_marks_summary(), out) <= 1e-8
+
+
+@pytest.fixture(scope="module")
+def k6_files(tmp_path_factory):
+    """K6 as a graph file, and the scatter of 50 seeded standard normal rows."""
+    tmp = tmp_path_factory.mktemp("k6")
+    graph = write_graph(tmp, [str(i) for i in range(1, 7)],
+                        [list(e) for e in itertools.combinations(range(1, 7), 2)], "k6.json")
+    x = np.random.default_rng(6).standard_normal((50, 6))
+    scatter = tmp / "k6s.json"
+    scatter.write_text(json.dumps({"scatter": (x.T @ x).tolist(), "n_raw": 50,
+                                   "centered": False}))
+    return graph, str(scatter)
+
+
+def test_k6_subgroups_within_a_minute(k6_files):
+    graph, _ = k6_files
+    out = run_cli_process(["subgroups", "--graph", graph])
+    assert out.splitlines()[0] == "1455 subgroups of the automorphism group (order 720)"
+
+
+def test_k6_select_scores_every_space_within_a_minute(k6_files):
+    # the whole K6 lattice, 1455 subgroups in 739 distinct spaces, scored
+    # from the largest stacked scale map any test builds
+    graph, scatter = k6_files
+    models = json.loads(run_cli_process(["select", "--graph", graph, "--scatter", scatter,
+                                         "--output", "json"]))["models"]
+    assert len(models) == 739
+    assert abs(math.fsum(r["probability"] for r in models) - 1.0) <= 1e-12
+    assert all(math.isfinite(r["log_score"]) for r in models)
+
+
+def test_k6_fit_mle_within_a_minute(k6_files):
+    graph, scatter = k6_files
+    out = run_cli_process(["fit", "--graph", graph, "--scatter", scatter, "--model", "H700",
+                           "--mle", "--output", "json"])
+    assert mle_residual(graph, load_scatter_json(scatter), out) <= 1e-8
 
 
 def test_fit_on_a_graph_by_subgroup_label(capsys, tmp_path):
@@ -209,6 +301,17 @@ def test_fit_mle_on_a_scatter_near_the_float_range(capsys, tmp_path):
     assert k == pytest.approx(3e-299 * np.eye(5), rel=1e-12)
 
 
+def test_select_on_a_scatter_near_the_float_range(capsys, tmp_path):
+    # the factorization's norms must not overflow at 1e300
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "scatter": (1e300 * np.eye(5)).tolist(), "n_raw": 30, "centered": False,
+    }))
+    code, out, err = run(capsys, ["select", "--scatter", str(path), "--output", "json"])
+    assert code == 0, err
+    assert all(math.isfinite(m["log_score"]) for m in json.loads(out)["models"])
+
+
 def test_fit_refuses_a_singular_scatter_that_the_mle_fits(capsys, tmp_path):
     # three rows on five vertices: no inverse of the averaged scatter to
     # project, so exit 2 naming the rank, not a table of ~1e17 entries
@@ -222,6 +325,8 @@ def test_fit_refuses_a_singular_scatter_that_the_mle_fits(capsys, tmp_path):
                                   "--output", "json"])
     assert code == 0 and err == ""
     assert np.isfinite(json.loads(out)["concentration"]).all()
+    code, out, err = run(capsys, ["fit", "--scatter", str(path), "--model", "G3", "--mle"])
+    assert code == 0 and err == "" and out.startswith("fitted concentrations")
 
 
 def test_fit_mle_on_an_ill_conditioned_scatter(capsys, tmp_path):
@@ -333,9 +438,14 @@ BAD_INPUTS = {
     **{f"constants-{n}": (lambda t, o=o: ["constants", *o], c)
        for n, (o, c) in BAD_PRIOR.items()},
     "select-object-scale-file": (lambda t: ["select", *EXAM, *_object_scale_file(t)], 2),
+    "constants-empty-model": (lambda t: ["constants", "--model", ""], 2),
     # options whose values could not take effect
     "select-no-center-fixture": (lambda t: ["select", *EXAM, "--no-center"], 2),
     "select-no-center-scatter": (lambda t: ["select", *_scatter_file(t), "--no-center"], 2),
+    # only verify runs Newton, so -v takes effect there alone
+    "select-verbose": (lambda t: ["-v", "select", *EXAM], 2),
+    "fit-verbose": (lambda t: ["-v", "fit", "--model", "G3", *EXAM], 2),
+    "constants-verbose": (lambda t: ["-v", "constants"], 2),
     "verify-fast-seed": (lambda t: ["verify", "--level", "fast", "--seed", "3"], 2),
     "verify-fast-samples": (lambda t: ["verify", "--level", "fast", "--samples", "7"], 2),
     "verify-mc-no-samples": (lambda t: ["verify", "--level", "mc", "--samples", "0"], 2),
@@ -351,6 +461,16 @@ def test_bad_input_exits_with_its_code_and_prints_nothing(capsys, tmp_path, case
     assert code == expected, err
     assert out == ""  # no table, so no nan cell either
     assert err.startswith("error: ")
+
+
+def test_select_names_a_nan_in_the_scale_file(capsys, tmp_path):
+    path = tmp_path / "scale.json"
+    scale = 100.0 * np.eye(5)
+    scale[2, 2] = np.nan
+    path.write_text(json.dumps(scale.tolist()))
+    code, out, err = run(capsys, ["select", *EXAM, "--D", str(path)])
+    assert code == 2 and out == ""
+    assert "non-finite entry nan at [2, 2]" in err
 
 
 def test_fit_table(capsys):
@@ -415,12 +535,30 @@ def test_verify_fast(capsys):
     code, out, _ = run(capsys, ["verify", "--level", "fast"])
     assert code == 0
     assert "[ok]" in out and "[FAIL]" not in out
+    assert out.splitlines()[-1] == "24/24 checks passed"
 
 
 def test_verify_mc_small(capsys):
     code, out, _ = run(capsys, ["verify", "--level", "mc", "--samples", "100000"])
     assert code == 0
     assert out.count("[ok]") == 3
+
+
+def test_verify_mc_proposal_keeps_its_effective_sample_size(capsys):
+    # a proposal regression shows as a failed check, a low-ESS warning or an
+    # ESS share under 10 % (the moment-matched proposal gives 30-88 %)
+    code, out, _ = run(capsys, ["verify", "--level", "mc", "--samples", "20000"])
+    assert code == 0
+    assert sum(line.startswith("[ok] mc ") for line in out.splitlines()) == 3
+    assert "effective sample size" not in out
+    shares = [float(x) for x in re.findall(r"ESS ([0-9.]+) %", out)]
+    assert len(shares) == 3 and min(shares) >= 10
+
+
+def test_verify_mc_seed_reproduces_its_output(capsys):
+    argv = ["verify", "--level", "mc", "--samples", "20000", "--seed", "7"]
+    first, second = run(capsys, argv), run(capsys, argv)
+    assert first[0] == 0 and first == second
 
 
 def test_verify_corrupted_registry(capsys, monkeypatch):
@@ -571,10 +709,21 @@ def test_verbose_newton_trace(capsys):
     assert code == 0
     lines = [l for l in err.splitlines() if l.strip().startswith("{")]
     assert lines
-    record = json.loads(lines[0])
-    assert "gradient_norm" in record and "iteration" in record
+    records = [json.loads(l) for l in lines]
+    assert all({"iteration", "gradient_norm", "halvings", "point"} <= set(r) for r in records)
     # the cross-path check's first Newton stack, started at its solutions
-    assert record["halvings"] == 0 and record["point"] == 0
+    assert records[0]["halvings"] == 0 and records[0]["point"] == 0
+
+
+def test_verbose_trace_of_the_mc_level(capsys):
+    # each case solves psi at its point once, for the proposal's moments
+    code, _, err = run(capsys, ["-v", "verify", "--level", "mc", "--samples", "20000"])
+    assert code == 0
+    iterations = [json.loads(line)["iteration"] for line in err.splitlines()]
+    assert iterations == [
+        i for _, space, _, y, _ in verify.mc_reference_cases()
+        for i in range(1, hc.psi(space, y).iterations + 1)
+    ]
 
 
 # Runs cli.main over argv lists (argv[1], JSON) with every import of scipy
@@ -608,13 +757,7 @@ def test_cli_runs_without_scipy(capsys):
         ["constants", "--output", "json"],
         ["verify", "--level", "fast"],
     ]
-    src = str(Path(hc.__file__).resolve().parents[1])
-    pythonpath = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_BLOCKED_RUNNER, json.dumps(commands)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = run_python(["-c", SCIPY_BLOCKED_RUNNER, json.dumps(commands)], timeout=300)
     assert proc.returncode == 0, proc.stderr
     blocked = json.loads(proc.stdout)
     assert len(blocked) == len(commands)
@@ -643,13 +786,7 @@ def test_scoring_commands_leave_numpy_random_unimported():
         ["constants"],
         ["fit", "--fixture", "exam-marks", "--model", "G3", "--mle"],
     ]
-    src = str(Path(hc.__file__).resolve().parents[1])
-    pythonpath = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_RANDOM_RUNNER, json.dumps(commands)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = run_python(["-c", NUMPY_RANDOM_RUNNER, json.dumps(commands)], timeout=300)
     assert proc.returncode == 0, proc.stderr
     codes, numpy_alone, after = json.loads(proc.stdout)
     assert codes == [0, 0, 0]

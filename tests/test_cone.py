@@ -12,7 +12,7 @@ from homcone.graphs import Graph, PermutationGroup, automorphism_group
 from homcone.invariant import build_invariant_space
 from homcone.realization import VStructure, full_sym_structure, ray_structure
 from homcone import verify
-from homcone.verify import random_dual_point, random_dual_points
+from homcone.verify import random_dual_points
 
 from closed_forms import PHI_LOG, log_delta_g1
 from lattices import LATTICES, lattice_models, random_graphs
@@ -97,7 +97,7 @@ def test_random_dual_points_are_sequential_draws_bit_for_bit():
             ys = random_dual_points(space, stacked, m)
             assert ys.shape == (m, 5, 5)
             np.testing.assert_array_equal(
-                ys, [random_dual_point(space, alone) for _ in range(m)])
+                ys, [random_dual_points(space, alone, 1)[0] for _ in range(m)])
 
 
 def assert_results_agree(stacked, alone):
@@ -285,7 +285,7 @@ def test_newton_trace_emits_one_record_per_iteration():
         for space in model_spaces():
             for _ in range(3):
                 records.clear()
-                res = cone.psi(space, random_dual_point(space, rng))
+                res = cone.psi(space, random_dual_points(space, rng, 1)[0])
                 assert [r["iteration"] for r in records] == list(
                     range(1, res.iterations + 1)
                 )
@@ -437,7 +437,7 @@ def check_start_is_solution(space, rng):
     # from the identity start.  Newton's gradient stop leaves its solution
     # off by up to GRAD_TOL / (least eigenvalue of the metric), to first
     # order, which exceeds 1e-10 relative where the solution is large
-    y = random_dual_point(space, rng)
+    y = random_dual_points(space, rng, 1)[0]
     yn = y / np.linalg.norm(y)
     start = completion_start(space, yn)
     newton = cone.psi(space, yn)
@@ -480,7 +480,7 @@ def test_psi_falls_back_on_a_non_chordal_support(group):
     assert space.perfect_elimination is None
     rng = np.random.default_rng(44)
     for _ in range(5):
-        assert check_solves(space, random_dual_point(space, rng)).iterations > 1
+        assert check_solves(space, random_dual_points(space, rng, 1)[0]).iterations > 1
 
 
 def test_psi_on_ray_spaces():

@@ -617,11 +617,23 @@ def test_k6_lattice_classes():
 
 
 def test_subgroups_of_group_without_generators():
-    # the conjugation generators come from the table, not group.generators
+    # conjugation by no generators leaves every subgroup its own class,
+    # and every subgroup is still reached
     elements = automorphism_group(WINDMILL).elements
     bare = PermutationGroup(degree=7, generators=(), elements=elements)
     assert subgroup_masks(bare, enumerate_subgroups(bare)) == every_subgroup_extension(bare)
     assert len(enumerate_subgroups(bare)) == 98
+
+
+def test_subgroups_do_not_depend_on_the_group_generators():
+    # the conjugation maps come from group.generators; any generating list
+    # reaches the same subgroups, each with generators picked on the table
+    named = hc.butterfly_subgroups()["G10"]
+    aut = automorphism_group(hc.butterfly_graph())
+    assert [g.cycle_string() for g in named.generators] == ["(1 2)", "(1 5 2 4)"]
+    assert [g.cycle_string() for g in aut.generators] == ["(1 4 2 5)", "(4 5)"]
+    assert [(h.elements, h.generators) for h in enumerate_subgroups(named)] == [
+        (h.elements, h.generators) for h in enumerate_subgroups(aut)]
 
 
 def test_subgroups_reject_non_closed_elements():

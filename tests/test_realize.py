@@ -20,7 +20,7 @@ from homcone.graphs import (
 )
 from homcone.invariant import build_invariant_space
 from homcone.realization import _realize_at, realize
-from homcone.verify import CROSS_PATH_RTOL, random_dual_point
+from homcone.verify import CROSS_PATH_RTOL, random_dual_points
 
 from lattices import LATTICES, graph, lattice_models, random_graphs
 
@@ -36,7 +36,7 @@ def check_realization(m, rng):
     """The realization is checked, fast agrees with Newton at a dual point,
     and a second generic element gives the same blocks and gamma factor."""
     real = m.realization
-    y = random_dual_point(m.space, rng)
+    y = random_dual_points(m.space, rng, 1)[0]
     res = cone.psi(m.space, y)
     ld, lp = real.log_delta_phi(y)
     assert rel_err(ld, res.log_delta) <= CROSS_PATH_RTOL, m.label
