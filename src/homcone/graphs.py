@@ -506,9 +506,11 @@ def enumerate_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
     <H, axb> = <H, x> = <H, g> for a, b in H.  Double cosets partition the
     group, so an x already skipped has had its whole double coset skipped.
 
-    Raises ValueError if ``group.elements`` is not closed under composition.
+    Raises ValueError if ``group.elements`` misses a generator or a product.
     """
     check_subgroup_order(group.order)
+    if outside := [s.cycle_string() for s in group.generators if s not in group]:
+        raise ValueError(f"generator {outside[0]} is not an element of the group")
     elems, table = group.cayley
     n = len(elems)
     cyclic = _cyclic_masks(table)

@@ -33,6 +33,15 @@ def write_graph(tmp_path, labels, edges, name="graph.json"):
     return str(path)
 
 
+def write_scatter(tmp_path, name, scatter, n_raw, centered=False):
+    """A scatter file of n_raw rows; json writes NaN as the bare token NaN,
+    which json.load accepts."""
+    path = tmp_path / name
+    path.write_text(json.dumps({"scatter": np.asarray(scatter).tolist(), "n_raw": n_raw,
+                                "centered": centered}))
+    return str(path)
+
+
 def run_python(args, timeout):
     """A fresh interpreter run with args, importing homcone from this
     checkout's source tree."""
@@ -43,12 +52,47 @@ def run_python(args, timeout):
                           env=env, timeout=timeout)
 
 
-def run_cli_process(argv):
-    """``homcone argv`` in a fresh process that fails on a floating-point
-    warning, within a minute; its stdout, after asserting exit 0."""
-    proc = run_python(["-W", "error::RuntimeWarning", "-m", "homcone.cli", *argv], timeout=60)
+# Runs cli.main over the argv lists in argv[1] (JSON) with every import of
+# scipy failing, as an install without the test extra runs them, and prints
+# [exit code, stdout, stderr] per command as JSON.
+SCIPY_BLOCKED_RUNNER = """
+import contextlib, io, json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"import of {name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from homcone.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def run_without_scipy(commands, timeout=60):
+    """[exit code, stdout, stderr] of each argv in commands, run one after
+    another by cli.main in a fresh interpreter that cannot import scipy and
+    fails on a floating-point warning."""
+    proc = run_python(["-W", "error::RuntimeWarning", "-c", SCIPY_BLOCKED_RUNNER,
+                       json.dumps(commands)], timeout=timeout)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return [tuple(result) for result in json.loads(proc.stdout)]
+
+
+def run_cli_process(argv):
+    """``homcone argv`` run alone by run_without_scipy, within a minute; its
+    stdout, after asserting exit 0."""
+    [(code, out, err)] = run_without_scipy([argv])
+    assert code == 0, err
+    return out
 
 
 def test_aut_default_graph(capsys):
@@ -178,18 +222,23 @@ def test_constants_scores_every_subgroup_of_a_graph(capsys, tmp_path):
     assert sum(line.startswith("H") for line in out.splitlines()) == 93
 
 
-def mle_residual(graph_path, data, fit_json):
-    """Relative residual of a ``fit --graph --mle --output json`` result:
-    the projection of the fitted inverse against the projected averaged
-    scatter, on the space of the fitted model's subgroup."""
+def mle_residual(space, data, concentration):
+    """Relative residual of an MLE fit on space: the projection of the
+    fitted inverse against the projected averaged scatter."""
+    target = space.project(np.asarray(data.scatter) / data.n_effective)
+    fitted = space.project(np.linalg.inv(np.asarray(concentration)))
+    return np.linalg.norm(fitted - target) / np.linalg.norm(target)
+
+
+def graph_mle_residual(graph_path, data, fit_json):
+    """mle_residual of a ``fit --graph --mle --output json`` result, on the
+    space of the fitted model's subgroup."""
     graph = hc.load_graph(graph_path)
     subgroups = hc.enumerate_subgroups(hc.automorphism_group(graph))
     labelled = {f"H{i}": h for i, h in enumerate(subgroups, start=1)}
     out = json.loads(fit_json)
     space = hc.build_invariant_space(graph, labelled[out["model_id"]])
-    target = space.project(np.asarray(data.scatter) / data.n_effective)
-    fitted = space.project(np.linalg.inv(np.asarray(out["concentration"])))
-    return np.linalg.norm(fitted - target) / np.linalg.norm(target)
+    return mle_residual(space, data, out["concentration"])
 
 
 def test_fit_mle_on_a_graph_matches_the_projected_target(capsys, tmp_path):
@@ -197,7 +246,7 @@ def test_fit_mle_on_a_graph_matches_the_projected_target(capsys, tmp_path):
     code, out, err = run(capsys, ["fit", "--graph", path, "--fixture", "exam-marks",
                                   "--model", "H18", "--mle", "--output", "json"])
     assert code == 0, err
-    assert mle_residual(path, hc.exam_marks_summary(), out) <= 1e-8
+    assert graph_mle_residual(path, hc.exam_marks_summary(), out) <= 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -207,10 +256,7 @@ def k6_files(tmp_path_factory):
     graph = write_graph(tmp, [str(i) for i in range(1, 7)],
                         [list(e) for e in itertools.combinations(range(1, 7), 2)], "k6.json")
     x = np.random.default_rng(6).standard_normal((50, 6))
-    scatter = tmp / "k6s.json"
-    scatter.write_text(json.dumps({"scatter": (x.T @ x).tolist(), "n_raw": 50,
-                                   "centered": False}))
-    return graph, str(scatter)
+    return graph, write_scatter(tmp, "k6s.json", x.T @ x, 50)
 
 
 def test_k6_subgroups_within_a_minute(k6_files):
@@ -234,7 +280,7 @@ def test_k6_fit_mle_within_a_minute(k6_files):
     graph, scatter = k6_files
     out = run_cli_process(["fit", "--graph", graph, "--scatter", scatter, "--model", "H700",
                            "--mle", "--output", "json"])
-    assert mle_residual(graph, load_scatter_json(scatter), out) <= 1e-8
+    assert graph_mle_residual(graph, load_scatter_json(scatter), out) <= 1e-8
 
 
 def test_fit_on_a_graph_by_subgroup_label(capsys, tmp_path):
@@ -277,23 +323,17 @@ def test_select_from_csv(capsys, tmp_path):
 
 
 def test_select_scatter_json(capsys, tmp_path):
-    data = hc.exam_marks_summary()
-    path = tmp_path / "scatter.json"
-    path.write_text(json.dumps({
-        "scatter": data.scatter.tolist(), "n_raw": 88, "centered": True,
-    }))
-    code, out, _ = run(capsys, ["select", "--scatter", str(path), "--d-scale", "1"])
+    path = write_scatter(tmp_path, "scatter.json", hc.exam_marks_summary().scatter, 88,
+                         centered=True)
+    code, out, _ = run(capsys, ["select", "--scatter", path, "--d-scale", "1"])
     assert code == 0
     assert "winner: G7" in out
 
 
 def test_fit_mle_on_a_scatter_near_the_float_range(capsys, tmp_path):
     # the solve's residual and metric must not overflow at 1e300
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({
-        "scatter": (1e300 * np.eye(5)).tolist(), "n_raw": 30, "centered": False,
-    }))
-    code, out, err = run(capsys, ["fit", "--scatter", str(path), "--model", "G3",
+    path = write_scatter(tmp_path, "huge.json", 1e300 * np.eye(5), 30)
+    code, out, err = run(capsys, ["fit", "--scatter", path, "--model", "G3",
                                   "--mle", "--output", "json"])
     assert code == 0 and err == ""
     k = np.asarray(json.loads(out)["concentration"])
@@ -303,11 +343,8 @@ def test_fit_mle_on_a_scatter_near_the_float_range(capsys, tmp_path):
 
 def test_select_on_a_scatter_near_the_float_range(capsys, tmp_path):
     # the factorization's norms must not overflow at 1e300
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({
-        "scatter": (1e300 * np.eye(5)).tolist(), "n_raw": 30, "centered": False,
-    }))
-    code, out, err = run(capsys, ["select", "--scatter", str(path), "--output", "json"])
+    path = write_scatter(tmp_path, "huge.json", 1e300 * np.eye(5), 30)
+    code, out, err = run(capsys, ["select", "--scatter", path, "--output", "json"])
     assert code == 0, err
     assert all(math.isfinite(m["log_score"]) for m in json.loads(out)["models"])
 
@@ -316,16 +353,15 @@ def test_fit_refuses_a_singular_scatter_that_the_mle_fits(capsys, tmp_path):
     # three rows on five vertices: no inverse of the averaged scatter to
     # project, so exit 2 naming the rank, not a table of ~1e17 entries
     x = np.random.default_rng(3).standard_normal((3, 5))
-    path = tmp_path / "rank3.json"
-    path.write_text(json.dumps({"scatter": (x.T @ x).tolist(), "n_raw": 3, "centered": False}))
-    code, out, err = run(capsys, ["fit", "--scatter", str(path), "--model", "G3"])
+    path = write_scatter(tmp_path, "rank3.json", x.T @ x, 3)
+    code, out, err = run(capsys, ["fit", "--scatter", path, "--model", "G3"])
     assert code == 2 and out == ""
     assert "rank 3 of 5" in err
-    code, out, err = run(capsys, ["fit", "--scatter", str(path), "--model", "G3", "--mle",
+    code, out, err = run(capsys, ["fit", "--scatter", path, "--model", "G3", "--mle",
                                   "--output", "json"])
     assert code == 0 and err == ""
     assert np.isfinite(json.loads(out)["concentration"]).all()
-    code, out, err = run(capsys, ["fit", "--scatter", str(path), "--model", "G3", "--mle"])
+    code, out, err = run(capsys, ["fit", "--scatter", path, "--model", "G3", "--mle"])
     assert code == 0 and err == "" and out.startswith("fitted concentrations")
 
 
@@ -334,16 +370,12 @@ def test_fit_mle_on_an_ill_conditioned_scatter(capsys, tmp_path):
     # ends in ConvergenceError after 100 iterations
     a = np.array([-8.0, 9.0, 6.0, 9.0, -3.0])
     scatter = 10.0 * (np.outer(a, a) + 3.274e-4 * np.eye(5))
-    path = tmp_path / "ridge.json"
-    path.write_text(json.dumps({"scatter": scatter.tolist(), "n_raw": 10, "centered": False}))
-    code, out, err = run(capsys, ["fit", "--scatter", str(path), "--model", "G1", "--mle",
+    path = write_scatter(tmp_path, "ridge.json", scatter, 10)
+    code, out, err = run(capsys, ["fit", "--scatter", path, "--model", "G1", "--mle",
                                   "--output", "json"])
     assert code == 0 and err == ""
-    k = np.asarray(json.loads(out)["concentration"])
     space = hc.build_butterfly_models()[0].space
-    target = space.project(scatter / 10.0)
-    resid = np.linalg.norm(space.project(np.linalg.inv(k)) - target) / np.linalg.norm(target)
-    assert resid <= 1e-8
+    assert mle_residual(space, load_scatter_json(path), json.loads(out)["concentration"]) <= 1e-8
 
 
 def test_fit_mle_names_a_scatter_outside_the_dual_cone(capsys, tmp_path):
@@ -351,9 +383,8 @@ def test_fit_mle_names_a_scatter_outside_the_dual_cone(capsys, tmp_path):
     # leaves the likelihood without a maximizer
     x = np.random.default_rng(3).standard_normal((20, 5))
     x[:, 2] = 0.0
-    path = tmp_path / "flat.json"
-    path.write_text(json.dumps({"scatter": (x.T @ x).tolist(), "n_raw": 20, "centered": False}))
-    code, out, err = run(capsys, ["fit", "--scatter", str(path), "--model", "G3", "--mle"])
+    path = write_scatter(tmp_path, "flat.json", x.T @ x, 20)
+    code, out, err = run(capsys, ["fit", "--scatter", path, "--model", "G3", "--mle"])
     assert code == 3 and out == ""
     assert err.startswith(
         "error: the projected averaged scatter is not in the open dual cone of model G3, "
@@ -362,12 +393,9 @@ def test_fit_mle_names_a_scatter_outside_the_dual_cone(capsys, tmp_path):
 
 
 def test_select_scatter_indefinite_posterior_scale(capsys, tmp_path):
-    path = tmp_path / "scatter.json"
-    path.write_text(json.dumps({
-        "scatter": np.diag([-50.0, 1.0, 1.0, 1.0, 1.0]).tolist(),
-        "n_raw": 10, "centered": True,
-    }))
-    code, _, err = run(capsys, ["select", "--scatter", str(path), "--d-scale", "1"])
+    path = write_scatter(tmp_path, "scatter.json", np.diag([-50.0, 1.0, 1.0, 1.0, 1.0]), 10,
+                         centered=True)
+    code, _, err = run(capsys, ["select", "--scatter", path, "--d-scale", "1"])
     assert code == 2
     assert "positive definite" in err
 
@@ -375,11 +403,7 @@ def test_select_scatter_indefinite_posterior_scale(capsys, tmp_path):
 def _scatter_file(tmp_path, edit=lambda s: s, n_raw=88, centered=True):
     """The exam-marks scatter, passed through edit, as a JSON scatter file."""
     scatter = edit(hc.exam_marks_summary().scatter)
-    path = tmp_path / "scatter.json"
-    # json writes NaN as the bare token NaN, which json.load accepts
-    path.write_text(json.dumps(
-        {"scatter": scatter.tolist(), "n_raw": n_raw, "centered": centered}))
-    return ["--scatter", str(path)]
+    return ["--scatter", write_scatter(tmp_path, "scatter.json", scatter, n_raw, centered)]
 
 
 def _with_nan(scatter):
@@ -544,20 +568,26 @@ def test_verify_mc_small(capsys):
     assert out.count("[ok]") == 3
 
 
-def test_verify_mc_proposal_keeps_its_effective_sample_size(capsys):
+def test_verify_mc_keeps_its_effective_sample_size_and_traces_newton(capsys):
     # a proposal regression shows as a failed check, a low-ESS warning or an
     # ESS share under 10 % (the moment-matched proposal gives 30-88 %)
-    code, out, _ = run(capsys, ["verify", "--level", "mc", "--samples", "20000"])
+    code, out, err = run(capsys, ["-v", "verify", "--level", "mc", "--samples", "20000"])
     assert code == 0
     assert sum(line.startswith("[ok] mc ") for line in out.splitlines()) == 3
     assert "effective sample size" not in out
     shares = [float(x) for x in re.findall(r"ESS ([0-9.]+) %", out)]
     assert len(shares) == 3 and min(shares) >= 10
+    # each case solves psi at its point once, for the proposal's moments
+    iterations = [json.loads(line)["iteration"] for line in err.splitlines()]
+    assert iterations == [
+        i for _, space, _, y, _ in verify.mc_reference_cases()
+        for i in range(1, hc.psi(space, y).iterations + 1)
+    ]
 
 
-def test_verify_mc_seed_reproduces_its_output(capsys):
+def test_verify_mc_seed_reproduces_its_output_across_processes():
     argv = ["verify", "--level", "mc", "--samples", "20000", "--seed", "7"]
-    first, second = run(capsys, argv), run(capsys, argv)
+    [first], [second] = run_without_scipy([argv]), run_without_scipy([argv])
     assert first[0] == 0 and first == second
 
 
@@ -715,56 +745,49 @@ def test_verbose_newton_trace(capsys):
     assert records[0]["halvings"] == 0 and records[0]["point"] == 0
 
 
-def test_verbose_trace_of_the_mc_level(capsys):
-    # each case solves psi at its point once, for the proposal's moments
-    code, _, err = run(capsys, ["-v", "verify", "--level", "mc", "--samples", "20000"])
-    assert code == 0
-    iterations = [json.loads(line)["iteration"] for line in err.splitlines()]
-    assert iterations == [
-        i for _, space, _, y, _ in verify.mc_reference_cases()
-        for i in range(1, hc.psi(space, y).iterations + 1)
-    ]
-
-
-# Runs cli.main over argv lists (argv[1], JSON) with every import of scipy
-# failing, and prints [exit code, stdout] per command as JSON.
-SCIPY_BLOCKED_RUNNER = """
-import contextlib, io, json, sys
-
-class BlockScipy:
-    def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
-            raise ImportError(f"import of {name} is blocked")
-        return None
-
-sys.meta_path.insert(0, BlockScipy())
-from homcone.cli import main
-
-results = []
-for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    results.append([code, out.getvalue()])
-print(json.dumps(results))
-"""
-
-
-def test_cli_runs_without_scipy(capsys):
+def test_cli_runs_without_scipy(capsys, tmp_path):
+    # the commands an install without the test extra is checked on, each
+    # against its in-process run; the K6 commands and the seeded Monte Carlo
+    # pair run through run_without_scipy in their own tests
+    star, k5 = write_graph(tmp_path, *STAR, "star.json"), write_graph(tmp_path, *K5, "k5.json")
+    p4 = write_graph(tmp_path, list("abcd"), [[1, 2], [2, 3], [3, 4]], "p4.json")
+    nan_scale = 100.0 * np.eye(5)
+    nan_scale[2, 2] = np.nan
+    (tmp_path / "dnan.json").write_text(json.dumps(nan_scale.tolist()))
+    x = np.random.default_rng(3).standard_normal((3, 5))
+    rank3 = write_scatter(tmp_path, "rank3.json", x.T @ x, 3)
+    a = np.array([-8.0, 9.0, 6.0, 9.0, -3.0])
+    ridge = write_scatter(tmp_path, "ridge.json",
+                          10.0 * (np.outer(a, a) + 3.274e-4 * np.eye(5)), 10)
+    huge = write_scatter(tmp_path, "huge.json", 1e300 * np.eye(5), 30)
     commands = [
-        ["select", "--fixture", "exam-marks", "--output", "json"],
-        ["fit", "--fixture", "exam-marks", "--model", "G3", "--mle", "--output", "json"],
-        ["constants", "--output", "json"],
-        ["verify", "--level", "fast"],
+        (["select", "--fixture", "exam-marks"], 0),
+        (["select", "--fixture", "exam-marks", "--output", "json"], 0),
+        (["fit", "--fixture", "exam-marks", "--model", "G3", "--mle"], 0),
+        (["fit", "--fixture", "exam-marks", "--model", "G3", "--mle", "--output", "json"], 0),
+        (["constants"], 0),
+        (["constants", "--output", "json"], 0),
+        (["verify", "--level", "fast"], 0),
+        (["-v", "verify", "--level", "fast"], 0),
+        (["verify", "--level", "mc", "--samples", "20000"], 0),
+        (["subgroups", "--graph", star], 0),
+        (["select", "--graph", star, "--fixture", "exam-marks"], 0),
+        (["fit", "--graph", star, "--fixture", "exam-marks", "--model", "H18", "--mle",
+          "--output", "json"], 0),
+        (["constants", "--graph", k5], 0),
+        (["select", "--graph", p4, "--fixture", "exam-marks"], 3),
+        (["select", "--fixture", "exam-marks", "--D", str(tmp_path / "dnan.json")], 2),
+        (["fit", "--scatter", rank3, "--model", "G3"], 2),
+        (["fit", "--scatter", rank3, "--model", "G3", "--mle"], 0),
+        (["fit", "--scatter", ridge, "--model", "G1", "--mle", "--output", "json"], 0),
+        (["select", "--scatter", huge, "--output", "json"], 0),
+        (["fit", "--scatter", huge, "--model", "G3", "--mle", "--output", "json"], 0),
     ]
-    proc = run_python(["-c", SCIPY_BLOCKED_RUNNER, json.dumps(commands)], timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    blocked = json.loads(proc.stdout)
+    blocked = run_without_scipy([argv for argv, _ in commands], timeout=300)
     assert len(blocked) == len(commands)
-    for argv, (code, out) in zip(commands, blocked):
-        in_process_code, in_process_out, _ = run(capsys, argv)
-        assert code == in_process_code == 0, argv
-        assert out == in_process_out, argv
+    for (argv, code), result in zip(commands, blocked):
+        assert result[0] == code, argv
+        assert result == run(capsys, argv), argv
 
 
 NUMPY_RANDOM_RUNNER = """

@@ -649,6 +649,10 @@ def test_subgroups_reject_non_closed_elements():
         _cayley_table([e, *swaps])
     with pytest.raises(ValueError, match="the identity is missing"):
         _cayley_table([rot, rot.compose(rot)])
+    # a generator outside the elements, which the constructor takes as given
+    outside = PermutationGroup(degree=3, generators=(rot,), elements=(e, swaps[0]))
+    with pytest.raises(ValueError, match=r"generator \(1 2 3\) is not an element of the group"):
+        enumerate_subgroups(outside)
 
 
 # ---------------------------------------------------------------------------
