@@ -15,28 +15,40 @@ samples here because rare huge weights in its thin tails go unsampled).
 Proposals landing outside the cone get weight zero, which keeps the
 estimator unbiased.
 
+A draw is x = mu + s R z in basis coordinates, with z standard normal,
+s = sqrt(df / u) and u chi-squared with df degrees of freedom, so every
+linear function of x is affine in z with the same s.  Once per integral
+mu and R are pushed through the map E from coordinates to the planned
+matrix entries and through c(y), the coordinates of y; a block of draws
+then needs only the entries E mu + s (E R) z and the linear term
+tr(xy) = mu . c(y) + s (z . R^T c(y)), and never forms x.
+
 Cone membership and the log-determinant come from one symmetric elimination
 (LDL^T without pivoting) run across the sample axis: by Sylvester's
 criterion a symmetric matrix is positive definite exactly when every pivot
 is positive, and then log det is the sum of the pivots' logs.  The
-elimination is planned once per integral from the support pattern of the
-space's basis, the cells where some basis matrix is nonzero, so it works on
-matrix entries alone and calls neither the Newton solve nor any
-realization.  The vertices are eliminated by ascending closed-neighbourhood
-size in that pattern, ties by index.  On a homogeneous graph the closed
-neighbourhoods of adjacent vertices are nested, so this is a perfect
-elimination order: no structurally zero entry fills in.  A symbolic pass
-lists the entries that can be nonzero (with their fill, on a pattern that
-is not chordal) and, for each pivot, the updates whose multiplier can be
-nonzero; every skipped update would subtract an exact zero.  Each planned
-entry is a contiguous row over the samples and every update is one array
-operation on such a row.
+elimination runs on every draw unmasked and reads the pivots once at the
+end, so a draw off the cone may fill its own column with infinities and
+NaNs, which never reach another column.  The elimination is planned once
+per integral from the support pattern of the space's basis, the cells
+where some basis matrix is nonzero, so it works on matrix entries alone
+and calls neither the Newton solve nor any realization.  The vertices are
+eliminated by ascending closed-neighbourhood size in that pattern, ties by
+index.  On a homogeneous graph the closed neighbourhoods of adjacent
+vertices are nested, so this is a perfect elimination order: no
+structurally zero entry fills in.  A symbolic pass lists the entries that
+can be nonzero (with their fill, on a pattern that is not chordal) and,
+for each pivot, the updates whose multiplier can be nonzero; every skipped
+update would subtract an exact zero.  Each planned entry is a contiguous
+row over the samples and every update is one array operation on such a
+row.
 
-Sampling is chunked with seeds spawned per chunk from the master seed and
-chunk sums merged in a fixed order, so estimates are reproducible for a
-given (seed, samples) pair.  Everything after the draws runs on column
-blocks of a chunk small enough for the elimination's rows to stay in cache;
-the weights of the whole chunk are summed at once.
+Sampling is chunked, each chunk's seed spawned from the master seed as the
+chunk starts, and chunk sums merged in a fixed order, so estimates are
+reproducible for a given (seed, samples) pair.  Everything after the draws
+runs on column blocks of a chunk small enough for the elimination's rows to
+stay in cache, built in one buffer reused by every block; the weights of
+the whole chunk are summed at once.
 """
 
 from __future__ import annotations
@@ -57,8 +69,8 @@ DEFAULT_SEED = 0xC0FFEE
 CHUNK = 250_000
 PROPOSAL_DF = 6.0
 ESS_WARN_FRACTION = 0.01
-# draws per column block of a chunk: 16 k doubles (128 KiB) per planned entry
-_BLOCK = 16_384
+# draws per column block of a chunk: 8 k doubles (64 KiB) per planned entry
+_BLOCK = 8_192
 
 
 @dataclass
@@ -144,40 +156,72 @@ def _pivot_logdet(rows: np.ndarray, plan: _EliminationPlan) -> tuple[np.ndarray,
 
     ``rows`` holds the planned entries, one row per entry of ``plan.cols``
     and one column per matrix; it is overwritten.  Returns (pd, logdet) with
-    logdet = 0 where pd is False.  A matrix leaves pd at its first pivot
-    that is not positive; from there on its pivots are taken as +inf, so its
-    multipliers are 0 and its entries stop changing, which keeps the
-    elimination free of overflow and division by zero.
+    logdet = 0 where pd is False.  The elimination runs on every column with
+    no masking, and pd and log det are read from the diagonal rows once at
+    the end: pivot k's row takes no update after step k, so it ends holding
+    that pivot, and a matrix is positive definite exactly when all its
+    pivots are positive.  A column past a pivot that is not positive may
+    divide by zero, overflow or turn to NaN; only its own column changes,
+    and the floating-point errors are ignored inside this call alone.
     """
     m = rows.shape[1]
-    pd = np.ones(m, dtype=bool)
-    logdet = np.zeros(m)
     f = np.empty(m)
     tmp = np.empty(m)
-    for diag, eliminations in plan.steps:
-        d = rows[diag]
-        pd &= d > 0.0
-        d = np.where(pd, d, np.inf)
-        logdet += np.log(d)
-        for ki, updates in eliminations:
-            np.divide(rows[ki], d, out=f)
-            for ij, kj in updates:
-                np.multiply(f, rows[kj], out=tmp)
-                rows[ij] -= tmp
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for diag, eliminations in plan.steps:
+            d = rows[diag]
+            for ki, updates in eliminations:
+                np.divide(rows[ki], d, out=f)
+                for ij, kj in updates:
+                    np.multiply(f, rows[kj], out=tmp)
+                    rows[ij] -= tmp
+        pd = np.ones(m, dtype=bool)
+        logdet = np.zeros(m)
+        for diag, _ in plan.steps:
+            d = rows[diag]
+            pd &= d > 0.0
+            logdet += np.log(d)
     return pd, np.where(pd, logdet, 0.0)
 
 
-def _log_f_batch(space, plan, coords, y_coords, alpha):
-    """Log integrand per sample; -inf outside the open primal cone.
+@dataclass(frozen=True)
+class _AffineIntegrand:
+    """The log integrand alpha log det x - tr(xy) along the draws
+    x = mu + s R z, in basis coordinates.
 
-    Only the planned entries of each sample's matrix are formed, as a
-    (len(plan.cols), m) array of contiguous rows, and ``_pivot_logdet``
-    tests membership by the signs of its elimination pivots.
+    ``entries_mu`` (a column) and ``entries_root`` are mu and R through the
+    planned-entry map E = space.flat[:, plan.cols].T, and ``trace_mu`` and
+    ``trace_root`` are mu and R through c(y) = ``y_coords``: a draw's
+    planned entries are entries_mu + s (entries_root z) and its tr(xy) is
+    trace_mu + s (z . trace_root).  mu, root and y_coords are kept for a
+    route that forms x itself.
     """
-    rows = space.flat[:, plan.cols].T @ coords.T
-    pd, logdet = _pivot_logdet(rows, plan)
-    log_f = alpha * logdet - coords @ y_coords
-    return np.where(pd, log_f, -np.inf)
+
+    plan: _EliminationPlan
+    alpha: float
+    mu: np.ndarray
+    root: np.ndarray
+    y_coords: np.ndarray
+    entries_mu: np.ndarray
+    entries_root: np.ndarray
+    trace_mu: float
+    trace_root: np.ndarray
+
+
+def _block_log_f(integrand: _AffineIntegrand, z: np.ndarray, s: np.ndarray,
+                 rows: np.ndarray) -> np.ndarray:
+    """Log integrand at the draws x = mu + s R z of one block, one per row
+    of z; -inf outside the open primal cone.
+
+    ``rows`` (one row per planned entry, one column per draw) receives the
+    draws' planned entries and is overwritten by the elimination.
+    """
+    np.matmul(integrand.entries_root, z.T, out=rows)
+    rows *= s
+    rows += integrand.entries_mu
+    pd, logdet = _pivot_logdet(rows, integrand.plan)
+    trace = integrand.trace_mu + s * (z @ integrand.trace_root)
+    return np.where(pd, integrand.alpha * logdet - trace, -np.inf)
 
 
 def _student_t_log_norm(df: float, dim: int, log_det_root: float) -> float:
@@ -286,14 +330,22 @@ def mc_cone_integral(
     root = cov_root * math.sqrt((df - 2.0) / df)  # a square root of the t scale
     log_norm = _student_t_log_norm(df, n_dim, np.linalg.slogdet(root)[1])
     plan = _elimination_plan(space.support)
+    entries = space.flat[:, plan.cols].T
+    integrand = _AffineIntegrand(
+        plan, alpha, mu, root, y_coords,
+        entries_mu=(entries @ mu)[:, None],
+        entries_root=entries @ root,
+        trace_mu=float(mu @ y_coords),
+        trace_root=root.T @ y_coords,
+    )
+    rows = np.empty((len(plan.cols), min(_BLOCK, samples)))
 
     master = np.random.SeedSequence(seed)
-    n_chunks = (samples + CHUNK - 1) // CHUNK
-    children = master.spawn(n_chunks)
     sum_w = 0.0
     sum_w2 = 0.0
-    done = 0
-    for child in children:
+    for done in range(0, samples, CHUNK):
+        # spawning one child per chunk yields the children spawn(n_chunks) would
+        (child,) = master.spawn(1)
         m = min(CHUNK, samples - done)
         rng = np.random.Generator(np.random.PCG64(child))
         z = rng.standard_normal((m, n_dim))
@@ -302,11 +354,10 @@ def mc_cone_integral(
         for lo in range(0, m, _BLOCK):
             block = slice(lo, lo + _BLOCK)
             zb, ub = z[block], u[block]
-            coords = mu + (zb @ root.T) * np.sqrt(df / ub)[:, None]
             mahal = np.einsum("ij,ij->i", zb, zb) * df / ub
             log_q = log_norm - 0.5 * (df + n_dim) * np.log1p(mahal / df)
-            w[block] = np.exp(_log_f_batch(space, plan, coords, y_coords, alpha) - log_q)
+            log_f = _block_log_f(integrand, zb, np.sqrt(df / ub), rows[:, :len(zb)])
+            w[block] = np.exp(log_f - log_q)
         sum_w += float(np.sum(w))
         sum_w2 += float(np.sum(w * w))
-        done += m
     return _estimate_from_sums(sum_w, sum_w2, samples, seed)

@@ -688,6 +688,36 @@ def test_dual_membership_boundary_exterior():
     assert not cone.in_dual_cone(space, np.array([[1.0, 0.0], [0.0, -0.5]]))
 
 
+def _maximal_cliques(pattern):
+    """The maximal cliques of a support pattern, by trying every vertex subset."""
+    p = len(pattern)
+    cliques = [set(c) for r in range(1, p + 1) for c in itertools.combinations(range(p), r)
+               if all(pattern[i, j] for i, j in itertools.combinations(c, 2))]
+    return [sorted(c) for c in cliques if not any(c < d for d in cliques)]
+
+
+def test_dual_membership_matches_the_clique_blocks():
+    # on a chordal support, y is in the open dual cone exactly when every
+    # maximal-clique block of y is positive definite (Grone et al. 1984);
+    # inside points past block condition 1e3 are skipped, where psi may
+    # stop unconverged (the strict xfail in test_realization.py)
+    rng = np.random.default_rng(2000)
+    counts = {True: 0, False: 0}
+    for space in model_spaces():
+        cliques = _maximal_cliques(space.support)
+        for _ in range(200):
+            a = rng.standard_normal((space.p, space.p))
+            y = space.project(rng.choice([-1.0, 1.0]) * a @ a.T
+                              + rng.uniform(-1.0, 3.0) * np.eye(space.p))
+            eigs = [np.linalg.eigvalsh(y[np.ix_(c, c)]) for c in cliques]
+            inside = all(e[0] > 0 for e in eigs)
+            if inside and max(e[-1] / e[0] for e in eigs) > 1e3:
+                continue
+            assert cone.in_dual_cone(space, y) == inside
+            counts[inside] += 1
+    assert min(counts.values()) >= 500, counts
+
+
 def test_membership_requires_space_point(spaces):
     off = np.zeros((5, 5))
     off[0, 3] = off[3, 0] = 1.0

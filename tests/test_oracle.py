@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -338,15 +339,17 @@ def test_pivots_reject_singular_psd(p, scale):
         assert not pd.any()
 
 
-def _log_f_batch_eigvalsh(space, plan, coords, y_coords, alpha):
-    """The batched-eigendecomposition membership test the pivots replaced;
-    it ignores the elimination plan."""
+def _block_log_f_eigvalsh(space, integrand, z, s, rows):
+    """The batched-eigendecomposition membership test the pivots replaced:
+    it forms each draw's coordinates mu + s (z R^T) and matrix, and ignores
+    the elimination plan and ``rows``."""
+    coords = integrand.mu + (z @ integrand.root.T) * s[:, None]
     mats = np.einsum("sa,aij->sij", coords, space.basis)
     eigs = np.linalg.eigvalsh(mats)
     pd = eigs[:, 0] > 0.0
     safe = np.where(pd[:, None], eigs, 1.0)
     logdet = np.sum(np.log(safe), axis=1)
-    log_f = -coords @ y_coords + alpha * logdet
+    log_f = -coords @ integrand.y_coords + integrand.alpha * logdet
     return np.where(pd, log_f, -np.inf)
 
 
@@ -512,6 +515,57 @@ def test_sparse_pivots_match_slogdet_and_eigvalsh(name, scale):
     assert not pd.any()
 
 
+PD, INDEFINITE, SINGULAR = range(3)
+
+
+def _interleaved(rng, pattern, m):
+    """m matrices on the pattern in random order, each positive definite,
+    indefinite with a positive determinant, or singular; and their kinds."""
+    p = len(pattern)
+    kinds = rng.permutation(np.arange(m) % 3)
+    a = _on_pattern(rng, pattern, m)
+    shift = -np.linalg.eigvalsh(a)[:, :1, None] + rng.uniform(0.05, 2.0, (m, 1, 1))
+    mats = a + shift * np.eye(p)
+    # diagonally dominant with two negative diagonal cells
+    off = 0.1 / p * _on_pattern(rng, pattern & ~np.eye(p, dtype=bool), m)
+    diag = rng.uniform(1.0, 2.0, (m, p))
+    for row in diag:
+        row[rng.choice(p, 2, replace=False)] *= -1.0
+    indefinite = kinds == INDEFINITE
+    mats[indefinite] = (off + diag[:, :, None] * np.eye(p))[indefinite]
+    # a zero row and column: its pivot stays exactly 0, so its multipliers are 0/0
+    for i in np.flatnonzero(kinds == SINGULAR):
+        z = rng.integers(p)
+        mats[i, z, :] = 0.0
+        mats[i, :, z] = 0.0
+    return mats, kinds
+
+
+INTERLEAVED = {**{f"dense{p}": (p, list(itertools.combinations(range(1, p + 1), 2)))
+                  for p in range(2, 8)}, **SPARSE_PATTERNS}
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("name", INTERLEAVED)
+def test_pivots_on_interleaved_stacks(name, scale):
+    # a column that fails at a pivot must leave every other column's
+    # result as it would be alone
+    p, edges = INTERLEAVED[name]
+    pattern = _pattern(p, edges)
+    rng = np.random.default_rng(1960)
+    mats, kinds = _interleaved(rng, pattern, 300)
+    mats = scale * mats
+    low = np.linalg.eigvalsh(mats)[:, 0]
+    sign, ref = np.linalg.slogdet(mats)
+    assert np.all(low[kinds == PD] > 0) and np.all(sign[kinds == PD] > 0)
+    assert np.all(low[kinds == INDEFINITE] < 0) and np.all(sign[kinds == INDEFINITE] > 0)
+    assert np.all(sign[kinds == SINGULAR] == 0)
+    pd, logdet = _pivots(mats, pattern)
+    assert np.array_equal(pd, kinds == PD)
+    assert np.all(np.abs(logdet[pd] - ref[pd]) <= 1e-12 * np.maximum(1.0, np.abs(ref[pd])))
+    assert np.all(logdet[~pd] == 0.0)
+
+
 def test_estimates_do_not_depend_on_the_block_width(monkeypatch):
     # a sample count that is no multiple of either width: every draw counted once
     _, space, _, y, alpha = verify.mc_reference_cases()[2]
@@ -529,12 +583,59 @@ def test_estimates_match_eigvalsh_route(monkeypatch, case, zero_alpha):
     _, space, _, y, alpha = verify.mc_reference_cases()[case]
     alpha = 0.0 if zero_alpha else alpha
     new = mc_cone_integral(space, alpha, y, samples=60_000, seed=1401 + case)
-    monkeypatch.setattr(oracle, "_log_f_batch", _log_f_batch_eigvalsh)
+    drawn = []
+
+    def reference(integrand, z, s, rows):
+        drawn.append(len(z))
+        return _block_log_f_eigvalsh(space, integrand, z, s, rows)
+
+    monkeypatch.setattr(oracle, "_block_log_f", reference)
     old = mc_cone_integral(space, alpha, y, samples=60_000, seed=1401 + case)
+    assert sum(drawn) == 60_000
     for field in ("value", "std_error", "effective_samples"):
         assert math.isclose(getattr(new, field), getattr(old, field),
                             rel_tol=1e-12, abs_tol=0.0), field
     assert new.warning == old.warning
+
+
+def test_estimates_keep_their_chunk_seeds(monkeypatch):
+    # six chunks of 1 000 draws, the last of one; the figures were recorded
+    # when every chunk's seed was spawned before the first draw
+    _, space, _, y, alpha = verify.mc_reference_cases()[2]
+    monkeypatch.setattr(oracle, "CHUNK", 1_000)
+    est = mc_cone_integral(space, alpha, y, samples=5_001, seed=1930)
+    recorded = {"value": 23.340958464853003, "std_error": 0.4845327829977974,
+                "effective_samples": 1585.0567886628348}
+    for field, want in recorded.items():
+        assert math.isclose(getattr(est, field), want, rel_tol=1e-12, abs_tol=0.0), field
+
+
+def test_estimate_leaves_the_floating_point_error_state_alone():
+    # the hub's draws off the cone take logs of pivots that are not
+    # positive inside the kernel
+    _, space, _, y, alpha = verify.mc_reference_cases()[2]
+    before = np.geterr()
+    mc_cone_integral(space, alpha, y, samples=20_000, seed=1940)
+    assert np.geterr() == before
+
+
+# 14.2 MiB with 16 384-draw blocks and the pivots masked as they were
+# eliminated, plus 10 %
+HUB_MC_PEAK_MIB = 15.6
+
+
+def test_hub_mc_traced_peak():
+    # one 250 000-draw chunk: its normals, gammas and weights take about
+    # 11.4 MiB, so the bound leaves about 4 MiB for the block temporaries
+    _, space, _, y, alpha = verify.mc_reference_cases()[2]
+    mc_cone_integral(space, alpha, y, samples=1_000, seed=1950)  # the space's maps, built on first use
+    tracemalloc.start()
+    try:
+        mc_cone_integral(space, alpha, y, samples=250_000, seed=1951)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= HUB_MC_PEAK_MIB, f"traced peak {peak:.1f} MiB"
 
 
 def _sibling_imports(module: str) -> set[str]:
